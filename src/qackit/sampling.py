@@ -378,12 +378,13 @@ def _min_rank_polynomials(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return coeffs, anti, weights
 
 
-def _cdf_eval(anti_row: np.ndarray, t: np.ndarray) -> np.ndarray:
-    total = np.zeros_like(t)
-    power = t.copy()
-    for a in anti_row:
-        total += a * power
+def _cdf_eval(coeffs, t):
+    """Antiderivative ``sum_i coeffs[i] * t^(i+1)``; ``t`` is a float or an array."""
+    total = coeffs[0] * t
+    power = t
+    for a in coeffs[1:]:
         power = power * t
+        total = total + a * power
     return total
 
 
@@ -410,33 +411,19 @@ def _subtree_masses(tree: TauTree, weights: np.ndarray) -> np.ndarray:
     return masses
 
 
-def _invert_cdf(anti_row: np.ndarray, weight: float, u: np.ndarray) -> np.ndarray:
-    lo = np.zeros_like(u)
-    hi = np.ones_like(u)
-    target = u * weight
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        below = _cdf_eval(anti_row, mid) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+def _invert_cdf(anti_row: np.ndarray, weight: float, u):
+    """Bisection for ``m`` in [0, 1] with ``CDF(m) = u * weight``, elementwise.
 
-
-def _invert_cdf_scalar(anti_row: np.ndarray, weight: float, u: float) -> float:
-    lo, hi = 0.0, 1.0
-    target = u * weight
+    ``u`` is one float (a single draw, which stays in Python arithmetic) or an
+    array.  The select is written as arithmetic rather than ``np.where`` so that
+    both forms run the same operations and give the same bits."""
     coeffs = anti_row.tolist()
+    target = u * float(weight)
+    lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        total = 0.0
-        power = mid
-        for a in coeffs:
-            total += a * power
-            power *= mid
-        if total < target:
-            lo = mid
-        else:
-            hi = mid
+        below = _cdf_eval(coeffs, mid) < target
+        lo, hi = mid * below + lo * (1 - below), hi * below + mid * (1 - below)
     return 0.5 * (lo + hi)
 
 
@@ -485,7 +472,7 @@ def factorized_sample_gate(
     while tree.node(node).factor is None:
         node = highlights[node]
     j_star = tree.node(node).factor
-    m_val = _invert_cdf_scalar(anti[j_star], weights[j_star], rng.random())
+    m_val = _invert_cdf(anti[j_star], weights[j_star], rng.random())
     thresholds = {}
     survival = {}
     bits = ["0"] * k
@@ -578,15 +565,23 @@ def hamming_stats(
     """Monte-Carlo Hamming-weight statistics of the target measurement, with
     tails compared against ``exp(-2 eps^2 n / r)``."""
     samples = sample_mostly_classical_batch(c, trials, rng)
-    n = samples.shape[1]
+    r = read_r if read_r is not None else classical_read_bound(c)
+    return hamming_stats_of_samples(samples, r, epsilons)
+
+
+def hamming_stats_of_samples(
+    samples: np.ndarray, read_r: int, epsilons: tuple[float, ...] = (0.05, 0.1, 0.2)
+) -> HammingStats:
+    """Hamming-weight statistics of a ``(trials, targets)`` 0/1 sample matrix,
+    with tails compared against ``exp(-2 eps^2 n / read_r)``."""
+    trials, n = samples.shape
     weights = samples.sum(axis=1)
     mean = float(weights.mean())
     variance = float(weights.var())
-    r = read_r if read_r is not None else classical_read_bound(c)
     tails = []
     for eps in epsilons:
-        bound = math.exp(-2.0 * eps * eps * n / r)
+        bound = math.exp(-2.0 * eps * eps * n / read_r)
         upper = float(np.mean(weights >= mean + eps * n))
         lower = float(np.mean(weights <= mean - eps * n))
         tails.append(TailEntry(eps, upper, lower, bound))
-    return HammingStats(trials, n, r, mean, variance, tuple(tails))
+    return HammingStats(trials, n, read_r, mean, variance, tuple(tails))

@@ -1,9 +1,17 @@
 """Dense state-vector oracle.
 
 Amplitude indexing puts qubit 0 at the most significant bit of the basis
-index, so ``|q0 q1 q2>`` has index ``4*q0 + 2*q1 + q2``.  Gate application is
-exact up to floating point; every operation returns a fresh value.  The
-practical cap is 24 qubits (2^24 complex doubles).
+index, so ``|q0 q1 q2>`` has index ``4*q0 + 2*q1 + q2``.  Equivalently, a
+buffer of ``2**m`` amplitudes reshaped to ``(2,) * m`` has one axis per wire,
+in wire order.  The engine works in place on such views: a one-qubit gate
+updates the two slices along its wire's axis, Toffoli and Or swap the two
+target slices where the controls hold given values, and a reflection
+``I - 2|chi><chi|`` contracts ``chi`` against its wires' axes.  Any trailing
+axes of the buffer form a batch axis that every gate acts on alike, so
+``unitary`` is ``run`` applied to the identity matrix.  Public functions
+never modify their arguments: ``run`` and ``apply_gate`` copy the input
+amplitudes once, then apply gates in place.  The practical cap is 24 qubits
+(2^24 complex doubles), checked before any allocation.
 """
 from __future__ import annotations
 
@@ -23,9 +31,8 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        _check_width(self.num_qubits)
         amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1).copy()
-        if self.num_qubits < 1 or self.num_qubits > MAX_QUBITS:
-            raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}]")
         if amps.shape[0] != 1 << self.num_qubits:
             raise ValueError("amplitude count must be 2**num_qubits")
         if abs(np.linalg.norm(amps) - 1.0) > NORM_ATOL:
@@ -34,19 +41,25 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
 
 
+def _check_width(num_qubits: int) -> None:
+    if not 1 <= num_qubits <= MAX_QUBITS:
+        raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}]")
+
+
 def zero_state(num_qubits: int) -> StateVector:
-    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(num_qubits, amps)
+    return basis_state(num_qubits, 0)
 
 
 def basis_state(num_qubits: int, bits: str | int) -> StateVector:
+    _check_width(num_qubits)
     if isinstance(bits, str):
         if len(bits) != num_qubits:
             raise ValueError("bit string length must equal num_qubits")
-        index = int(bits, 2) if num_qubits else 0
+        index = int(bits, 2)
     else:
         index = int(bits)
+    if not 0 <= index < 1 << num_qubits:
+        raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(num_qubits, amps)
@@ -59,104 +72,69 @@ def product_state(factors: list[LocalState]) -> StateVector:
     return StateVector(len(factors), amps)
 
 
-def _bit_shift(num_qubits: int, q: int) -> int:
-    return num_qubits - 1 - q
+def _halves(psi: np.ndarray, m: int, axis: int, fixed=()):
+    """Views of ``psi`` with wire ``axis`` at 0 and at 1 and each ``(wire,
+    value)`` pair of ``fixed`` holding.  The trailing ``...`` keeps the result
+    a view even when every wire is fixed."""
+    idx: list = [slice(None)] * m
+    for q, v in fixed:
+        idx[q] = v
+    idx[axis] = 0
+    lo = psi[(*idx, ...)]
+    idx[axis] = 1
+    return lo, psi[(*idx, ...)]
 
 
-def _apply_one_qubit(amps: np.ndarray, m: int, g: OneQubit) -> np.ndarray:
-    s = _bit_shift(m, g.qubit)
-    idx = np.arange(1 << m)
-    i0 = idx[(idx >> s) & 1 == 0]
-    i1 = i0 | (1 << s)
-    out = amps.copy()
-    a0, a1 = amps[i0], amps[i1]
-    u = g.matrix
-    out[i0] = u[0, 0] * a0 + u[0, 1] * a1
-    out[i1] = u[1, 0] * a0 + u[1, 1] * a1
-    return out
+def _controlled_x(psi: np.ndarray, m: int, controls, value: int, target: int) -> None:
+    """X on ``target`` wherever every control wire holds ``value``."""
+    lo, hi = _halves(psi, m, target, [(c, value) for c in controls])
+    tmp = lo.copy()
+    lo[...] = hi
+    hi[...] = tmp
 
 
-def _control_mask_indices(m: int, controls, value: int) -> np.ndarray:
-    idx = np.arange(1 << m)
-    mask = np.ones(1 << m, dtype=bool)
-    for c in controls:
-        bit = (idx >> _bit_shift(m, c)) & 1
-        mask &= bit == value
-    return idx[mask]
-
-
-def _apply_toffoli(amps: np.ndarray, m: int, g: Toffoli) -> np.ndarray:
-    active = _control_mask_indices(m, g.controls, 1)
-    tbit = 1 << _bit_shift(m, g.target)
-    lo = active[(active & tbit) == 0]
-    hi = lo | tbit
-    out = amps.copy()
-    out[lo], out[hi] = amps[hi], amps[lo]
-    return out
-
-
-def _apply_or(amps: np.ndarray, m: int, g: Or) -> np.ndarray:
-    idx = np.arange(1 << m)
-    any_set = np.zeros(1 << m, dtype=bool)
-    for c in g.controls:
-        any_set |= ((idx >> _bit_shift(m, c)) & 1) == 1
-    tbit = 1 << _bit_shift(m, g.target)
-    active = idx[any_set & ((idx & tbit) == 0)]
-    hi = active | tbit
-    out = amps.copy()
-    out[active], out[hi] = amps[hi], amps[active]
-    return out
-
-
-def _apply_rtensor(amps: np.ndarray, m: int, g: RTensor) -> np.ndarray:
-    qs = g.qubits
-    k = len(qs)
-    base = _control_mask_indices(m, qs, 0)
-    offsets = np.zeros(1 << k, dtype=np.int64)
-    for pat in range(1 << k):
-        off = 0
-        for j in range(k):
-            if (pat >> (k - 1 - j)) & 1:
-                off |= 1 << _bit_shift(m, qs[j])
-        offsets[pat] = off
-    chi = np.array([1.0], dtype=np.complex128)
-    for _, st in g.factors:
-        chi = np.kron(chi, st.vec())
-    sel = offsets[:, None] + base[None, :]
-    gathered = amps[sel]
-    overlap = np.tensordot(chi.conj(), gathered, axes=(0, 0))
-    gathered = gathered - 2.0 * chi.reshape((-1,) + (1,) * overlap.ndim) * overlap[None, ...]
-    out = amps.copy()
-    out[sel] = gathered
-    return out
-
-
-def _apply_gate_raw(amps: np.ndarray, m: int, g: Gate) -> np.ndarray:
+def _apply_gate_in_place(buf: np.ndarray, m: int, g: Gate) -> None:
+    """Apply ``g`` to every column of ``buf``, whose first axis holds 2**m amplitudes."""
     for q in support(g):
         if not 0 <= q < m:
             raise ValueError(f"gate support {support(g)} out of range for {m} qubits")
+    psi = buf.reshape((2,) * m + buf.shape[1:])
     if isinstance(g, OneQubit):
-        return _apply_one_qubit(amps, m, g)
-    if isinstance(g, Toffoli):
-        return _apply_toffoli(amps, m, g)
-    if isinstance(g, Or):
-        return _apply_or(amps, m, g)
-    if isinstance(g, RTensor):
-        return _apply_rtensor(amps, m, g)
-    raise TypeError(f"unknown gate {type(g)!r}")
+        lo, hi = _halves(psi, m, g.qubit)
+        u = g.matrix
+        lo[...], hi[...] = u[0, 0] * lo + u[0, 1] * hi, u[1, 0] * lo + u[1, 1] * hi
+    elif isinstance(g, Toffoli):
+        _controlled_x(psi, m, g.controls, 1, g.target)
+    elif isinstance(g, Or):
+        # b ^ OR(x) = NOT b, undone where every control is 0
+        _controlled_x(psi, m, (), 1, g.target)
+        _controlled_x(psi, m, g.controls, 0, g.target)
+    elif isinstance(g, RTensor):
+        k = len(g.factors)
+        chi = product_state(g.states).amplitudes.reshape((2,) * k)
+        view = np.moveaxis(psi, g.qubits, range(k))
+        view -= 2.0 * np.multiply.outer(chi, np.tensordot(chi.conj(), view, axes=k))
+    else:
+        raise TypeError(f"unknown gate {type(g)!r}")
+
+
+def _run_in_place(buf: np.ndarray, c: Circuit) -> None:
+    for lay in c.layers:
+        for g in lay.gates:
+            _apply_gate_in_place(buf, c.num_qubits, g)
 
 
 def apply_gate(state: StateVector, g: Gate) -> StateVector:
-    return StateVector(state.num_qubits, _apply_gate_raw(state.amplitudes, state.num_qubits, g))
+    amps = state.amplitudes.copy()
+    _apply_gate_in_place(amps, state.num_qubits, g)
+    return StateVector(state.num_qubits, amps)
 
 
 def run(c: Circuit, state: StateVector) -> StateVector:
     if c.num_qubits != state.num_qubits:
         raise ValueError("circuit and state qubit counts differ")
-    amps = state.amplitudes
-    for lay in c.layers:
-        for g in lay.gates:
-            amps = _apply_gate_raw(amps, c.num_qubits, g)
+    amps = state.amplitudes.copy()
+    _run_in_place(amps, c)
     return StateVector(c.num_qubits, amps)
 
 
@@ -164,11 +142,8 @@ def unitary(c: Circuit, max_qubits: int = 12) -> np.ndarray:
     """Dense matrix of the circuit; column j is the image of basis state j."""
     if c.num_qubits > max_qubits:
         raise ValueError(f"dense unitary capped at {max_qubits} qubits")
-    dim = 1 << c.num_qubits
-    mat = np.eye(dim, dtype=np.complex128)
-    for lay in c.layers:
-        for g in lay.gates:
-            mat = _apply_gate_raw(mat, c.num_qubits, g)
+    mat = np.eye(1 << c.num_qubits, dtype=np.complex128)
+    _run_in_place(mat, c)
     return mat
 
 
@@ -234,21 +209,19 @@ def measure_in_basis(
     if not 0 <= qubit < m:
         raise ValueError(f"qubit {qubit} out of range")
     branches: list[tuple[float, StateVector | None]] = []
-    shift = _bit_shift(m, qubit)
-    idx = np.arange(1 << m)
-    i0 = idx[(idx >> shift) & 1 == 0]
-    i1 = i0 | (1 << shift)
+    lo, hi = _halves(state.amplitudes.reshape((2,) * m), m, qubit)
     for vec in (basis_state_, basis_state_.complement()):
         v = vec.vec()
-        coeff = v[0].conjugate() * state.amplitudes[i0] + v[1].conjugate() * state.amplitudes[i1]
+        coeff = v[0].conjugate() * lo + v[1].conjugate() * hi
         p = float(np.linalg.norm(coeff) ** 2)
         if p < 1e-15:
             branches.append((0.0, None))
             continue
-        out = np.zeros_like(state.amplitudes)
+        out = np.zeros((2,) * m, dtype=np.complex128)
+        out_lo, out_hi = _halves(out, m, qubit)
         scale = 1.0 / np.sqrt(p)
-        out[i0] = v[0] * coeff * scale
-        out[i1] = v[1] * coeff * scale
+        out_lo[...] = v[0] * coeff * scale
+        out_hi[...] = v[1] * coeff * scale
         branches.append((p, StateVector(m, out)))
     return branches
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,30 @@ def test_sample_csv_and_manifest(tmp_path):
     assert str(out) in manifest["outputs"]
 
 
+@pytest.mark.parametrize("sampler", ["direct", "factorized"])
+def test_sample_summary_tails_come_from_rows(tmp_path, sampler):
+    nek = tmp_path / "nek.json"
+    run_cli("build", "nekomata", "--n", "2", "--columns", "3", "--out", str(nek))
+    out = tmp_path / "samples.csv"
+    summary = tmp_path / "summary.json"
+    code = run_cli(
+        "sample", "--circuit", str(nek), "--trials", "400", "--seed", "7",
+        "--sampler", sampler, "--out", str(out), "--summary", str(summary),
+    )
+    assert code == 0
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
+    n = len(rows[0][1])
+    weights = np.array([bits.count("1") for _, bits, _ in rows])
+    mean = weights.mean()
+    doc = json.loads(summary.read_text())
+    assert doc["mean"] == pytest.approx(mean, abs=1e-12)
+    assert len(doc["tails"]) == 3
+    for tail in doc["tails"]:
+        eps = tail["epsilon"]
+        assert tail["upper_tail"] == np.mean(weights >= mean + eps * n)
+        assert tail["lower_tail"] == np.mean(weights <= mean - eps * n)
+
+
 def test_simulate_basis_input_and_state_export(tmp_path, capsys):
     tree = tmp_path / "tree.json"
     run_cli("build", "fanout-tree", "--n", "3", "--m", "2", "--out", str(tree))
@@ -150,6 +175,35 @@ def test_verify_all_suites(tmp_path, capsys):
 
 def test_verify_single_suite():
     assert run_cli("verify", "--suite", "markov", "--seed", "1") == 0
+
+
+def test_simulate_rejects_too_wide_circuit_before_allocating(tmp_path, capsys):
+    from qackit.statevec import MAX_QUBITS
+
+    path = tmp_path / "wide.json"
+    path.write_text(serialize(circuit(MAX_QUBITS + 1, [[cnot(0, 1)]])))
+    tracemalloc.start()
+    try:
+        assert run_cli("simulate", "--circuit", str(path)) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert "num_qubits must be in" in capsys.readouterr().err
+
+
+def test_verify_markov_can_fail(tmp_path, monkeypatch, capsys):
+    from qackit import analysis
+
+    monkeypatch.setattr(analysis, "generalized_markov_threshold", lambda law, a, delta: -1.0)
+    report = tmp_path / "verify.json"
+    assert run_cli("verify", "--suite", "markov", "--seed", "4", "--report", str(report)) == 1
+    out = capsys.readouterr().out
+    assert "markov: FAIL" in out
+    doc = json.loads(report.read_text())["suites"]["markov"]
+    assert doc["passed"] is False and doc["violations"] == doc["instances"] > 0
+    assert doc["seed"] == 4
+    assert f"first failing instance {doc['first_failing_instance']} (seed 4)" in out
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from qackit import (
     KET0,
     KET1,
     LocalState,
+    OneQubit,
+    Or,
     PLUS,
     RTensor,
     Toffoli,
@@ -25,7 +29,7 @@ from qackit import (
     run,
     zero_state,
 )
-from qackit.statevec import StateVector, unitary
+from qackit.statevec import MAX_QUBITS, StateVector, unitary
 
 from conftest import haar_local, haar_state, random_qac_circuit
 from qackit.rng import substream
@@ -232,3 +236,84 @@ def test_dimension_mismatch_errors():
         run(circuit(3, []), zero_state(2))
     with pytest.raises(ValueError):
         measurement_distribution(zero_state(2), (5,))
+
+
+def test_width_checked_before_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            zero_state(MAX_QUBITS + 1)
+        with pytest.raises(ValueError):
+            basis_state(MAX_QUBITS + 1, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError):
+        zero_state(0)
+
+
+@pytest.mark.parametrize("index", [-1, 8])
+def test_basis_index_out_of_range(index):
+    with pytest.raises(ValueError):
+        basis_state(3, index)
+
+
+# ---------------------------------------------------------------------------
+# independent reference: each gate's full matrix built from its definition
+
+I2 = np.eye(2, dtype=complex)
+
+
+def kron_wires(m: int, ops: dict) -> np.ndarray:
+    out = np.eye(1, dtype=complex)
+    for q in range(m):
+        out = np.kron(out, ops.get(q, I2))
+    return out
+
+
+def reference_gate_matrix(m: int, g) -> np.ndarray:
+    if isinstance(g, OneQubit):
+        return kron_wires(m, {g.qubit: g.matrix})
+    if isinstance(g, RTensor):
+        projector = kron_wires(m, {q: np.outer(s.vec(), s.vec().conj()) for q, s in g.factors})
+        return np.eye(1 << m) - 2.0 * projector
+    # |x, b> -> |x, b ^ f(x)>: a permutation of basis states
+    combine = all if isinstance(g, Toffoli) else any
+    perm = np.zeros((1 << m, 1 << m))
+    for i in range(1 << m):
+        bits = [(i >> (m - 1 - q)) & 1 for q in range(m)]
+        flip = combine(bits[c] for c in g.controls)
+        perm[i ^ (flip << (m - 1 - g.target)), i] = 1.0
+    return perm
+
+
+def reference_unitary(c) -> np.ndarray:
+    u = np.eye(1 << c.num_qubits, dtype=complex)
+    for lay in c.layers:
+        for g in lay.gates:
+            u = reference_gate_matrix(c.num_qubits, g) @ u
+    return u
+
+
+def full_cover_circuits():
+    """Toffoli and Or whose controls are every wire but the target, and a
+    reflection over every wire, so that the kernels work on 0-d views."""
+    for m in (2, 3, 4):
+        rest = tuple(range(1, m))
+        yield circuit(m, [[Toffoli(rest, 0)]])
+        yield circuit(m, [[Or(rest, 0)]])
+        yield circuit(m, [[Or(tuple(range(m - 1)), m - 1)]])
+        yield circuit(m, [[RTensor(tuple((q, PLUS) for q in range(m)))]])
+
+
+def test_kernels_match_kron_reference():
+    rng = substream(8)
+    circuits = list(full_cover_circuits())
+    circuits += [random_qac_circuit(rng, max_qubits=6, max_depth=4) for _ in range(60)]
+    for c in circuits:
+        ref = reference_unitary(c)
+        assert np.max(np.abs(unitary(c) - ref)) < 1e-12
+        amps = haar_state(1 << c.num_qubits, rng)
+        out = run(c, StateVector(c.num_qubits, amps))
+        assert np.max(np.abs(out.amplitudes - ref @ amps)) < 1e-12
