@@ -266,19 +266,51 @@ def _unitarity_error(m: np.ndarray) -> float:
     return float(np.max(np.abs(m.conj().T @ m - np.eye(2))))
 
 
+def is_classical_gate(g: Gate) -> bool:
+    """Toffoli, Or, or a one-qubit gate equal to X within ``ATOL``."""
+    if isinstance(g, (Toffoli, Or)):
+        return True
+    return isinstance(g, OneQubit) and bool(np.max(np.abs(g.matrix - X_MATRIX)) <= ATOL)
+
+
 def _classical_controls(g: Gate) -> frozenset[int]:
     if isinstance(g, (Toffoli, Or)):
         return frozenset(g.controls)
     return frozenset()
 
 
+def _overlaps(supports: list[tuple[int, ...]], controls: list[frozenset[int]]) -> list[tuple[int, int]]:
+    """Sorted gate-index pairs of one layer that share a wire which is not a
+    classical control of both gates.
+
+    Each wire maps to the gates holding it as a control and to the gates
+    holding it otherwise; only pairs with a gate of the second kind are
+    formed, so a wire shared only as a control costs nothing."""
+    as_control: dict[int, list[int]] = {}
+    otherwise: dict[int, list[int]] = {}
+    for j, (sup, ctl) in enumerate(zip(supports, controls)):
+        for q in sup:
+            (as_control if q in ctl else otherwise).setdefault(q, []).append(j)
+    pairs = set()
+    for q, owners in otherwise.items():
+        holders = owners + as_control.get(q, [])
+        for j1 in owners:
+            pairs.update((min(j1, j2), max(j1, j2)) for j2 in holders if j2 != j1)
+    return sorted(pairs)
+
+
 def validate(c: Circuit) -> list[str]:
-    """Return all invariant violations; an empty list means the circuit is valid."""
+    """Return all invariant violations; an empty list means the circuit is valid.
+
+    Runs in time linear in the total support size plus the size of the
+    overlaps it reports."""
     problems: list[str] = []
     for k, lay in enumerate(c.layers):
-        for j, g in enumerate(lay.gates):
+        supports = [support(g) for g in lay.gates]
+        controls = [_classical_controls(g) for g in lay.gates]
+        for j, (g, sup) in enumerate(zip(lay.gates, supports)):
             where = f"layer {k}, gate {j}"
-            for q in support(g):
+            for q in sup:
                 if not 0 <= q < c.num_qubits:
                     problems.append(f"{where}: qubit {q} out of range")
             if isinstance(g, OneQubit) and _unitarity_error(g.matrix) > ATOL:
@@ -287,17 +319,10 @@ def validate(c: Circuit) -> list[str]:
                 for q, s in g.factors:
                     if s.norm_error() > ATOL:
                         problems.append(f"{where}: non-normalized local state on qubit {q}")
-        for j1 in range(len(lay.gates)):
-            for j2 in range(j1 + 1, len(lay.gates)):
-                g1, g2 = lay.gates[j1], lay.gates[j2]
-                shared = set(support(g1)) & set(support(g2))
-                if not shared:
-                    continue
-                if shared <= (_classical_controls(g1) & _classical_controls(g2)):
-                    continue  # commuting classical controls may be shared
-                problems.append(
-                    f"layer {k}: overlapping supports on qubits {sorted(shared)}"
-                )
+        for j1, j2 in _overlaps(supports, controls):
+            # every shared wire is listed, shared classical controls included
+            shared = set(supports[j1]) & set(supports[j2])
+            problems.append(f"layer {k}: overlapping supports on qubits {sorted(shared)}")
     if c.targets is not None:
         if len(set(c.targets)) != len(c.targets):
             problems.append("duplicate target qubits")
@@ -312,11 +337,7 @@ def is_valid(c: Circuit) -> bool:
 
 
 def gates_equal(a: Gate, b: Gate) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, OneQubit):
-        return a == b
-    return a == b
+    return type(a) is type(b) and a == b
 
 
 def circuits_equal(a: Circuit, b: Circuit) -> bool:

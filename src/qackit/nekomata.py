@@ -12,10 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ir import Circuit, Layer, LocalState, OneQubit, Or, RTensor, Toffoli, X_MATRIX, circuit, rtensor
+from .ir import Circuit, Layer, LocalState, Or, RTensor, circuit, is_classical_gate, rtensor
 from .transforms import _fanout_stage_layers
-
-import numpy as np
 
 
 def choose_columns(n: int, epsilon: float) -> int:
@@ -185,21 +183,13 @@ class ClassificationResult:
     witness_classical: Circuit | None = None
 
 
-def _is_classical_gate(g) -> bool:
-    if isinstance(g, (Toffoli, Or)):
-        return True
-    if isinstance(g, OneQubit):
-        return bool(np.max(np.abs(g.matrix - X_MATRIX)) <= 1e-12)
-    return False
-
-
 def classify(c: Circuit) -> ClassificationResult:
     """Purely classical: Toffoli/X/OR gates only.  Mostly classical: purely
     classical after the first layer.  Nice: mostly classical with every
     multi-qubit first-layer reflection satisfying ``prod |<0|chi_j>|^2 <= 1/4``."""
-    purely = all(_is_classical_gate(g) for g in c.gates())
+    purely = all(is_classical_gate(g) for g in c.gates())
     rest_classical = all(
-        _is_classical_gate(g) for lay in c.layers[1:] for g in lay.gates
+        is_classical_gate(g) for lay in c.layers[1:] for g in lay.gates
     )
     mostly = purely or rest_classical
     nice = False

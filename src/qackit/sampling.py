@@ -9,6 +9,20 @@ Standard-basis measurements commute with classical gates, so a
 mostly-classical circuit is sampled by drawing each first-layer gate's output
 bits and pushing them through the classical part.
 
+``sample_mostly_classical_batch`` is the one sampling pipeline.  It keeps the
+trials wire-major and bit-packed: a ``(num_qubits, ceil(trials/8))`` uint8
+buffer holds one row per wire, trial ``t`` at bit ``7 - t % 8`` of byte
+``t // 8``.  Each first-layer reflection's draws are packed into its wires'
+rows, ``_eval_classical`` applies the classical layers to whole rows (AND- or
+OR-reduce the control rows into the target, flip the row for X), and only the
+target rows are unpacked.  The per-gate law is a parameter with the signature
+``(g, trials, rng) -> (trials, k)``, where ``g`` is the reflection with its
+zero-probability factors dropped: ``direct_sample_batch`` (the default) draws
+from the closed form above, ``factorized_sample_batch`` through the
+factorization below.  Sizes are checked against ``MAX_SAMPLE_BYTES`` before
+the buffer is allocated.  ``run_classical`` and ``influences`` use the same
+evaluator.
+
 ``factorized_sample_gate`` draws the same per-gate law through an explicit
 factorization: a Bernoulli coin B, a highlighted root-to-leaf path in a
 binary tree over influence sets choosing the minimal-rank factor J, the
@@ -20,14 +34,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .ir import Circuit, Gate, Layer, OneQubit, Or, RTensor, Toffoli, X_MATRIX, is_multi_qubit
+from .ir import Circuit, Layer, OneQubit, Or, RTensor, Toffoli, is_classical_gate, is_multi_qubit
 from .nekomata import classify
 
 ENUMERATION_CAP = 20
 FACTORIZED_ARITY_CAP = 12
+# cap on the packed (wires, trials/8) buffer and on the (trials, targets) result
+MAX_SAMPLE_BYTES = 1 << 28
+
+# per-gate law: (reflection without zero-probability factors, trials, rng) -> (trials, k) bits
+GateSampler = Callable[[RTensor, int, np.random.Generator], np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +115,10 @@ def _sample_rtensor_bits(p: np.ndarray, trials: int, rng: np.random.Generator) -
         return out
     prod_q = float(np.prod(1.0 - p))
     if prod_q <= 0.25:
-        # convex combination: all-zeros with prob 1 - 4 prod_q, else independent draws
-        active = rng.random(trials) < 4.0 * prod_q
-        draws = rng.random((trials, k)) < p
-        out[active] = draws[active]
+        # convex combination: all-zeros with prob 1 - 4 prod_q, else independent
+        # draws, made only for the active trials
+        active = np.flatnonzero(rng.random(trials) < 4.0 * prod_q)
+        out[active] = rng.random((active.size, k)) < p
         return out
     # inverse transform on the exact law, rejecting all-zero conditional draws
     zeros = rng.random(trials) < (1.0 - 2.0 * prod_q) ** 2
@@ -109,6 +129,11 @@ def _sample_rtensor_bits(p: np.ndarray, trials: int, rng: np.random.Generator) -
         out[pending[hit]] = draws[hit]
         pending = pending[~hit]
     return out
+
+
+def direct_sample_batch(g: RTensor, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """(trials, k) draws from the exact measurement law of ``R_chi |0..0>``."""
+    return _sample_rtensor_bits(_one_probs(g), trials, rng)
 
 
 def sample_rtensor(g: RTensor, rng: np.random.Generator) -> str:
@@ -122,30 +147,25 @@ def sample_rtensor(g: RTensor, rng: np.random.Generator) -> str:
 
 
 # ---------------------------------------------------------------------------
-# classical evaluation
-
-
-def _classical_step(bits: np.ndarray, g: Gate) -> None:
-    if isinstance(g, Toffoli):
-        acc = bits[:, g.controls[0]].copy()
-        for c in g.controls[1:]:
-            acc &= bits[:, c]
-        bits[:, g.target] ^= acc
-    elif isinstance(g, Or):
-        acc = bits[:, g.controls[0]].copy()
-        for c in g.controls[1:]:
-            acc |= bits[:, c]
-        bits[:, g.target] ^= acc
-    elif isinstance(g, OneQubit) and np.max(np.abs(g.matrix - X_MATRIX)) <= 1e-12:
-        bits[:, g.qubit] ^= 1
-    else:
-        raise ValueError(f"non-classical gate {type(g).__name__} in classical evaluation")
+# classical evaluation on packed rows
 
 
 def _eval_classical(layers, bits: np.ndarray) -> np.ndarray:
+    """Apply classical layers in place to ``bits``, one packed row per wire.
+
+    Toffoli XORs the AND of its control rows into the target row, Or the OR,
+    and X flips every byte of its row, so the padding bits past the last trial
+    carry garbage that unpacking with ``count`` drops."""
     for lay in layers:
         for g in lay.gates:
-            _classical_step(bits, g)
+            if isinstance(g, Toffoli):
+                bits[g.target] ^= np.bitwise_and.reduce(bits[list(g.controls)], axis=0)
+            elif isinstance(g, Or):
+                bits[g.target] ^= np.bitwise_or.reduce(bits[list(g.controls)], axis=0)
+            elif is_classical_gate(g):
+                bits[g.qubit] ^= 0xFF
+            else:
+                raise ValueError(f"non-classical gate {type(g).__name__} in classical evaluation")
     return bits
 
 
@@ -155,43 +175,56 @@ def run_classical(c: Circuit, x: str) -> str:
         raise ValueError("input length must equal num_qubits")
     if not classify(c).purely_classical:
         raise ValueError("circuit is not purely classical")
-    bits = np.array([[1 if ch == "1" else 0 for ch in x]], dtype=np.uint8)
-    bits = _eval_classical(c.layers, bits)
-    return "".join("1" if b else "0" for b in bits[0])
+    bits = np.packbits(np.array([[ch == "1"] for ch in x]), axis=1)
+    out = np.unpackbits(_eval_classical(c.layers, bits), axis=1, count=1)
+    return "".join("1" if b else "0" for b in out[:, 0])
 
 
-def _sample_first_layer(lay: Layer, num_qubits: int, trials: int, rng: np.random.Generator) -> np.ndarray:
-    bits = np.zeros((trials, num_qubits), dtype=np.uint8)
+def _sample_first_layer(
+    lay: Layer, bits: np.ndarray, trials: int, rng: np.random.Generator, gate_sampler: GateSampler
+) -> None:
+    """Write each first-layer gate's draws on all-zeros input into its packed rows."""
     for g in lay.gates:
         if isinstance(g, RTensor):
-            p_all = _one_probs(g)
-            kept = np.flatnonzero(p_all > 0.0)
-            draws = _sample_rtensor_bits(p_all[kept], trials, rng)
-            qs = np.array(g.qubits)[kept]
-            if qs.size:
-                bits[:, qs] = draws
+            kept = _one_probs(g) > 0.0
+            if not kept.any():
+                continue
+            if not kept.all():
+                g = RTensor(tuple(f for f, keep in zip(g.factors, kept) if keep))
+            draws = gate_sampler(g, trials, rng)
+            # packing a contiguous copy of the transpose is ~8x faster than packing along axis 0
+            bits[list(g.qubits)] = np.packbits(np.ascontiguousarray(draws.T), axis=1)
         elif isinstance(g, OneQubit):
-            p1 = float(abs(g.matrix[1, 0]) ** 2)
-            bits[:, g.qubit] = rng.random(trials) < p1
+            bits[g.qubit] = np.packbits(rng.random(trials) < abs(g.matrix[1, 0]) ** 2)
         elif isinstance(g, (Toffoli, Or)):
             pass  # classical gate on all-zeros input leaves zeros
         else:
             raise ValueError(f"unsupported first-layer gate {type(g).__name__}")
-    return bits
 
 
-def sample_mostly_classical_batch(c: Circuit, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """(trials, n_targets) samples of the target measurement of C|0..0>."""
-    result = classify(c)
-    if not result.mostly_classical:
+def sample_mostly_classical_batch(
+    c: Circuit, trials: int, rng: np.random.Generator, gate_sampler: GateSampler = direct_sample_batch
+) -> np.ndarray:
+    """(trials, n_targets) samples of the target measurement of C|0..0>.
+
+    ``gate_sampler(g, trials, rng)`` draws the (trials, k) outputs of each
+    first-layer reflection ``g`` (zero-probability factors dropped)."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not classify(c).mostly_classical:
         raise ValueError("circuit is not mostly classical")
-    if not c.layers:
-        base = np.zeros((trials, c.num_qubits), dtype=np.uint8)
-    else:
-        base = _sample_first_layer(c.layers[0], c.num_qubits, trials, rng)
-        base = _eval_classical(c.layers[1:], base)
-    targets = c.targets if c.targets is not None else tuple(range(c.num_qubits))
-    return base[:, list(targets)]
+    targets = list(c.targets) if c.targets is not None else list(range(c.num_qubits))
+    width = -(-trials // 8)
+    need = max(c.num_qubits * width, trials * len(targets))
+    if need > MAX_SAMPLE_BYTES:
+        raise ValueError(
+            f"{trials} trials on {c.num_qubits} wires need {need} bytes, over the {MAX_SAMPLE_BYTES}-byte cap"
+        )
+    bits = np.zeros((c.num_qubits, width), dtype=np.uint8)
+    if c.layers:
+        _sample_first_layer(c.layers[0], bits, trials, rng, gate_sampler)
+        _eval_classical(c.layers[1:], bits)
+    return np.ascontiguousarray(np.unpackbits(bits[targets], axis=1, count=trials).T)
 
 
 def sample_mostly_classical(c: Circuit, rng: np.random.Generator) -> str:
@@ -256,15 +289,17 @@ def influences(c: Circuit, mode: str = "exact", width_cap: int = 24) -> Influenc
         if len(free) > 22:
             raise ValueError("light cone too wide for exhaustive toggling")
         count = 1 << len(free)
-        bits = np.zeros((2 * count, c.num_qubits), dtype=np.uint8)
+        # trial t < count sets input j to 0, trial count + t to 1; t picks the free inputs
+        bits = np.zeros((c.num_qubits, 2 * count), dtype=np.uint8)
         if free:
-            assign = ((np.arange(count)[:, None] >> np.arange(len(free))[None, :]) & 1).astype(np.uint8)
-            bits[:count, free] = assign
-            bits[count:, free] = assign
-        bits[count:, j] = 1
-        outs = _eval_classical(c.layers, bits)
-        diff = outs[:count] != outs[count:]
-        sets[j] = frozenset(int(w) for w in np.flatnonzero(diff.any(axis=0)))
+            assign = ((np.arange(count)[None, :] >> np.arange(len(free))[:, None]) & 1).astype(np.uint8)
+            bits[free, :count] = assign
+            bits[free, count:] = assign
+        bits[j, count:] = 1
+        outs = _eval_classical(c.layers, np.packbits(bits, axis=1))
+        outs = np.unpackbits(outs, axis=1, count=2 * count)
+        diff = outs[:, :count] != outs[:, count:]
+        sets[j] = frozenset(int(w) for w in np.flatnonzero(diff.any(axis=1)))
     return InfluenceMap("exact", sets)
 
 

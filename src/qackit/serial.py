@@ -122,6 +122,13 @@ def _as_complex(val: Any, where: str) -> complex:
     return complex(val[0], val[1])
 
 
+def _wire(val: Any, field: str, where: str) -> int:
+    """``val`` as a wire id; floats and booleans are rejected, not coerced."""
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise CircuitFormatError(f"{where}: {field}: expected an integer wire id, got {val!r}")
+    return val
+
+
 def _parse_gate(obj: Any, where: str) -> Gate:
     if not isinstance(obj, dict):
         raise CircuitFormatError(f"{where}: gate must be an object")
@@ -131,14 +138,17 @@ def _parse_gate(obj: Any, where: str) -> Gate:
         if not isinstance(mat, list) or len(mat) != 4:
             raise CircuitFormatError(f"{where}: u1 matrix must have 4 entries")
         entries = [_as_complex(e, where) for e in mat]
-        return OneQubit(int(_want(obj, "qubit", where)), np.array(entries).reshape(2, 2))
+        qubit = _wire(_want(obj, "qubit", where), "qubit", where)
+        return OneQubit(qubit, np.array(entries).reshape(2, 2))
     if kind in ("toffoli", "or"):
         controls = _want(obj, "controls", where)
         if not isinstance(controls, list):
             raise CircuitFormatError(f"{where}: controls must be an array")
         cls = Toffoli if kind == "toffoli" else Or
+        wires = tuple(_wire(q, "controls", where) for q in controls)
+        target = _wire(_want(obj, "target", where), "target", where)
         try:
-            return cls(tuple(int(q) for q in controls), int(_want(obj, "target", where)))
+            return cls(wires, target)
         except ValueError as exc:
             raise CircuitFormatError(f"{where}: {exc}") from exc
     if kind == "rtensor":
@@ -150,7 +160,7 @@ def _parse_gate(obj: Any, where: str) -> Gate:
             fw = f"{where}, factor {i}"
             pairs.append(
                 (
-                    int(_want(f, "qubit", fw)),
+                    _wire(_want(f, "qubit", fw), "qubit", fw),
                     LocalState(_as_complex(_want(f, "amp0", fw), fw), _as_complex(_want(f, "amp1", fw), fw)),
                 )
             )
@@ -171,13 +181,13 @@ def deserialize(text: str) -> Circuit:
     if not isinstance(doc, dict):
         raise CircuitFormatError("top level: expected an object")
     num_qubits = _want(doc, "num_qubits", "top level")
-    if not isinstance(num_qubits, int) or num_qubits <= 0:
+    if isinstance(num_qubits, bool) or not isinstance(num_qubits, int) or num_qubits <= 0:
         raise CircuitFormatError("top level: num_qubits must be a positive integer")
     targets = _want(doc, "targets", "top level")
     if targets is not None:
         if not isinstance(targets, list):
             raise CircuitFormatError("top level: targets must be an array or null")
-        targets = tuple(int(q) for q in targets)
+        targets = tuple(_wire(q, "targets", "top level") for q in targets)
     layers_doc = _want(doc, "layers", "top level")
     if not isinstance(layers_doc, list):
         raise CircuitFormatError("top level: layers must be an array")

@@ -10,7 +10,8 @@ target slices where the controls hold given values, and a reflection
 axes of the buffer form a batch axis that every gate acts on alike, so
 ``unitary`` is ``run`` applied to the identity matrix.  Public functions
 never modify their arguments: ``run`` and ``apply_gate`` copy the input
-amplitudes once, then apply gates in place.  The practical cap is 24 qubits
+amplitudes once, apply gates in place, and hand that buffer to the result
+read-only, without a second copy.  The practical cap is 24 qubits
 (2^24 complex doubles), checked before any allocation.
 """
 from __future__ import annotations
@@ -32,13 +33,26 @@ class StateVector:
 
     def __post_init__(self):
         _check_width(self.num_qubits)
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1).copy()
+        self._freeze(np.array(self.amplitudes, dtype=np.complex128).reshape(-1))
+
+    def _freeze(self, amps: np.ndarray) -> None:
+        """Check ``amps``, a buffer no caller holds, and keep it read-only."""
         if amps.shape[0] != 1 << self.num_qubits:
             raise ValueError("amplitude count must be 2**num_qubits")
         if abs(np.linalg.norm(amps) - 1.0) > NORM_ATOL:
             raise ValueError("state vector must be unit norm")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def _adopt(cls, num_qubits: int, amps: np.ndarray) -> "StateVector":
+        """State over ``amps``, a fresh buffer of this module, without the
+        defensive copy the constructor makes."""
+        _check_width(num_qubits)
+        state = cls.__new__(cls)
+        object.__setattr__(state, "num_qubits", num_qubits)
+        state._freeze(amps.reshape(-1))
+        return state
 
 
 def _check_width(num_qubits: int) -> None:
@@ -62,14 +76,14 @@ def basis_state(num_qubits: int, bits: str | int) -> StateVector:
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[index] = 1.0
-    return StateVector(num_qubits, amps)
+    return StateVector._adopt(num_qubits, amps)
 
 
 def product_state(factors: list[LocalState]) -> StateVector:
     amps = np.array([1.0], dtype=np.complex128)
     for f in factors:
         amps = np.kron(amps, f.vec())
-    return StateVector(len(factors), amps)
+    return StateVector._adopt(len(factors), amps)
 
 
 def _halves(psi: np.ndarray, m: int, axis: int, fixed=()):
@@ -127,7 +141,7 @@ def _run_in_place(buf: np.ndarray, c: Circuit) -> None:
 def apply_gate(state: StateVector, g: Gate) -> StateVector:
     amps = state.amplitudes.copy()
     _apply_gate_in_place(amps, state.num_qubits, g)
-    return StateVector(state.num_qubits, amps)
+    return StateVector._adopt(state.num_qubits, amps)
 
 
 def run(c: Circuit, state: StateVector) -> StateVector:
@@ -135,7 +149,7 @@ def run(c: Circuit, state: StateVector) -> StateVector:
         raise ValueError("circuit and state qubit counts differ")
     amps = state.amplitudes.copy()
     _run_in_place(amps, c)
-    return StateVector(c.num_qubits, amps)
+    return StateVector._adopt(c.num_qubits, amps)
 
 
 def unitary(c: Circuit, max_qubits: int = 12) -> np.ndarray:
@@ -222,7 +236,7 @@ def measure_in_basis(
         scale = 1.0 / np.sqrt(p)
         out_lo[...] = v[0] * coeff * scale
         out_hi[...] = v[1] * coeff * scale
-        branches.append((p, StateVector(m, out)))
+        branches.append((p, StateVector._adopt(m, out)))
     return branches
 
 

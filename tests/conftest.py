@@ -103,11 +103,10 @@ def tv_distance(counts: dict[str, int], exact: dict[str, float], total: int) -> 
 
 
 def counts_from_rows(rows: np.ndarray) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for row in rows:
-        key = "".join("1" if b else "0" for b in row)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    """Bit string -> number of rows, for a (trials, n) 0/1 matrix with n >= 1."""
+    rows = np.asarray(rows, dtype=np.uint8)
+    keys, counts = np.unique((rows + ord("0")).view(f"S{rows.shape[1]}"), return_counts=True)
+    return {k.decode(): int(c) for k, c in zip(keys, counts)}
 
 
 @pytest.fixture

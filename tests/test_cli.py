@@ -280,3 +280,52 @@ def test_build_fanout_tree_shared_controls(tmp_path, capsys):
     assert run_cli("info", "--circuit", str(out)) == 0
     text = capsys.readouterr().out
     assert "depth=2" in text and "size=8" in text
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_sample_rejects_nonpositive_trials(tmp_path, capsys, trials):
+    nek = tmp_path / "nek.json"
+    run_cli("build", "nekomata", "--n", "2", "--columns", "3", "--out", str(nek))
+    out, summary = tmp_path / "s.csv", tmp_path / "summary.json"
+    code = run_cli(
+        "sample", "--circuit", str(nek), "--trials", trials, "--seed", "1",
+        "--out", str(out), "--summary", str(summary),
+    )
+    assert code == 1
+    assert "trials must be at least 1" in capsys.readouterr().err
+    assert not out.exists() and not summary.exists()
+
+
+def test_sample_rejects_oversized_run_before_allocating(tmp_path, capsys):
+    from qackit.sampling import MAX_SAMPLE_BYTES
+
+    nek = tmp_path / "nek.json"
+    run_cli("build", "nekomata", "--n", "2", "--columns", "3", "--out", str(nek))
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = run_cli(
+            "sample", "--circuit", str(nek), "--trials", str(MAX_SAMPLE_BYTES), "--seed", "1",
+            "--out", str(tmp_path / "s.csv"),
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and peak < 1 << 20
+    assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 3), (1001, 6), (4, 0)])
+def test_samples_csv_matches_csv_writer(shape):
+    import io
+
+    from qackit.cli import _samples_csv
+    from qackit.rng import substream
+
+    samples = substream(70).integers(0, 2, size=shape, dtype=np.uint8)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["trial", "bitstring", "hamming_weight"])
+    for t, row in enumerate(samples):
+        writer.writerow([t, "".join("1" if b else "0" for b in row), int(row.sum())])
+    assert _samples_csv(samples) == buf.getvalue()

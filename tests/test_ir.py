@@ -154,3 +154,81 @@ def test_targets_validation():
     assert any("duplicate target" in p for p in validate(c))
     c2 = circuit(3, [[cnot(0, 1)]], targets=(7,))
     assert any("target qubit 7 out of range" in p for p in validate(c2))
+
+
+def _pairwise_validate(c):
+    """All-pairs reference for ``validate``: per-gate problems of a layer, then
+    one line per gate pair whose shared wires are not all controls of both."""
+    problems = []
+    for k, lay in enumerate(c.layers):
+        for j, g in enumerate(lay.gates):
+            for q in support(g):
+                if not 0 <= q < c.num_qubits:
+                    problems.append(f"layer {k}, gate {j}: qubit {q} out of range")
+            if isinstance(g, OneQubit) and np.max(np.abs(g.matrix.conj().T @ g.matrix - np.eye(2))) > 1e-12:
+                problems.append(f"layer {k}, gate {j}: non-unitary matrix")
+            if isinstance(g, RTensor):
+                for q, s in g.factors:
+                    if s.norm_error() > 1e-12:
+                        problems.append(f"layer {k}, gate {j}: non-normalized local state on qubit {q}")
+        for j1, g1 in enumerate(lay.gates):
+            for g2 in lay.gates[j1 + 1:]:
+                shared = set(support(g1)) & set(support(g2))
+                ctl = [set(g.controls) if isinstance(g, (Toffoli, Or)) else set() for g in (g1, g2)]
+                if shared and not shared <= ctl[0] & ctl[1]:
+                    problems.append(f"layer {k}: overlapping supports on qubits {sorted(shared)}")
+    if c.targets is not None:
+        if len(set(c.targets)) != len(c.targets):
+            problems.append("duplicate target qubits")
+        problems += [f"target qubit {q} out of range" for q in c.targets if not 0 <= q < c.num_qubits]
+    return problems
+
+
+def _random_crowded_layer(rng, m: int):
+    """Gates on random, mostly overlapping wires: shared controls, partial
+    overlaps, and wires past ``m`` or negative."""
+    gates = []
+    for _ in range(int(rng.integers(1, 9))):
+        k = int(rng.integers(1, 5))
+        wires = [int(q) for q in rng.choice(np.arange(-1, m + 2), size=k, replace=False)]
+        kind = rng.integers(4)
+        if kind == 0 or k == 1:
+            gates.append(OneQubit(wires[0], np.eye(2) if rng.random() < 0.8 else np.ones((2, 2))))
+        elif kind == 1:
+            gates.append(Toffoli(tuple(wires[:-1]), wires[-1]))
+        elif kind == 2:
+            gates.append(Or(tuple(wires[:-1]), wires[-1]))
+        else:
+            state = PLUS if rng.random() < 0.8 else LocalState(1.0, 1.0)
+            gates.append(RTensor(tuple((q, state) for q in wires)))
+    if rng.random() < 0.5:  # a restricted-fanout stage: one control shared by many gates
+        c0 = int(rng.integers(m))
+        gates += [cnot(c0, t) for t in range(m) if t != c0 and rng.random() < 0.5]
+    return gates
+
+
+def test_validate_matches_pairwise_reference():
+    from qackit.ir import Layer, Circuit
+
+    rng = substream(12)
+    for _ in range(300):
+        m = int(rng.integers(2, 9))
+        layers = [Layer(tuple(_random_crowded_layer(rng, m))) for _ in range(int(rng.integers(1, 4)))]
+        targets = tuple(int(q) for q in rng.integers(-1, m + 1, size=int(rng.integers(0, 4))))
+        c = Circuit(m, tuple(layers), targets if rng.random() < 0.7 else None)
+        assert validate(c) == _pairwise_validate(c)
+
+
+def test_validate_calls_support_once_per_gate(monkeypatch):
+    from qackit import build_depth2_nekomata, ir, solve_bias
+
+    c = build_depth2_nekomata(3, 20, solve_bias(3, 20))
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return support(g)
+
+    monkeypatch.setattr(ir, "support", counted)
+    assert validate(c) == []
+    assert len(calls) == sum(len(lay.gates) for lay in c.layers)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -459,3 +461,138 @@ def test_hamming_stats_read_override():
     c = circuit(4, [[h_gate(q) for q in range(4)]], targets=(0, 1, 2, 3))
     stats = hamming_stats(c, 1000, substream(59), read_r=4)
     assert stats.read_r == 4
+
+
+# ---------------------------------------------------------------------------
+# packed classical evaluator
+
+
+def _random_classical_circuit(rng, m: int):
+    """X, Toffoli and Or gates on disjoint wires, a few layers deep."""
+    layers = []
+    for _ in range(int(rng.integers(1, 5))):
+        wires = [int(q) for q in rng.permutation(m)]
+        gates = []
+        while wires:
+            k = int(rng.integers(1, min(4, len(wires)) + 1))
+            chosen, wires = wires[:k], wires[k:]
+            if k == 1:
+                gates.append(x_gate(chosen[0]))
+            elif rng.random() < 0.5:
+                gates.append(Toffoli(tuple(chosen[:-1]), chosen[-1]))
+            else:
+                gates.append(Or(tuple(chosen[:-1]), chosen[-1]))
+        layers.append(gates)
+    return circuit(m, layers)
+
+
+def _reference_classical(c, x: str) -> str:
+    """Bit-by-bit evaluation in Python, independent of the packed evaluator."""
+    bits = [ch == "1" for ch in x]
+    for lay in c.layers:
+        for g in lay.gates:
+            if isinstance(g, Toffoli):
+                bits[g.target] ^= all(bits[q] for q in g.controls)
+            elif isinstance(g, Or):
+                bits[g.target] ^= any(bits[q] for q in g.controls)
+            else:
+                bits[g.qubit] = not bits[g.qubit]
+    return "".join("1" if b else "0" for b in bits)
+
+
+@pytest.mark.parametrize("trials", [1, 7, 8, 9, 1001])
+def test_packed_evaluator_matches_run_classical(trials):
+    from qackit.sampling import _eval_classical
+
+    rng = substream(60, trials)
+    for _ in range(4):
+        m = int(rng.integers(2, 10))
+        c = _random_classical_circuit(rng, m)
+        inputs = rng.integers(0, 2, size=(trials, m), dtype=np.uint8)
+        packed = np.packbits(inputs.T, axis=1)
+        assert packed.shape == (m, -(-trials // 8))
+        out = _eval_classical(c.layers, packed)
+        rows = np.unpackbits(out, axis=1, count=trials).T
+        for x_row, y_row in zip(inputs, rows):
+            x = "".join(map(str, x_row))
+            y = "".join(map(str, y_row))
+            assert y == run_classical(c, x) == _reference_classical(c, x)
+
+
+def test_packed_evaluator_padding_stays_out_of_results():
+    # X flips the padding bits of the last byte; they must not reach the rows
+    from qackit.sampling import _eval_classical
+
+    c = circuit(3, [[x_gate(0), x_gate(1)], [Or((0, 1), 2)]])
+    out = _eval_classical(c.layers, np.zeros((3, 2), dtype=np.uint8))
+    assert out[2, 1] == 0xFF  # garbage past trial 9 is really there
+    rows = np.unpackbits(out, axis=1, count=9).T
+    assert rows.shape == (9, 3) and np.all(rows == 1)
+    rows = sample_mostly_classical_batch(
+        circuit(3, [[x_gate(0)], [x_gate(1)], [Or((0, 1), 2)]], targets=(1, 2)), 9, substream(61)
+    )
+    assert rows.shape == (9, 2) and np.all(rows == [1, 1])
+
+
+def test_influences_match_brute_force_with_x_gates():
+    rng = substream(62)
+    for _ in range(10):
+        m = int(rng.integers(2, 6))
+        c = _random_classical_circuit(rng, m)
+        outs = {}
+        for i in range(1 << m):
+            x = format(i, f"0{m}b")
+            outs[x] = run_classical(c, x)
+        for j in range(m):
+            flipped = set()
+            for x, y in outs.items():
+                z = outs[x[:j] + ("1" if x[j] == "0" else "0") + x[j + 1:]]
+                flipped |= {w for w in range(m) if y[w] != z[w]}
+            assert influences(c).sets[j] == frozenset(flipped)
+
+
+def test_pipeline_takes_the_gate_law_as_a_parameter():
+    # the factorized law through the same pipeline agrees with the oracle
+    rng = substream(63)
+    c = random_mostly_classical_circuit(rng, max_qubits=6, max_targets=3)
+    trials = 40_000
+    seen = []
+
+    def law(g, n, r):
+        seen.append(g)
+        return factorized_sample_batch(g, n, r)
+
+    rows = sample_mostly_classical_batch(c, trials, substream(64), law)
+    exact = measurement_distribution(run(c, zero_state(c.num_qubits)), c.targets)
+    assert tv_distance(counts_from_rows(rows), exact.probs, trials) < 0.02
+    assert seen and all(s.one_probability() > 0.0 for g in seen for s in g.states)
+
+
+def test_pipeline_drops_zero_probability_factors_before_the_law():
+    c = circuit(3, [[rtensor({0: LocalState(1.0, 0.0), 1: PLUS, 2: PLUS})]], targets=(0, 1, 2))
+    seen = []
+
+    def law(g, n, r):
+        seen.append(g.qubits)
+        return factorized_sample_batch(g, n, r)
+
+    rows = sample_mostly_classical_batch(c, 100, substream(65), law)
+    assert seen == [(1, 2)] and not rows[:, 0].any()
+
+
+def test_sample_rejects_bad_trials_and_oversized_buffers_before_allocating():
+    from qackit import sampling
+
+    c = build_depth2_nekomata(2, 3, solve_bias(2, 3))
+    for trials in (0, -5):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            sample_mostly_classical_batch(c, trials, substream(66))
+    trials = 8 * (sampling.MAX_SAMPLE_BYTES // c.num_qubits + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cap"):
+            sample_mostly_classical_batch(c, trials, substream(66))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

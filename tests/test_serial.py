@@ -87,3 +87,36 @@ def test_missing_fields():
         deserialize('{"num_qubits": 2, "layers": []}')
     with pytest.raises(CircuitFormatError, match="num_qubits"):
         deserialize('{"num_qubits": 0, "targets": null, "layers": []}')
+
+
+_X = [[0, 0], [1, 0], [1, 0], [0, 0]]
+_AMP = {"amp0": [1.0, 0.0], "amp1": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize("bad", [0.9, 1.0, True, False, "1", None])
+@pytest.mark.parametrize(
+    "field, gate, targets",
+    [
+        ("qubit", lambda w: {"kind": "u1", "qubit": w, "matrix": _X}, None),
+        ("controls", lambda w: {"kind": "toffoli", "controls": [0, w], "target": 2}, None),
+        ("target", lambda w: {"kind": "toffoli", "controls": [0], "target": w}, None),
+        ("controls", lambda w: {"kind": "or", "controls": [w], "target": 2}, None),
+        ("target", lambda w: {"kind": "or", "controls": [0, 2], "target": w}, None),
+        ("qubit", lambda w: {"kind": "rtensor", "factors": [{"qubit": w, **_AMP}]}, None),
+        ("targets", lambda w: {"kind": "u1", "qubit": 0, "matrix": _X}, lambda w: [0, w]),
+    ],
+)
+def test_wire_ids_must_be_integers(field, gate, targets, bad):
+    import json
+
+    doc = {"num_qubits": 3, "targets": targets(bad) if targets else None, "layers": [[gate(bad)]]}
+    with pytest.raises(CircuitFormatError, match=f"{field}: expected an integer wire id, got {bad!r}"):
+        deserialize(json.dumps(doc))
+    ok = {"num_qubits": 3, "targets": targets(1) if targets else None, "layers": [[gate(1)]]}
+    deserialize(json.dumps(ok))
+
+
+@pytest.mark.parametrize("bad", ["true", "2.0"])
+def test_num_qubits_must_be_an_integer(bad):
+    with pytest.raises(CircuitFormatError, match="num_qubits"):
+        deserialize('{"num_qubits": %s, "targets": null, "layers": []}' % bad)

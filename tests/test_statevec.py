@@ -317,3 +317,34 @@ def test_kernels_match_kron_reference():
         amps = haar_state(1 << c.num_qubits, rng)
         out = run(c, StateVector(c.num_qubits, amps))
         assert np.max(np.abs(out.amplitudes - ref @ amps)) < 1e-12
+
+
+def test_state_does_not_follow_the_array_it_was_built_from():
+    amps = haar_state(8, substream(80))
+    state = StateVector(3, amps)
+    before = state.amplitudes.copy()
+    amps[:] = 0.0
+    assert np.array_equal(state.amplitudes, before)
+    assert not state.amplitudes.flags.writeable
+    with pytest.raises(ValueError):
+        state.amplitudes[0] = 1.0
+
+
+def test_run_hands_its_buffer_to_the_result_without_a_second_copy():
+    m = 16
+    state = StateVector(m, haar_state(1 << m, substream(81)))
+    c = circuit(m, [[Toffoli((0, 1, 2, 3), 4)]])
+    tracemalloc.start()
+    try:
+        out = run(c, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    state_bytes = 16 << m
+    # one copy of the input plus the Toffoli's 1/32-size swap buffer
+    assert peak < 1.25 * state_bytes
+    assert not out.amplitudes.flags.writeable
+    assert not np.shares_memory(out.amplitudes, state.amplitudes)
+    expected = state.amplitudes.reshape((2,) * m).copy()
+    expected[1, 1, 1, 1] = expected[1, 1, 1, 1, ::-1]
+    assert np.array_equal(out.amplitudes, expected.reshape(-1))
