@@ -263,7 +263,8 @@ def topology(c: Circuit) -> Topology:
 
 
 def _unitarity_error(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m.conj().T @ m - np.eye(2))))
+    with np.errstate(invalid="ignore"):  # non-finite entries give NaN, which validate rejects
+        return float(np.max(np.abs(m.conj().T @ m - np.eye(2))))
 
 
 def is_classical_gate(g: Gate) -> bool:
@@ -313,11 +314,12 @@ def validate(c: Circuit) -> list[str]:
             for q in sup:
                 if not 0 <= q < c.num_qubits:
                     problems.append(f"{where}: qubit {q} out of range")
-            if isinstance(g, OneQubit) and _unitarity_error(g.matrix) > ATOL:
+            # written as not (err <= ATOL) so that NaN errors fail too
+            if isinstance(g, OneQubit) and not _unitarity_error(g.matrix) <= ATOL:
                 problems.append(f"{where}: non-unitary matrix")
             if isinstance(g, RTensor):
                 for q, s in g.factors:
-                    if s.norm_error() > ATOL:
+                    if not s.norm_error() <= ATOL:
                         problems.append(f"{where}: non-normalized local state on qubit {q}")
         for j1, j2 in _overlaps(supports, controls):
             # every shared wire is listed, shared classical controls included

@@ -29,6 +29,13 @@ binary tree over influence sets choosing the minimal-rank factor J, the
 conditional minimum M, and per-factor survival thresholds S.  The tree walk
 is how the law decomposes into read-bounded pieces; here it is implemented
 at desk scale with exact polynomial integrals for the conditional laws.
+M is drawn by inverting its CDF, the antiderivative F of the density
+``p_J prod_{i != J} (1 - p_i t)``, with Newton's method (``_invert_cdf``):
+F' is positive and decreasing on [0, 1), so F is increasing and concave and
+Newton started at 0 climbs to the root from below without overshooting.
+Both draw paths share that inversion.  ``factorized_sample_batch`` makes one
+call per gate over the trials whose coin B is 1; the others output
+all-zeros whatever M and S are, though their random numbers are still drawn.
 """
 from __future__ import annotations
 
@@ -43,6 +50,9 @@ from .nekomata import classify
 
 ENUMERATION_CAP = 20
 FACTORIZED_ARITY_CAP = 12
+# Newton on the min-rank CDF: steps at or below NEWTON_TOL end the iteration
+NEWTON_TOL = 1e-12
+NEWTON_MAX_STEPS = 100
 # cap on the packed (wires, trials/8) buffer and on the (trials, targets) result
 MAX_SAMPLE_BYTES = 1 << 28
 
@@ -211,15 +221,16 @@ def sample_mostly_classical_batch(
     first-layer reflection ``g`` (zero-probability factors dropped)."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if not classify(c).mostly_classical:
-        raise ValueError("circuit is not mostly classical")
-    targets = list(c.targets) if c.targets is not None else list(range(c.num_qubits))
     width = -(-trials // 8)
-    need = max(c.num_qubits * width, trials * len(targets))
+    n_targets = len(c.targets) if c.targets is not None else c.num_qubits
+    need = max(c.num_qubits * width, trials * n_targets)
     if need > MAX_SAMPLE_BYTES:
         raise ValueError(
             f"{trials} trials on {c.num_qubits} wires need {need} bytes, over the {MAX_SAMPLE_BYTES}-byte cap"
         )
+    if not classify(c).mostly_classical:
+        raise ValueError("circuit is not mostly classical")
+    targets = list(c.targets) if c.targets is not None else list(range(c.num_qubits))
     bits = np.zeros((c.num_qubits, width), dtype=np.uint8)
     if c.layers:
         _sample_first_layer(c.layers[0], bits, trials, rng, gate_sampler)
@@ -413,16 +424,6 @@ def _min_rank_polynomials(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return coeffs, anti, weights
 
 
-def _cdf_eval(coeffs, t):
-    """Antiderivative ``sum_i coeffs[i] * t^(i+1)``; ``t`` is a float or an array."""
-    total = coeffs[0] * t
-    power = t
-    for a in coeffs[1:]:
-        power = power * t
-        total = total + a * power
-    return total
-
-
 @dataclass(frozen=True)
 class SamplerTrace:
     """Record of the factorized randomness behind one draw."""
@@ -446,20 +447,35 @@ def _subtree_masses(tree: TauTree, weights: np.ndarray) -> np.ndarray:
     return masses
 
 
-def _invert_cdf(anti_row: np.ndarray, weight: float, u):
-    """Bisection for ``m`` in [0, 1] with ``CDF(m) = u * weight``, elementwise.
+def _invert_cdf(anti, density, target):
+    """Newton's method for ``m`` in [0, 1] with ``F(m) = target``.
 
-    ``u`` is one float (a single draw, which stays in Python arithmetic) or an
-    array.  The select is written as arithmetic rather than ``np.where`` so that
-    both forms run the same operations and give the same bits."""
-    coeffs = anti_row.tolist()
-    target = u * float(weight)
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        below = _cdf_eval(coeffs, mid) < target
-        lo, hi = mid * below + lo * (1 - below), hi * below + mid * (1 - below)
-    return 0.5 * (lo + hi)
+    ``F(t) = sum_i anti[i] t^(i+1)`` and ``F'(t) = sum_i density[i] t^i`` are
+    evaluated by Horner: on floats and a float ``target`` for a single draw,
+    which stays in Python arithmetic, or on coefficient columns and an array of
+    targets for a batch.  ``F' = p_J prod_{i != J} (1 - p_i t)`` is positive
+    and decreasing on [0, 1), so F is increasing and concave, every tangent
+    lies above it, and Newton from 0 rises to the root without overshooting.
+    Against rounding, steps are clipped to [0, 1 - t] and a non-positive F'
+    (only near t = 1) counts as F' + 1.  A trial is done after its first step
+    at or below ``NEWTON_TOL`` and stays frozen while its batch finishes.  The
+    clips are arithmetic, not ``np.maximum``, so both forms give the same
+    bits."""
+    t = 0.0 * target
+    live = t + 1.0
+    for _ in range(NEWTON_MAX_STEPS):
+        f, d = anti[-1], density[-1]
+        for a, c in zip(anti[-2::-1], density[-2::-1]):
+            f = f * t + a
+            d = d * t + c
+        step = (target - f * t) / (d + (d <= 0.0))
+        room = 1.0 - t
+        step = step * (step > 0.0) * (step <= room) + room * (step > room)
+        t = t + step * live
+        live = live * (step > NEWTON_TOL)
+        if not (live.any() if isinstance(live, np.ndarray) else live):
+            return t
+    raise ValueError(f"min-rank CDF inversion did not converge in {NEWTON_MAX_STEPS} Newton steps")
 
 
 def factorized_sample_gate(
@@ -507,7 +523,7 @@ def factorized_sample_gate(
     while tree.node(node).factor is None:
         node = highlights[node]
     j_star = tree.node(node).factor
-    m_val = _invert_cdf(anti[j_star], weights[j_star], rng.random())
+    m_val = _invert_cdf(anti[j_star].tolist(), coeffs[j_star].tolist(), rng.random() * float(weights[j_star]))
     thresholds = {}
     survival = {}
     bits = ["0"] * k
@@ -542,20 +558,20 @@ def factorized_sample_batch(
         return (rng.random((trials, 1)) < pr).astype(np.uint8)
     prod_q = float(np.prod(1.0 - p))
     b = rng.random(trials) < 4.0 * prod_q - 4.0 * prod_q**2
-    _, anti, weights = _min_rank_polynomials(p)
+    coeffs, anti, weights = _min_rank_polynomials(p)
     cum = np.cumsum(weights)
     j_star = np.searchsorted(cum / cum[-1], rng.random(trials), side="right").clip(0, k - 1)
     u = rng.random(trials)
-    m_val = np.empty(trials)
-    for j in range(k):
-        mask = j_star == j
-        if mask.any():
-            m_val[mask] = _invert_cdf(anti[j], weights[j], u[mask])
     s = rng.random((trials, k))
+    # a trial with B = 0 outputs all-zeros whatever M and S are, so M is
+    # inverted and S compared only where B = 1
+    on = np.flatnonzero(b)
+    j_on = j_star[on]
+    m_val = _invert_cdf(anti.T[:, j_on], coeffs.T[:, j_on], u[on] * weights[j_on])
     surv = p[None, :] * (1.0 - m_val[:, None]) / (1.0 - p[None, :] * m_val[:, None])
-    out = (s <= surv) | (np.arange(k)[None, :] == j_star[:, None])
-    out &= b[:, None]
-    return out.astype(np.uint8)
+    out = np.zeros((trials, k), dtype=np.uint8)
+    out[on] = (s[on] <= surv) | (np.arange(k)[None, :] == j_on[:, None])
+    return out
 
 
 # ---------------------------------------------------------------------------

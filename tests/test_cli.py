@@ -219,6 +219,27 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert "error:" in err
 
 
+_NONFINITE_GATES = {
+    "rtensor": '{"kind": "rtensor", "factors": [{"qubit": 0, "amp0": [%s, 0], "amp1": [0, 0]}]}',
+    "u1": '{"kind": "u1", "qubit": 0, "matrix": [[%s, 0], [0, 0], [0, 0], [1, 0]]}',
+}
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+@pytest.mark.parametrize("kind, message", [("rtensor", "non-normalized local state"), ("u1", "non-unitary")])
+def test_nonfinite_numbers_from_a_file_are_rejected(tmp_path, capsys, value, kind, message):
+    # json accepts NaN and Infinity; validation must still reject them
+    path = tmp_path / "bad.json"
+    gate = _NONFINITE_GATES[kind] % value
+    path.write_text('{"num_qubits": 1, "targets": [0], "layers": [[%s]]}' % gate)
+    out = tmp_path / "s.csv"
+    assert run_cli("simulate", "--circuit", str(path)) == 1
+    assert message in capsys.readouterr().err
+    assert run_cli("sample", "--circuit", str(path), "--trials", "5", "--seed", "1", "--out", str(out)) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_cat_circuit(tmp_path, capsys):
     out = tmp_path / "cat.json"
     assert run_cli("build", "cat", "--n", "3", "--out", str(out)) == 0

@@ -101,6 +101,14 @@ def test_validate_non_unitary_matrix():
     assert any("non-unitary" in p for p in validate(c))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_validate_rejects_nonfinite_amplitudes_and_matrices(bad):
+    state = circuit(1, [[RTensor(((0, LocalState(bad, 0.0)),))]])
+    assert any("non-normalized local state" in p for p in validate(state))
+    matrix = circuit(1, [[OneQubit(0, np.array([[bad, 0], [0, 1]]))]])
+    assert any("non-unitary" in p for p in validate(matrix))
+
+
 def test_validate_out_of_range():
     c = circuit(2, [[cnot(0, 1)], [x_gate(5)]])
     assert any("out of range" in p for p in validate(c))

@@ -409,7 +409,7 @@ def test_factorized_chosen_factor_matches_analytic_weights():
 
 def test_factorized_min_value_matches_conditional_cdf():
     # empirical law of M given J against the exact polynomial CDF
-    from qackit.sampling import _cdf_eval, _min_rank_polynomials, _one_probs
+    from qackit.sampling import _min_rank_polynomials, _one_probs
 
     rng = substream(55)
     g = rtensor({q: haar_local(rng) for q in range(2)})
@@ -429,9 +429,80 @@ def test_factorized_min_value_matches_conditional_cdf():
         if sample.size < 500:
             continue
         grid = np.linspace(0.05, 0.95, 10)
-        cdf_exact = _cdf_eval(anti[j], grid) / weights[j]
+        cdf_exact = np.polynomial.polynomial.polyval(grid, np.r_[0.0, anti[j]]) / weights[j]
         cdf_emp = np.searchsorted(sample, grid) / sample.size
         assert np.max(np.abs(cdf_emp - cdf_exact)) < 0.05
+
+
+def _bisect_cdf(anti_rows: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Reference inversion: 60 bisection steps on F(t) = sum_i anti_rows[:, i] t^(i+1),
+    one row of antiderivative coefficients per target."""
+    powers = np.arange(1, anti_rows.shape[1] + 1)
+    lo, hi = np.zeros_like(target), np.ones_like(target)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = (anti_rows * mid[:, None] ** powers).sum(axis=1) < target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _random_factor_probs(rng: np.random.Generator, k: int) -> np.ndarray:
+    # uniform probabilities with some factors pinned at 1 and at 1e-9
+    p = rng.random(k)
+    pick = rng.random(k)
+    p[pick < 0.25] = 1.0
+    p[(pick >= 0.25) & (pick < 0.4)] = 1e-9
+    return p
+
+
+def test_newton_inversion_matches_bisection():
+    from qackit.sampling import FACTORIZED_ARITY_CAP, _invert_cdf, _min_rank_polynomials
+
+    rng = substream(67)
+    worst = 0.0
+    for trial in range(150):
+        k = 2 + trial % (FACTORIZED_ARITY_CAP - 1)
+        coeffs, anti, weights = _min_rank_polynomials(_random_factor_probs(rng, k))
+        u = np.r_[0.0, 0.5, 0.999, 0.999 * rng.random(20)]
+        j_star = np.repeat(np.arange(k), u.size)
+        target = np.tile(u, k) * weights[j_star]
+        m = _invert_cdf(anti.T[:, j_star], coeffs.T[:, j_star], target)
+        worst = max(worst, float(np.max(np.abs(m - _bisect_cdf(anti[j_star], target)))))
+    assert worst <= 1e-10
+
+
+def test_newton_inversion_stays_in_unit_interval_and_terminates():
+    # u = 1 - 2^-53 with every other factor at p = 1 is the slowest case:
+    # F' vanishes to high order at t = 1 and Newton converges only linearly
+    from qackit.sampling import FACTORIZED_ARITY_CAP, _invert_cdf, _min_rank_polynomials
+
+    rng = substream(68)
+    cases = [np.array([0.5, 1.0] * (FACTORIZED_ARITY_CAP // 2)), np.ones(FACTORIZED_ARITY_CAP)]
+    cases += [_random_factor_probs(rng, k) for k in range(2, FACTORIZED_ARITY_CAP + 1) for _ in range(5)]
+    for p in cases:
+        coeffs, anti, weights = _min_rank_polynomials(p)
+        for j in range(len(p)):
+            for u in (0.0, 1.0 - 2.0**-53):
+                # raises ValueError if the iteration cap is reached
+                m = _invert_cdf(anti[j].tolist(), coeffs[j].tolist(), u * float(weights[j]))
+                assert isinstance(m, float) and 0.0 <= m <= 1.0
+                assert m == 0.0 or u > 0.0
+
+
+def test_newton_inversion_same_bits_for_batch_and_single_draw():
+    # the batch path gathers coefficient columns by J, the single-draw path
+    # passes Python floats; both must give the same m for the same (J, u)
+    from qackit.sampling import FACTORIZED_ARITY_CAP, _invert_cdf, _min_rank_polynomials
+
+    rng = substream(69)
+    for k in range(2, FACTORIZED_ARITY_CAP + 1):
+        coeffs, anti, weights = _min_rank_polynomials(_random_factor_probs(rng, k))
+        j_star = rng.integers(0, k, 64)
+        u = np.r_[rng.random(61), 0.0, 0.999, 1.0 - 2.0**-53]
+        batch = _invert_cdf(anti.T[:, j_star], coeffs.T[:, j_star], u * weights[j_star])
+        for j, uj, m in zip(j_star, u, batch):
+            single = _invert_cdf(anti[j].tolist(), coeffs[j].tolist(), float(uj) * float(weights[j]))
+            assert single == m
 
 
 def test_factorized_law_invariant_under_tree_shape():
@@ -592,6 +663,22 @@ def test_sample_rejects_bad_trials_and_oversized_buffers_before_allocating():
     try:
         with pytest.raises(ValueError, match="cap"):
             sample_mostly_classical_batch(c, trials, substream(66))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_sample_checks_size_before_building_the_target_list():
+    # a header-only circuit with 2^20 wires is rejected before any list of
+    # its wires (tens of MB) is built
+    from qackit import Circuit
+
+    c = Circuit(1 << 20, ())
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cap"):
+            sample_mostly_classical_batch(c, 4096, substream(70))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

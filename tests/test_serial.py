@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qackit import (
     CircuitFormatError,
@@ -14,6 +19,7 @@ from qackit import (
     rtensor,
     serialize,
 )
+from qackit.ir import Circuit, Layer, OneQubit, Or, RTensor, Toffoli, validate
 from qackit.serial import state_from_json, state_to_json
 
 from conftest import haar_local, haar_unitary, random_qac_circuit
@@ -30,6 +36,56 @@ def test_round_trip_random_circuits():
     for _ in range(25):
         c = random_qac_circuit(rng)
         assert circuits_equal(deserialize(serialize(c)), c)
+
+
+_angles = st.floats(0.0, 2.0 * math.pi)
+
+
+@st.composite
+def _local_states(draw) -> LocalState:
+    theta, alpha, beta = draw(_angles), draw(_angles), draw(_angles)
+    return LocalState(math.cos(theta) * cmath.exp(1j * alpha), math.sin(theta) * cmath.exp(1j * beta))
+
+
+@st.composite
+def _unitaries(draw) -> np.ndarray:
+    col, phase = draw(_local_states()), cmath.exp(1j * draw(_angles))
+    a, b = complex(col.amp0), complex(col.amp1)
+    return np.array([[a, -b.conjugate() * phase], [b, a.conjugate() * phase]])
+
+
+@st.composite
+def _valid_circuits(draw) -> Circuit:
+    """Circuits over the whole gate set with disjoint supports in every layer."""
+    n = draw(st.integers(1, 8))
+    layers = []
+    for _ in range(draw(st.integers(0, 4))):
+        wires = draw(st.permutations(range(n)))
+        gates = []
+        while wires and draw(st.booleans()):
+            kinds = ["u1", "rtensor"] + (["toffoli", "or"] if len(wires) >= 2 else [])
+            kind = draw(st.sampled_from(kinds))
+            if kind == "u1":
+                gates.append(OneQubit(wires[0], draw(_unitaries())))
+                wires = wires[1:]
+                continue
+            k = draw(st.integers(1 if kind == "rtensor" else 2, len(wires)))
+            held, wires = wires[:k], wires[k:]
+            if kind == "rtensor":
+                gates.append(RTensor(tuple((q, draw(_local_states())) for q in held)))
+            else:
+                gates.append((Toffoli if kind == "toffoli" else Or)(tuple(held[1:]), held[0]))
+        layers.append(Layer(tuple(gates)))
+    targets = draw(st.none() | st.permutations(range(n)).flatmap(lambda p: st.integers(0, n).map(lambda m: p[:m])))
+    return Circuit(n, tuple(layers), targets)
+
+
+@settings(deadline=None)
+@given(_valid_circuits())
+def test_round_trip_generated_circuits(c):
+    assert validate(c) == []
+    again = deserialize(serialize(c))
+    assert again == c and circuits_equal(again, c)
 
 
 def test_unknown_gate_kind_is_parse_error():
