@@ -149,8 +149,8 @@ def _cmd_simulate(args, manifest: Manifest) -> int:
         if other.num_qubits != circ.num_qubits:
             raise CliError("compared circuits differ in qubit count")
         u1 = statevec.unitary(circ)
-        u2 = statevec.unitary(other)
-        dev = float(np.max(np.abs(u1 - u2)))
+        u1 -= statevec.unitary(other)
+        dev = float(np.max(np.abs(u1)))
         print(f"max basis-input amplitude difference: {dev:.3e}")
         return 0
     if args.input:
@@ -427,7 +427,18 @@ def _build_parser() -> argparse.ArgumentParser:
     b_cat.add_argument("--n", type=int, required=True)
     b_cat.add_argument("--m", type=int, default=2)
     b_cat.add_argument("--out", required=True)
-    b_par = sb.add_parser("parity-from-nekomata")
+    b_par = sb.add_parser(
+        "parity-from-nekomata",
+        help="parity circuit driven by a nekomata constructor",
+        description=(
+            "Parity circuit on n + a + 1 wires driven by a nekomata constructor on a "
+            "wires. Input i is paired with constructor wire i; the constructor's "
+            "declared targets are ignored. `build nekomata` puts its targets last "
+            "(wires 6 and 7 at --n 2 --columns 3), so on its output the inputs pair "
+            "with non-target wires; move the targets first with the Python API's "
+            "permute_qubits."
+        ),
+    )
     b_par.add_argument("--constructor", required=True)
     b_par.add_argument("--n", type=int, required=True)
     b_par.add_argument("--out", required=True)

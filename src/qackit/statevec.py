@@ -8,7 +8,8 @@ updates the two slices along its wire's axis, Toffoli and Or swap the two
 target slices where the controls hold given values, and a reflection
 ``I - 2|chi><chi|`` contracts ``chi`` against its wires' axes.  Any trailing
 axes of the buffer form a batch axis that every gate acts on alike, so
-``unitary`` is ``run`` applied to the identity matrix.  Public functions
+``unitary`` is ``run`` applied to column blocks of the identity matrix, each
+written into the one result matrix.  Public functions
 never modify their arguments: ``run`` and ``apply_gate`` copy the input
 amplitudes once, apply gates in place, and hand that buffer to the result
 read-only, without a second copy.  The practical cap is 24 qubits
@@ -24,6 +25,8 @@ from .ir import Circuit, Gate, LocalState, OneQubit, Or, RTensor, Toffoli, suppo
 
 MAX_QUBITS = 24
 NORM_ATOL = 1e-10
+# amplitudes per column block of ``unitary`` (4 MiB of complex128)
+_BLOCK_AMPS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,11 +156,19 @@ def run(c: Circuit, state: StateVector) -> StateVector:
 
 
 def unitary(c: Circuit, max_qubits: int = 12) -> np.ndarray:
-    """Dense matrix of the circuit; column j is the image of basis state j."""
+    """Dense matrix of the circuit; column j is the image of basis state j.
+
+    The columns are computed in blocks of about ``_BLOCK_AMPS`` amplitudes,
+    so the kernels' temporaries are block-sized, not matrix-sized."""
     if c.num_qubits > max_qubits:
         raise ValueError(f"dense unitary capped at {max_qubits} qubits")
-    mat = np.eye(1 << c.num_qubits, dtype=np.complex128)
-    _run_in_place(mat, c)
+    dim = 1 << c.num_qubits
+    cols = min(dim, max(1, _BLOCK_AMPS >> c.num_qubits))
+    mat = np.empty((dim, dim), dtype=np.complex128)
+    for j in range(0, dim, cols):
+        block = np.eye(dim, cols, -j, dtype=np.complex128)
+        _run_in_place(block, c)
+        mat[:, j : j + cols] = block
     return mat
 
 
@@ -201,13 +212,8 @@ def measurement_distribution(state: StateVector, qubits) -> MeasurementDistribut
     kept = [q for q in range(m) if q in qubits]
     probs = np.transpose(probs, [kept.index(q) for q in qubits]).reshape(-1)
     k = len(qubits)
-    table: dict[str, float] = {}
-    for i, p in enumerate(probs):
-        p = float(p)
-        if -1e-12 <= p < 0.0:
-            p = 0.0
-        if p > 0.0:
-            table[format(i, f"0{k}b")] = p
+    nonzero = np.flatnonzero(probs > 0.0)
+    table = {format(i, f"0{k}b"): p for i, p in zip(nonzero.tolist(), probs[nonzero].tolist())}
     return MeasurementDistribution(qubits, table)
 
 

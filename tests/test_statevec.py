@@ -17,21 +17,25 @@ from qackit import (
     apply_gate,
     basis_state,
     best_nekomata_fidelity,
+    build_depth2_nekomata,
     circuit,
     cnot,
     fidelity,
     h_gate,
     measure_in_basis,
     measurement_distribution,
+    parity_from_nekomata,
     phase_dependent_fidelity,
     product_state,
     rtensor,
     run,
+    solve_bias,
     zero_state,
 )
+from qackit import statevec
 from qackit.statevec import MAX_QUBITS, StateVector, unitary
 
-from conftest import haar_local, haar_state, random_qac_circuit
+from conftest import haar_local, haar_state, haar_unitary, random_multi_gate, random_qac_circuit
 from qackit.rng import substream
 
 
@@ -116,6 +120,44 @@ def test_measurement_distribution_plus_and_reflection():
 def test_measurement_distribution_qubit_order():
     s = run(circuit(2, [[h_gate(0)]]), basis_state(2, "01"))
     assert measurement_distribution(s, (1, 0)).probs["10"] == pytest.approx(0.5)
+
+
+def reference_measurement_table(state: StateVector, qubits) -> dict[str, float]:
+    """The target marginal as ``measurement_distribution`` computes it, with
+    the table built one entry at a time."""
+    m = state.num_qubits
+    probs = (np.abs(state.amplitudes) ** 2).reshape([2] * m)
+    drop = tuple(ax for ax in range(m) if ax not in qubits)
+    if drop:
+        probs = probs.sum(axis=drop)
+    kept = [q for q in range(m) if q in qubits]
+    probs = np.transpose(probs, [kept.index(q) for q in qubits]).reshape(-1)
+    table: dict[str, float] = {}
+    for i, p in enumerate(probs):
+        if float(p) > 0.0:
+            table[format(i, f"0{len(qubits)}b")] = float(p)
+    return table
+
+
+def test_measurement_distribution_matches_reference_loop():
+    rng = substream(82)
+    for _ in range(40):
+        m = int(rng.integers(1, 9))
+        qubits = tuple(int(q) for q in rng.permutation(m)[: int(rng.integers(1, m + 1))])
+        amps = haar_state(1 << m, rng)
+        # exact zeros: drop every basis state whose target bits hit a banned pattern
+        banned = rng.random(1 << len(qubits)) < 0.4
+        banned[int(rng.integers(0, 1 << len(qubits)))] = False
+        for i in range(1 << m):
+            pattern = int("".join(str((i >> (m - 1 - q)) & 1) for q in qubits), 2)
+            if banned[pattern]:
+                amps[i] = 0.0
+        state = StateVector(m, amps / np.linalg.norm(amps))
+        got = measurement_distribution(state, qubits).probs
+        ref = reference_measurement_table(state, qubits)
+        assert list(got.items()) == list(ref.items())
+        assert len(got) == (~banned).sum()
+        assert all(type(p) is float for p in got.values())
 
 
 def test_measure_in_basis_examples():
@@ -229,6 +271,43 @@ def test_unitary_matches_run():
         assert np.max(np.abs(u[:, idx] - out.amplitudes)) < 1e-12
 
 
+def wide_circuit(m: int, rng: np.random.Generator):
+    """Three layers over all m wires: one-qubit gates, then multi-qubit gates."""
+    layers = []
+    for _ in range(3):
+        layers.append([OneQubit(q, haar_unitary(rng)) for q in range(m) if rng.random() < 0.5])
+        wires = [int(q) for q in rng.permutation(m)]
+        layers.append([random_multi_gate(wires[i : i + 3], rng) for i in range(0, m - 2, 3)])
+    return circuit(m, [lay for lay in layers if lay])
+
+
+@pytest.mark.parametrize("m", [10, 11])
+def test_unitary_matches_run_at_the_edges_of_every_block(m):
+    rng = substream(83 + m)
+    c = wide_circuit(m, rng)
+    dim = 1 << m
+    cols = statevec._BLOCK_AMPS >> m
+    assert 1 < dim // cols  # more than one block
+    u = unitary(c)
+    for j in range(0, dim, cols):
+        for idx in (j, j + cols - 1):
+            out = run(c, basis_state(m, idx))
+            assert np.max(np.abs(u[:, idx] - out.amplitudes)) < 1e-12
+
+
+def test_unitary_peak_memory_stays_near_the_result_size():
+    nek = build_depth2_nekomata(2, 3, solve_bias(2, 3))
+    par = parity_from_nekomata(nek, 2)
+    assert par.num_qubits == 11
+    tracemalloc.start()
+    try:
+        u = unitary(par)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * u.nbytes
+
+
 def test_dimension_mismatch_errors():
     with pytest.raises(ValueError):
         fidelity(zero_state(2), zero_state(3))
@@ -307,13 +386,17 @@ def full_cover_circuits():
         yield circuit(m, [[RTensor(tuple((q, PLUS) for q in range(m)))]])
 
 
-def test_kernels_match_kron_reference():
+def test_kernels_match_kron_reference(monkeypatch):
     rng = substream(8)
     circuits = list(full_cover_circuits())
     circuits += [random_qac_circuit(rng, max_qubits=6, max_depth=4) for _ in range(60)]
     for c in circuits:
         ref = reference_unitary(c)
         assert np.max(np.abs(unitary(c) - ref)) < 1e-12
+        for block_amps in (1, 1 << 7):  # many column blocks, of one and of several columns
+            with monkeypatch.context() as patch:
+                patch.setattr(statevec, "_BLOCK_AMPS", block_amps)
+                assert np.max(np.abs(unitary(c) - ref)) < 1e-12
         amps = haar_state(1 << c.num_qubits, rng)
         out = run(c, StateVector(c.num_qubits, amps))
         assert np.max(np.abs(out.amplitudes - ref @ amps)) < 1e-12
