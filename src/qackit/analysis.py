@@ -97,7 +97,7 @@ def optimal_interpolation(sigma: np.ndarray, tau: np.ndarray, d: int) -> Interpo
     value = float(math.cos(eta) ** d)
     closed = float(math.cos(math.acos(min(1.0, abs(np.vdot(sigma, tau)))) / d) ** d)
     if abs(value - closed) > 1e-10:
-        raise AssertionError("interpolation product deviates from the closed form")
+        raise ValueError("interpolation product deviates from the closed form")
     return InterpolationResult(states, value)
 
 
@@ -160,7 +160,7 @@ def generalized_markov_threshold(law: list[tuple[float, float]], a: float, delta
         tail = float(probs[values >= t].sum())
         if tail * t <= delta * mean + 1e-12:
             return float(t)
-    raise AssertionError("no threshold found; the witness scan should always succeed")
+    raise ValueError("no threshold found; the witness scan should always succeed")
 
 
 @dataclass(frozen=True)
@@ -494,7 +494,7 @@ def reduce_depth2_construction(cons: Depth2Construction, goal: StateVector) -> R
         break
     final = construction_success(current, goal)
     if final < baseline - 1e-9:
-        raise AssertionError("reduction decreased the construction's success probability")
+        raise ValueError("reduction decreased the construction's success probability")
     return ReductionResult(current, final, tuple(steps))
 
 

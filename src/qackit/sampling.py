@@ -33,12 +33,21 @@ M is drawn by inverting its CDF, the antiderivative F of the density
 ``p_J prod_{i != J} (1 - p_i t)``, with Newton's method (``_invert_cdf``):
 F' is positive and decreasing on [0, 1), so F is increasing and concave and
 Newton started at 0 climbs to the root from below without overshooting.
-Both draw paths share that inversion.  ``factorized_sample_batch`` makes one
-call per gate over the trials whose coin B is 1; the others output
-all-zeros whatever M and S are, though their random numbers are still drawn.
+Both draw paths share that inversion, and both read the per-gate polynomials
+from one small cache keyed on the factor probabilities.
+
+Every per-trial coin of the batch laws (the direct law's active or nonzero
+trials, the factorized law's coin B, a first-layer one-qubit gate's output)
+is drawn by ``_active_trials``: a Binomial(trials, r) count, then a uniform
+subset of ``range(trials)`` of that size.  Given its size, a uniform subset
+has the law of one independent Bernoulli(r) coin per trial, so the laws are
+unchanged, but random numbers are drawn only for the trials whose output can
+be nonzero: a trial with B = 0 draws nothing, whatever its J, M and S would
+have been.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -117,6 +126,16 @@ def exact_rtensor_distribution(g: RTensor) -> GateOutputDistribution:
     return GateOutputDistribution(g.qubits, kept, tuple(float(x) for x in p), float(all_zeros), probs)
 
 
+def _active_trials(trials: int, r: float, rng: np.random.Generator) -> np.ndarray:
+    """Indices of an i.i.d. Bernoulli(r) subset of ``range(trials)``.
+
+    A Binomial(trials, r) count, then a uniform subset of that size, in no
+    particular order: callers give every index the same i.i.d. draws.  ``r``
+    is clipped to [0, 1] against rounding."""
+    count = int(rng.binomial(trials, min(max(r, 0.0), 1.0)))
+    return rng.choice(trials, size=count, replace=False, shuffle=False)
+
+
 def _sample_rtensor_bits(p: np.ndarray, trials: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``trials`` outputs (over the nonzero-probability factors only)."""
     k = len(p)
@@ -125,14 +144,12 @@ def _sample_rtensor_bits(p: np.ndarray, trials: int, rng: np.random.Generator) -
         return out
     prod_q = float(np.prod(1.0 - p))
     if prod_q <= 0.25:
-        # convex combination: all-zeros with prob 1 - 4 prod_q, else independent
-        # draws, made only for the active trials
-        active = np.flatnonzero(rng.random(trials) < 4.0 * prod_q)
+        # convex combination: all-zeros with prob 1 - 4 prod_q, else independent draws
+        active = _active_trials(trials, 4.0 * prod_q, rng)
         out[active] = rng.random((active.size, k)) < p
         return out
     # inverse transform on the exact law, rejecting all-zero conditional draws
-    zeros = rng.random(trials) < (1.0 - 2.0 * prod_q) ** 2
-    pending = np.flatnonzero(~zeros)
+    pending = _active_trials(trials, 1.0 - (1.0 - 2.0 * prod_q) ** 2, rng)
     while pending.size:
         draws = rng.random((pending.size, k)) < p
         hit = draws.any(axis=1)
@@ -205,7 +222,9 @@ def _sample_first_layer(
             # packing a contiguous copy of the transpose is ~8x faster than packing along axis 0
             bits[list(g.qubits)] = np.packbits(np.ascontiguousarray(draws.T), axis=1)
         elif isinstance(g, OneQubit):
-            bits[g.qubit] = np.packbits(rng.random(trials) < abs(g.matrix[1, 0]) ** 2)
+            ones = np.zeros(trials, dtype=np.uint8)
+            ones[_active_trials(trials, abs(g.matrix[1, 0]) ** 2, rng)] = 1
+            bits[g.qubit] = np.packbits(ones)
         elif isinstance(g, (Toffoli, Or)):
             pass  # classical gate on all-zeros input leaves zeros
         else:
@@ -410,7 +429,13 @@ def _min_rank_polynomials(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     probability p_j.  The density of {rank_j is the strict minimum, value t}
     is ``p_j * prod_{i != j} (1 - p_i t)``, a polynomial in t; the exact
     antiderivative gives both the selection weights and the conditional CDF.
+    The arrays are cached per ``p`` and read-only.
     """
+    return _min_rank_law(tuple(np.asarray(p, dtype=float).tolist()))
+
+
+@functools.lru_cache(maxsize=64)
+def _min_rank_law(p: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     k = len(p)
     coeffs = np.zeros((k, k))
     for j in range(k):
@@ -421,6 +446,8 @@ def _min_rank_polynomials(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
         coeffs[j, : len(poly)] = poly
     anti = coeffs / np.arange(1, k + 1)  # antiderivative coefficients for t^1..t^k
     weights = anti.sum(axis=1)  # integral over [0, 1)
+    for arr in (coeffs, anti, weights):
+        arr.flags.writeable = False
     return coeffs, anti, weights
 
 
@@ -542,9 +569,7 @@ def factorized_sample_gate(
     return "".join(bits), trace
 
 
-def factorized_sample_batch(
-    g: RTensor, trials: int, rng: np.random.Generator, tree: TauTree | None = None
-) -> np.ndarray:
+def factorized_sample_batch(g: RTensor, trials: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized factorized sampler (no traces); same law as the single-draw
     form, drawing J directly from the leaf weights."""
     k = len(g.factors)
@@ -553,24 +578,22 @@ def factorized_sample_batch(
     p = _one_probs(g)
     if np.any(p == 0.0):
         raise ValueError("elide zero-probability factors before factorized sampling")
+    out = np.zeros((trials, k), dtype=np.uint8)
     if k == 1:
-        pr = 4.0 * p[0] * (1.0 - p[0])
-        return (rng.random((trials, 1)) < pr).astype(np.uint8)
+        out[_active_trials(trials, 4.0 * p[0] * (1.0 - p[0]), rng)] = 1
+        return out
     prod_q = float(np.prod(1.0 - p))
-    b = rng.random(trials) < 4.0 * prod_q - 4.0 * prod_q**2
+    # a trial with B = 0 outputs all-zeros whatever J, M and S are, so they are
+    # drawn only for the trials whose B is 1
+    on = _active_trials(trials, 4.0 * prod_q - 4.0 * prod_q**2, rng)
     coeffs, anti, weights = _min_rank_polynomials(p)
     cum = np.cumsum(weights)
-    j_star = np.searchsorted(cum / cum[-1], rng.random(trials), side="right").clip(0, k - 1)
-    u = rng.random(trials)
-    s = rng.random((trials, k))
-    # a trial with B = 0 outputs all-zeros whatever M and S are, so M is
-    # inverted and S compared only where B = 1
-    on = np.flatnonzero(b)
-    j_on = j_star[on]
-    m_val = _invert_cdf(anti.T[:, j_on], coeffs.T[:, j_on], u[on] * weights[j_on])
+    j_on = np.searchsorted(cum / cum[-1], rng.random(on.size), side="right").clip(0, k - 1)
+    u = rng.random(on.size)
+    s = rng.random((on.size, k))
+    m_val = _invert_cdf(anti.T[:, j_on], coeffs.T[:, j_on], u * weights[j_on])
     surv = p[None, :] * (1.0 - m_val[:, None]) / (1.0 - p[None, :] * m_val[:, None])
-    out = np.zeros((trials, k), dtype=np.uint8)
-    out[on] = (s[on] <= surv) | (np.arange(k)[None, :] == j_on[:, None])
+    out[on] = (s <= surv) | (np.arange(k)[None, :] == j_on[:, None])
     return out
 
 

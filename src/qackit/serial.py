@@ -14,6 +14,7 @@ from typing import Any
 import numpy as np
 
 from .ir import Circuit, Gate, Layer, LocalState, OneQubit, Or, RTensor, Toffoli
+from .statevec import MAX_QUBITS
 
 
 class CircuitFormatError(ValueError):
@@ -119,7 +120,10 @@ def _as_complex(val: Any, where: str) -> complex:
         or not all(isinstance(v, (int, float)) for v in val)
     ):
         raise CircuitFormatError(f"{where}: expected [re, im] pair")
-    return complex(val[0], val[1])
+    try:
+        return complex(val[0], val[1])
+    except OverflowError as exc:  # json reads integers of any size
+        raise CircuitFormatError(f"{where}: {exc}") from exc
 
 
 def _wire(val: Any, field: str, where: str) -> int:
@@ -171,18 +175,33 @@ def _parse_gate(obj: Any, where: str) -> Gate:
     raise CircuitFormatError(f"{where}: unknown gate kind {kind!r}")
 
 
-def deserialize(text: str) -> Circuit:
+def _load_object(text: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CircuitFormatError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise CircuitFormatError("parse error: arrays or objects nested too deeply") from exc
     if not isinstance(doc, dict):
         raise CircuitFormatError("top level: expected an object")
-    num_qubits = _want(doc, "num_qubits", "top level")
-    if isinstance(num_qubits, bool) or not isinstance(num_qubits, int) or num_qubits <= 0:
-        raise CircuitFormatError("top level: num_qubits must be a positive integer")
+    return doc
+
+
+def _num_qubits(doc: dict, cap: int | None = None) -> int:
+    """``doc["num_qubits"]`` as an int in [1, cap]; booleans are rejected."""
+    n = _want(doc, "num_qubits", "top level")
+    if isinstance(n, bool) or not isinstance(n, int) or n <= 0:
+        raise CircuitFormatError(f"top level: num_qubits must be a positive integer, got {n!r}")
+    if cap is not None and n > cap:
+        raise CircuitFormatError(f"top level: num_qubits must be at most {cap}, got {n}")
+    return n
+
+
+def deserialize(text: str) -> Circuit:
+    doc = _load_object(text)
+    num_qubits = _num_qubits(doc)
     targets = _want(doc, "targets", "top level")
     if targets is not None:
         if not isinstance(targets, list):
@@ -208,13 +227,8 @@ def state_to_json(num_qubits: int, amplitudes: np.ndarray) -> str:
 
 
 def state_from_json(text: str) -> tuple[int, np.ndarray]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CircuitFormatError(
-            f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    num_qubits = _want(doc, "num_qubits", "top level")
+    doc = _load_object(text)
+    num_qubits = _num_qubits(doc, MAX_QUBITS)
     pairs = _want(doc, "amplitudes", "top level")
     if not isinstance(pairs, list) or len(pairs) != 1 << num_qubits:
         raise CircuitFormatError("top level: amplitudes must have 2**num_qubits entries")

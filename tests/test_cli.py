@@ -206,6 +206,19 @@ def test_verify_markov_can_fail(tmp_path, monkeypatch, capsys):
     assert f"first failing instance {doc['first_failing_instance']} (seed 4)" in out
 
 
+def test_verify_exits_cleanly_when_an_analysis_check_fires(monkeypatch, capsys):
+    # each call reports a lower success probability, so the reduction's own
+    # check (final below the baseline) fires inside the depth2-reduce suite
+    from qackit import analysis
+
+    calls = iter(range(10**6))
+    monkeypatch.setattr(analysis, "construction_success", lambda cons, goal: 1.0 - 1e-3 * next(calls))
+    assert run_cli("verify", "--suite", "depth2-reduce", "--seed", "0") == 1
+    err = capsys.readouterr().err
+    assert "error: reduction decreased the construction's success probability" in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code(capsys):
     assert run_cli("frobnicate") == 2
     capsys.readouterr()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from qackit import (
     circuit,
     classical_read_bound,
     cnot,
+    direct_sample_batch,
     exact_rtensor_distribution,
     factorized_sample_batch,
     factorized_sample_gate,
@@ -683,3 +685,112 @@ def test_sample_checks_size_before_building_the_target_list():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# sparse first-layer draws
+
+# chi-square quantiles at upper tail 1e-4, fixed before any run
+_CHI2_9DF = 33.72
+_CHI2_19DF = 50.80
+
+
+def test_active_trials_count_is_binomial():
+    from qackit.sampling import _active_trials
+
+    rng = substream(71)
+    trials, r, reps = 200, 0.02, 4000
+    sizes = np.array([_active_trials(trials, r, rng).size for _ in range(reps)])
+    # counts 0..8 and 9 or more against the Binomial(200, 0.02) pmf
+    pmf = [math.comb(trials, c) * r**c * (1.0 - r) ** (trials - c) for c in range(9)]
+    expected = reps * np.array(pmf + [1.0 - math.fsum(pmf)])
+    observed = np.bincount(np.minimum(sizes, 9), minlength=10)
+    assert ((observed - expected) ** 2 / expected).sum() < _CHI2_9DF
+
+
+@pytest.mark.parametrize("trials, r, reps", [(200, 0.02, 4000), (20_000, 0.1, 40)])
+def test_active_trials_positions_are_uniform_and_distinct(trials, r, reps):
+    # the two sizes reach numpy's two subset algorithms (small pool, large pool and subset)
+    from qackit.sampling import _active_trials
+
+    rng = substream(72, trials)
+    hits = np.zeros(trials, dtype=np.int64)
+    for _ in range(reps):
+        idx = _active_trials(trials, r, rng)
+        assert np.unique(idx).size == idx.size
+        assert idx.size == 0 or (idx.min() >= 0 and idx.max() < trials)
+        hits += np.bincount(idx, minlength=trials)
+    observed = hits.reshape(20, -1).sum(axis=1)
+    expected = observed.sum() / 20
+    assert ((observed - expected) ** 2 / expected).sum() < _CHI2_19DF
+
+
+def test_active_trials_at_the_ends_of_the_unit_interval():
+    from qackit.sampling import _active_trials
+
+    rng = substream(73)
+    for trials in (1, 100, 20_000):
+        for r in (0.0, -1e-17):
+            assert _active_trials(trials, r, rng).size == 0
+        for r in (1.0, 1.0 + 2e-16):
+            assert np.array_equal(np.sort(_active_trials(trials, r, rng)), np.arange(trials))
+
+
+def _philox_counter(rng: np.random.Generator) -> int:
+    words = rng.bit_generator.state["state"]["counter"]
+    return sum(int(w) << (64 * i) for i, w in enumerate(words))
+
+
+@pytest.mark.parametrize("law", [direct_sample_batch, factorized_sample_batch])
+def test_random_numbers_scale_with_active_trials(law):
+    # a column gate of the 12,006-wire grid (n=6, 2000 columns) is active on
+    # about 4 b^6 = 3.5e-4 of the trials; one double per trial would advance
+    # the Philox counter (four 64-bit words per step) by 10^6 / 4
+    bias = solve_bias(6, 2000)
+    g = rtensor({q: LocalState(np.sqrt(bias), np.sqrt(1.0 - bias)) for q in range(6)})
+    rng = substream(74)
+    trials = 10**6
+    before = _philox_counter(rng)
+    rows = law(g, trials, rng)
+    assert rows.shape == (trials, 6) and 0 < np.count_nonzero(rows.any(axis=1)) < trials // 100
+    assert _philox_counter(rng) - before < trials // 100
+
+
+def _grid_all_ones_law(n: int, columns: int, bias: float) -> float:
+    """P(all n targets of the depth-2 grid read 1).
+
+    A column's ones lie inside a row set of size s with probability
+    ``F(s) = (1 - 2 b^n)^2 + 4 b^n (b^(n-s) - b^n) = 1 - 4 b^n (1 - b^(n-s))``,
+    the target ones are the union over M i.i.d. columns, and inclusion-exclusion
+    gives ``sum_S (-1)^(n-|S|) F(|S|)^M`` over row subsets S."""
+    bn = bias**n
+    return math.fsum(
+        math.comb(n, s) * (-1) ** (n - s) * math.exp(columns * math.log1p(-4.0 * bn * (1.0 - bias ** (n - s))))
+        for s in range(n + 1)
+    )
+
+
+@pytest.mark.parametrize("stream, law", [(0, direct_sample_batch), (1, factorized_sample_batch)])
+def test_samplers_match_the_exact_grid_law_on_twelve_thousand_wires(stream, law):
+    n, columns, trials = 6, 2000, 20_000
+    bias = solve_bias(n, columns)
+    c = build_depth2_nekomata(n, columns, bias)
+    assert c.num_qubits == 12_006
+    rows = sample_mostly_classical_batch(c, trials, substream(75, stream), law)
+    for freq, law_p in (
+        (np.mean(~rows.any(axis=1)), 0.5),
+        (np.mean(rows.all(axis=1)), _grid_all_ones_law(n, columns, bias)),
+    ):
+        assert abs(freq - law_p) <= 5.0 * np.sqrt(law_p * (1.0 - law_p) / trials)
+
+
+def test_min_rank_polynomials_are_shared_and_read_only():
+    from qackit.sampling import _min_rank_polynomials
+
+    p = np.array([0.3, 0.9, 0.5])
+    first = _min_rank_polynomials(p)
+    again = _min_rank_polynomials(p.copy())
+    assert all(a is b for a, b in zip(first, again))
+    for arr in first:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0

@@ -176,3 +176,101 @@ def test_wire_ids_must_be_integers(field, gate, targets, bad):
 def test_num_qubits_must_be_an_integer(bad):
     with pytest.raises(CircuitFormatError, match="num_qubits"):
         deserialize('{"num_qubits": %s, "targets": null, "layers": []}' % bad)
+
+
+# ---------------------------------------------------------------------------
+# state files: num_qubits is checked before 2**num_qubits is computed
+
+
+def test_state_num_qubits_rejects_a_boolean():
+    with pytest.raises(CircuitFormatError, match="num_qubits must be a positive integer, got True"):
+        state_from_json('{"num_qubits": true, "amplitudes": [[1, 0], [0, 0]]}')
+
+
+def test_state_num_qubits_rejects_a_string():
+    with pytest.raises(CircuitFormatError, match="num_qubits must be a positive integer, got '3'"):
+        state_from_json('{"num_qubits": "3", "amplitudes": []}')
+
+
+def test_state_num_qubits_rejects_a_negative_count():
+    with pytest.raises(CircuitFormatError, match="num_qubits must be a positive integer, got -1"):
+        state_from_json('{"num_qubits": -1, "amplitudes": []}')
+
+
+def test_state_top_level_must_be_an_object():
+    with pytest.raises(CircuitFormatError, match="top level: expected an object"):
+        state_from_json("[3, []]")
+
+
+@pytest.mark.parametrize("extra", [1, 10**12])
+def test_state_num_qubits_is_bounded_before_the_shift(extra):
+    # 1 << 10**12 would build a 125 GB integer; the bound is checked first
+    from qackit.statevec import MAX_QUBITS
+
+    with pytest.raises(CircuitFormatError, match=f"num_qubits must be at most {MAX_QUBITS}"):
+        state_from_json('{"num_qubits": %d, "amplitudes": []}' % (MAX_QUBITS + extra))
+
+
+@pytest.mark.parametrize("load", [deserialize, state_from_json])
+def test_oversized_integers_and_deep_nesting_are_format_errors(load):
+    big = "1" + "0" * 400
+    text = '{"num_qubits": 1, "targets": null, "amplitudes": [[%s, 0], [0, 0]], "layers": [[{"kind": "u1", ' \
+        '"qubit": 0, "matrix": [[%s, 0], [0, 0], [0, 0], [1, 0]]}]]}' % (big, big)
+    with pytest.raises(CircuitFormatError, match="too large"):
+        load(text)
+    with pytest.raises(CircuitFormatError, match="nested too deeply"):
+        load("[" * 100_000 + "]" * 100_000)
+
+
+_KEYS = ("num_qubits", "targets", "layers", "amplitudes", "kind", "qubit", "matrix", "controls", "target",
+         "factors", "amp0", "amp1")
+_numbers = st.integers() | st.floats() | st.sampled_from([10**400, -(10**400)])  # json reads 10**400
+_json_leaves = st.none() | st.booleans() | _numbers | st.sampled_from(["u1", "toffoli", "or", "rtensor"])
+_json_values = st.recursive(
+    _json_leaves | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=4),
+    max_leaves=16,
+)
+# the top level is valid and each field deeper down is near-valid or
+# arbitrary, so the checks inside gates and amplitudes are reached too
+_wires = st.integers(0, 2) | _json_leaves
+_pairs = st.lists(_numbers, min_size=2, max_size=2) | _json_values
+_gates = st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from(["u1", "toffoli", "or", "rtensor"]) | _json_values,
+        "qubit": _wires,
+        "matrix": st.lists(_pairs, min_size=4, max_size=4) | _json_values,
+        "controls": st.lists(_wires, max_size=3) | _json_values,
+        "target": _wires,
+        "factors": st.lists(st.fixed_dictionaries({"qubit": _wires, "amp0": _pairs, "amp1": _pairs}), max_size=3)
+        | _json_values,
+    }
+)
+_malformed_docs = st.one_of(
+    _json_values,
+    st.fixed_dictionaries(
+        {
+            "num_qubits": st.integers(1, 3),
+            "targets": st.none() | st.lists(_wires, max_size=3),
+            "layers": st.lists(st.lists(_gates, max_size=3), max_size=2),
+        }
+    ),
+    st.integers(1, 3).flatmap(
+        lambda n: st.fixed_dictionaries(
+            {"num_qubits": st.just(n), "amplitudes": st.lists(_pairs, min_size=1 << n, max_size=1 << n)}
+        )
+    ),
+)
+
+
+@settings(deadline=None)
+@given(_malformed_docs)
+def test_malformed_documents_raise_only_format_errors(doc):
+    import json
+
+    text = json.dumps(doc)
+    for load in (deserialize, state_from_json):
+        try:
+            load(text)
+        except CircuitFormatError:
+            pass
