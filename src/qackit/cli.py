@@ -145,12 +145,7 @@ def _cmd_transform(args, manifest: Manifest) -> int:
 def _cmd_simulate(args, manifest: Manifest) -> int:
     circ = _load_circuit(manifest, args.circuit)
     if args.compare:
-        other = _load_circuit(manifest, args.compare)
-        if other.num_qubits != circ.num_qubits:
-            raise CliError("compared circuits differ in qubit count")
-        u1 = statevec.unitary(circ)
-        u1 -= statevec.unitary(other)
-        dev = float(np.max(np.abs(u1)))
+        dev = statevec.max_unitary_difference(circ, _load_circuit(manifest, args.compare))
         print(f"max basis-input amplitude difference: {dev:.3e}")
         return 0
     if args.input:
@@ -221,9 +216,21 @@ def _cmd_sample(args, manifest: Manifest) -> int:
     return 0
 
 
+def _suite_report(seed: int, size_key: str, size: int, failures: list) -> dict:
+    """Pass or fail, the suite's size, and the first failing instance with
+    the seed that reproduces it."""
+    return {
+        "passed": not failures,
+        size_key: size,
+        "failures": len(failures),
+        "seed": seed,
+        "first_failing_instance": failures[0] if failures else None,
+    }
+
+
 def _suite_projections(seed: int) -> dict:
     rng = substream(seed, 10)
-    failures = 0
+    failures = []
     for trial in range(500):
         dim = int(rng.integers(2, 17))
         d = int(rng.integers(1, 7))
@@ -237,31 +244,35 @@ def _suite_projections(seed: int) -> dict:
         iota /= np.linalg.norm(iota)
         chain = analysis.ProjectionChain(dim, tuple(projections), iota)
         if not analysis.check_projection_chain_bound(chain).holds:
-            failures += 1
-    return {"passed": failures == 0, "trials": 500, "failures": failures}
+            failures.append(trial)
+    return _suite_report(seed, "trials", 500, failures)
 
 
 def _suite_metric(seed: int) -> dict:
     rng = substream(seed, 11)
     triangle = analysis.angular_triangle_check(10_000, 8, rng)
     cos_exp = analysis.check_cos_exp_inequality()
+    failures = [name for name, ok in (("triangle", triangle), ("cos_exp_grid", cos_exp)) if not ok]
     interp_ok = True
-    for _ in range(5):
+    for pair in range(5):
         sigma = rng.normal(size=8) + 1j * rng.normal(size=8)
         sigma /= np.linalg.norm(sigma)
         tau = rng.normal(size=8) + 1j * rng.normal(size=8)
         tau /= np.linalg.norm(tau)
         result = analysis.optimal_interpolation(sigma, tau, 5)
+        maximal = True
         for _ in range(1000):
             middles = [
                 (lambda v: v / np.linalg.norm(v))(rng.normal(size=8) + 1j * rng.normal(size=8))
                 for _ in range(4)
             ]
             if analysis.chain_product_value(sigma, middles, tau) > result.product_value + 1e-10:
-                interp_ok = False
-    passed = triangle and cos_exp and interp_ok
+                maximal = False
+        if not maximal:
+            failures.append(f"interpolation pair {pair}")
+        interp_ok &= maximal
     return {
-        "passed": passed,
+        **_suite_report(seed, "interpolation_pairs", 5, failures),
         "triangle": triangle,
         "cos_exp_grid": cos_exp,
         "interpolation_maximal": interp_ok,
@@ -301,8 +312,8 @@ def _suite_markov(seed: int) -> dict:
 
 def _suite_turan(seed: int) -> dict:
     rng = substream(seed, 13)
-    ok = True
-    for _ in range(100):
+    failures = []
+    for graph in range(100):
         n = int(rng.integers(2, 51))
         density = rng.random() * 0.5
         edges = [
@@ -313,30 +324,28 @@ def _suite_turan(seed: int) -> dict:
         ]
         g = analysis.Graph(n, tuple(edges))
         result = analysis.permutation_independent_set(g, rng, trials=1000)
-        if not analysis.is_independent(g, result.best):
-            ok = False
         sigma = max(np.sqrt(result.degree_sum_bound / result.trials), 1e-6)
-        if result.mean_size < result.degree_sum_bound - 4 * sigma:
-            ok = False
-    return {"passed": ok, "graphs": 100}
+        if not analysis.is_independent(g, result.best) or (
+            result.mean_size < result.degree_sum_bound - 4 * sigma
+        ):
+            failures.append(graph)
+    return _suite_report(seed, "graphs", 100, failures)
 
 
 def _suite_depth2_reduce(seed: int) -> dict:
     rng = substream(seed, 14)
-    ok = True
+    failures = []
     for trial in range(20):
         cons, goal = _random_construction(rng)
         before = analysis.construction_success(cons, goal)
         result = analysis.reduce_depth2_construction(cons, goal)
-        if result.success_probability < before - 1e-9:
-            ok = False
         reduced = result.construction
         anc = set(reduced.ancillae())
         acted1 = {q for g in reduced.first_layer for q in g.qubits}
         acted2 = {q for g in reduced.second_layer for q in g.qubits}
-        if not (anc <= acted1 and anc <= acted2):
-            ok = False
-    return {"passed": ok, "instances": 20}
+        if result.success_probability < before - 1e-9 or not (anc <= acted1 and anc <= acted2):
+            failures.append(trial)
+    return _suite_report(seed, "instances", 20, failures)
 
 
 def _random_construction(rng):

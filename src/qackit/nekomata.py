@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .ir import Circuit, Layer, LocalState, Or, RTensor, circuit, is_classical_gate, rtensor
-from .transforms import _fanout_stage_layers
+from .transforms import fanout_stage_layers
 
 
 def choose_columns(n: int, epsilon: float) -> int:
@@ -161,7 +161,7 @@ def build_depthd_nekomata(
             block.append(extra_next)
             extra_next += 1
         blocks.append(block)
-    per_block = [_fanout_stage_layers(block, 2) for block in blocks]
+    per_block = [fanout_stage_layers(block, 2) for block in blocks]
     tree_depth = max((len(ls) for ls in per_block), default=0)
     merged: list[list] = [[] for _ in range(tree_depth)]
     for ls in per_block:

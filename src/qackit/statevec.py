@@ -9,14 +9,30 @@ target slices where the controls hold given values, and a reflection
 ``I - 2|chi><chi|`` contracts ``chi`` against its wires' axes.  Any trailing
 axes of the buffer form a batch axis that every gate acts on alike, so
 ``unitary`` is ``run`` applied to column blocks of the identity matrix, each
-written into the one result matrix.  Public functions
+written into the one result matrix, and ``max_unitary_difference`` runs two
+circuits on the same block and keeps only the largest entry of the
+difference, so it stores neither matrix.  Public functions
 never modify their arguments: ``run`` and ``apply_gate`` copy the input
 amplitudes once, apply gates in place, and hand that buffer to the result
 read-only, without a second copy.  The practical cap is 24 qubits
 (2^24 complex doubles), checked before any allocation.
+
+Up to two threads: when the process may run on two or more CPUs, a gate on
+a buffer of at least ``_SPLIT_AMPS`` amplitudes that leaves some wire free
+is applied to the two halves of the buffer along the first such wire at
+once, one half on the caller's thread and the other on one helper thread,
+started by the first such gate and kept for the life of the process.  The
+halves are disjoint views, and the same kernel runs on each.  numpy
+releases the interpreter lock inside these kernels, but BLAS runs one
+caller at a time, so the reflection's overlap ``<chi|psi>`` is computed by
+``np.einsum``'s own loop (``optimize=False``), never by ``tensordot``.
+``taskset -c 0`` keeps the oracle on one thread.
 """
 from __future__ import annotations
 
+import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +40,13 @@ import numpy as np
 from .ir import Circuit, Gate, LocalState, OneQubit, Or, RTensor, Toffoli, support
 
 MAX_QUBITS = 24
+# ``max_unitary_difference`` holds two column blocks, not two matrices
+MAX_COMPARE_QUBITS = 13
 NORM_ATOL = 1e-10
 # amplitudes per column block of ``unitary`` (4 MiB of complex128)
 _BLOCK_AMPS = 1 << 18
+# gates on buffers of at least this many amplitudes run on two threads
+_SPLIT_AMPS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,29 +130,101 @@ def _controlled_x(psi: np.ndarray, m: int, controls, value: int, target: int) ->
     hi[...] = tmp
 
 
-def _apply_gate_in_place(buf: np.ndarray, m: int, g: Gate) -> None:
-    """Apply ``g`` to every column of ``buf``, whose first axis holds 2**m amplitudes."""
-    for q in support(g):
-        if not 0 <= q < m:
-            raise ValueError(f"gate support {support(g)} out of range for {m} qubits")
-    psi = buf.reshape((2,) * m + buf.shape[1:])
+def _slab_kernel(g: Gate, m: int):
+    """``g``'s in-place action on a slab: a view of the buffer with one axis
+    per wire, in wire order, then the batch axes.  A wire outside ``g`` may
+    have length 1 in the slab.  The kernel calls no public function, so it
+    may run on the helper thread."""
     if isinstance(g, OneQubit):
-        lo, hi = _halves(psi, m, g.qubit)
         u = g.matrix
-        lo[...], hi[...] = u[0, 0] * lo + u[0, 1] * hi, u[1, 0] * lo + u[1, 1] * hi
+
+        def kernel(psi):
+            lo, hi = _halves(psi, m, g.qubit)
+            lo[...], hi[...] = u[0, 0] * lo + u[0, 1] * hi, u[1, 0] * lo + u[1, 1] * hi
+
     elif isinstance(g, Toffoli):
-        _controlled_x(psi, m, g.controls, 1, g.target)
+
+        def kernel(psi):
+            _controlled_x(psi, m, g.controls, 1, g.target)
+
     elif isinstance(g, Or):
-        # b ^ OR(x) = NOT b, undone where every control is 0
-        _controlled_x(psi, m, (), 1, g.target)
-        _controlled_x(psi, m, g.controls, 0, g.target)
+
+        def kernel(psi):
+            # b ^ OR(x) = NOT b, undone where every control is 0
+            _controlled_x(psi, m, (), 1, g.target)
+            _controlled_x(psi, m, g.controls, 0, g.target)
+
     elif isinstance(g, RTensor):
-        k = len(g.factors)
-        chi = product_state(g.states).amplitudes.reshape((2,) * k)
-        view = np.moveaxis(psi, g.qubits, range(k))
-        view -= 2.0 * np.multiply.outer(chi, np.tensordot(chi.conj(), view, axes=k))
+        wires = list(g.qubits)
+        chi = functools.reduce(np.multiply.outer, [s.vec() for s in g.states])
+        chi_bra, two_chi = chi.conj(), 2.0 * chi
+
+        def kernel(psi):
+            # <chi| psi> by einsum's own loop: BLAS serializes concurrent callers
+            axes = list(range(psi.ndim))
+            rest = [a for a in axes if a not in wires]
+            overlap = np.einsum(chi_bra, wires, psi, axes, rest, optimize=False)
+            np.moveaxis(psi, wires, range(len(wires)))[...] -= np.multiply.outer(two_chi, overlap)
+
     else:
         raise TypeError(f"unknown gate {type(g)!r}")
+    return kernel
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _helper_thread():
+    """The one helper thread, started by the first gate that splits."""
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _helper = ThreadPoolExecutor(1, thread_name_prefix="qackit-statevec")
+        return _helper
+
+
+def _forget_helper() -> None:
+    # a forked child has no copy of the parent's thread
+    global _helper
+    _helper = None
+
+
+os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _apply_gate_in_place(buf: np.ndarray, m: int, g: Gate) -> None:
+    """Apply ``g`` to every column of ``buf``, whose first axis holds 2**m amplitudes.
+
+    A large buffer is cut in two at the first wire ``g`` leaves free, and the
+    helper thread works on one half while the caller works on the other."""
+    wires = support(g)
+    for q in wires:
+        if not 0 <= q < m:
+            raise ValueError(f"gate support {wires} out of range for {m} qubits")
+    kernel = _slab_kernel(g, m)
+    psi = buf.reshape((2,) * m + buf.shape[1:])
+    free = next((q for q in range(m) if q not in wires), None)
+    if free is None or buf.size < _SPLIT_AMPS or _usable_cpus() < 2:
+        kernel(psi)
+        return
+    idx: list = [slice(None)] * psi.ndim
+    idx[free] = slice(1, 2)
+    other_half = _helper_thread().submit(kernel, psi[tuple(idx)])
+    idx[free] = slice(0, 1)
+    try:
+        kernel(psi[tuple(idx)])
+    finally:
+        other_half.result()
 
 
 def _run_in_place(buf: np.ndarray, c: Circuit) -> None:
@@ -155,21 +247,43 @@ def run(c: Circuit, state: StateVector) -> StateVector:
     return StateVector._adopt(c.num_qubits, amps)
 
 
-def unitary(c: Circuit, max_qubits: int = 12) -> np.ndarray:
-    """Dense matrix of the circuit; column j is the image of basis state j.
-
-    The columns are computed in blocks of about ``_BLOCK_AMPS`` amplitudes,
-    so the kernels' temporaries are block-sized, not matrix-sized."""
-    if c.num_qubits > max_qubits:
-        raise ValueError(f"dense unitary capped at {max_qubits} qubits")
+def _column_blocks(c: Circuit):
+    """``(j, block)`` pairs: columns ``j, j+1, ...`` of the circuit's unitary,
+    in blocks of about ``_BLOCK_AMPS`` amplitudes, so the kernels'
+    temporaries are block-sized, not matrix-sized."""
     dim = 1 << c.num_qubits
     cols = min(dim, max(1, _BLOCK_AMPS >> c.num_qubits))
-    mat = np.empty((dim, dim), dtype=np.complex128)
     for j in range(0, dim, cols):
         block = np.eye(dim, cols, -j, dtype=np.complex128)
         _run_in_place(block, c)
-        mat[:, j : j + cols] = block
+        yield j, block
+
+
+def unitary(c: Circuit, max_qubits: int = 12) -> np.ndarray:
+    """Dense matrix of the circuit; column j is the image of basis state j."""
+    if c.num_qubits > max_qubits:
+        raise ValueError(f"dense unitary capped at {max_qubits} qubits")
+    dim = 1 << c.num_qubits
+    mat = np.empty((dim, dim), dtype=np.complex128)
+    for j, block in _column_blocks(c):
+        mat[:, j : j + block.shape[1]] = block
     return mat
+
+
+def max_unitary_difference(a: Circuit, b: Circuit) -> float:
+    """``max |U_a - U_b|`` over the entries of the two circuits' unitaries.
+
+    Both circuits run on the same column block at a time and only the running
+    maximum is kept, so neither matrix is stored."""
+    if a.num_qubits != b.num_qubits:
+        raise ValueError("compared circuits differ in qubit count")
+    if a.num_qubits > MAX_COMPARE_QUBITS:
+        raise ValueError(f"dense comparison capped at {MAX_COMPARE_QUBITS} qubits")
+    dev = 0.0
+    for (_, ua), (_, ub) in zip(_column_blocks(a), _column_blocks(b)):
+        ua -= ub
+        dev = max(dev, float(np.max(np.abs(ua))))
+    return dev
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -262,7 +262,7 @@ def _ceil_log(n: int, m: int) -> int:
     return d
 
 
-def _fanout_stage_layers(wires: list[int], m: int) -> list[list[Gate]]:
+def fanout_stage_layers(wires: list[int], m: int) -> list[list[Gate]]:
     """Restricted-fanout tree over explicit wires; innermost layers first.
 
     Each stage spreads every live wire over a group of at most m wires using
@@ -280,7 +280,7 @@ def _fanout_stage_layers(wires: list[int], m: int) -> list[list[Gate]]:
         groups.append(wires[start : start + size_i])
         start += size_i
     heads = [g[0] for g in groups]
-    layers = _fanout_stage_layers(heads, m)
+    layers = fanout_stage_layers(heads, m)
     stage = [Toffoli((g[0],), t) for g in groups for t in g[1:]]
     layers.append(stage)
     return layers
@@ -291,7 +291,7 @@ def fanout_tree(n: int, m: int) -> Circuit:
     most m: depth ceil(log_m n), size at most n-1, no ancillae."""
     if n < 1 or m < 2:
         raise ValueError("need n >= 1 and m >= 2")
-    stages = _fanout_stage_layers(list(range(n)), m)
+    stages = fanout_stage_layers(list(range(n)), m)
     return circuit(max(n, 1), [Layer(tuple(st)) for st in stages])
 
 

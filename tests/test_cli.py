@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import tracemalloc
 
@@ -204,6 +205,40 @@ def test_verify_markov_can_fail(tmp_path, monkeypatch, capsys):
     assert doc["passed"] is False and doc["violations"] == doc["instances"] > 0
     assert doc["seed"] == 4
     assert f"first failing instance {doc['first_failing_instance']} (seed 4)" in out
+
+
+# suite -> (the analysis check it relies on, a failing stand-in built from the
+# original, the first failing instance the suite then reports)
+_BROKEN_CHECKS = {
+    "projections": (
+        "check_projection_chain_bound",
+        lambda orig: lambda chain: dataclasses.replace(orig(chain), holds=False),
+        0,
+    ),
+    "metric": ("chain_product_value", lambda orig: lambda *args: 2.0, "interpolation pair 0"),
+    "turan": ("is_independent", lambda orig: lambda g, vertices: False, 0),
+    "depth2-reduce": (
+        "reduce_depth2_construction",
+        lambda orig: lambda cons, goal: dataclasses.replace(orig(cons, goal), success_probability=-1.0),
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_BROKEN_CHECKS))
+def test_verify_suite_can_fail_and_names_its_first_failing_instance(suite, tmp_path, monkeypatch, capsys):
+    from qackit import analysis
+
+    name, broken, instance = _BROKEN_CHECKS[suite]
+    monkeypatch.setattr(analysis, name, broken(getattr(analysis, name)))
+    report = tmp_path / "verify.json"
+    assert run_cli("verify", "--suite", suite, "--seed", "6", "--report", str(report)) == 1
+    out = capsys.readouterr().out
+    assert f"{suite}: FAIL" in out
+    assert f"first failing instance {instance} (seed 6)" in out
+    doc = json.loads(report.read_text())["suites"][suite]
+    assert doc["passed"] is False
+    assert doc["seed"] == 6 and doc["first_failing_instance"] == instance
 
 
 def test_verify_exits_cleanly_when_an_analysis_check_fires(monkeypatch, capsys):

@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import concurrent.futures
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -30,10 +36,11 @@ from qackit import (
     rtensor,
     run,
     solve_bias,
+    to_rtensor_normal_form,
     zero_state,
 )
 from qackit import statevec
-from qackit.statevec import MAX_QUBITS, StateVector, unitary
+from qackit.statevec import MAX_COMPARE_QUBITS, MAX_QUBITS, StateVector, max_unitary_difference, unitary
 
 from conftest import haar_local, haar_state, haar_unitary, random_multi_gate, random_qac_circuit
 from qackit.rng import substream
@@ -387,6 +394,18 @@ def full_cover_circuits():
 
 
 def test_kernels_match_kron_reference(monkeypatch):
+    check_kernels_against_kron_reference(monkeypatch)
+
+
+def test_kernels_match_kron_reference_when_every_gate_splits(monkeypatch):
+    # every gate that leaves a wire free splits, on any machine
+    monkeypatch.setattr(statevec, "_SPLIT_AMPS", 1)
+    splits = count_splits(monkeypatch)
+    check_kernels_against_kron_reference(monkeypatch)
+    assert splits
+
+
+def check_kernels_against_kron_reference(monkeypatch):
     rng = substream(8)
     circuits = list(full_cover_circuits())
     circuits += [random_qac_circuit(rng, max_qubits=6, max_depth=4) for _ in range(60)]
@@ -431,3 +450,171 @@ def test_run_hands_its_buffer_to_the_result_without_a_second_copy():
     expected = state.amplitudes.reshape((2,) * m).copy()
     expected[1, 1, 1, 1] = expected[1, 1, 1, 1, ::-1]
     assert np.array_equal(out.amplitudes, expected.reshape(-1))
+
+
+# ---------------------------------------------------------------------------
+# two threads, and the streaming comparison
+
+
+def dense_check_pair():
+    """The 11-wire parity circuit and its normal form."""
+    par = parity_from_nekomata(build_depth2_nekomata(2, 3, solve_bias(2, 3)), 2)
+    return par, to_rtensor_normal_form(par)
+
+
+def count_splits(monkeypatch) -> list:
+    """Let gates split as on two CPUs; the returned list grows by one per split."""
+    splits = []
+    helper = statevec._helper_thread
+
+    def counted():
+        splits.append(1)
+        return helper()
+
+    monkeypatch.setattr(statevec, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(statevec, "_helper_thread", counted)
+    return splits
+
+
+def test_split_runs_give_identical_bits(monkeypatch):
+    splits = count_splits(monkeypatch)
+    m = 17
+    c = wide_circuit(m, substream(90))
+    state = StateVector(m, haar_state(1 << m, substream(91)))
+    first, again = run(c, state), run(c, state)
+    assert len(splits) == 2 * sum(len(lay.gates) for lay in c.layers)
+    assert np.array_equal(first.amplitudes, again.amplitudes)
+
+
+def test_split_gate_stays_on_one_thread_without_a_second_cpu(monkeypatch):
+    monkeypatch.setattr(statevec, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(statevec, "_helper_thread", lambda: pytest.fail("split on one CPU"))
+    monkeypatch.setattr(statevec, "_SPLIT_AMPS", 1)
+    c = random_qac_circuit(substream(92), max_qubits=6, max_depth=3)
+    u = unitary(c)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-10
+
+
+def test_reflection_kernel_calls_no_public_function(monkeypatch):
+    # the kernel may run on the helper thread, where no public call belongs
+    def refuse(factors):
+        raise AssertionError("product_state called")
+
+    monkeypatch.setattr(statevec, "product_state", refuse)
+    monkeypatch.setattr(statevec, "_SPLIT_AMPS", 1)
+    splits = count_splits(monkeypatch)
+    rng = substream(93)
+    g = RTensor(((0, haar_local(rng)), (2, haar_local(rng))))
+    out = run(circuit(3, [[g]]), zero_state(3))
+    ref = reference_gate_matrix(3, g)[:, 0]
+    assert splits and np.max(np.abs(out.amplitudes - ref)) < 1e-12
+
+
+def test_max_unitary_difference_equals_the_dense_difference():
+    rng = substream(94)
+    pairs = [dense_check_pair()]
+    pairs.append((wide_circuit(10, rng), wide_circuit(10, rng)))
+    for a, b in pairs:
+        assert max_unitary_difference(a, b) == np.max(np.abs(unitary(a) - unitary(b)))
+
+
+def test_max_unitary_difference_stores_neither_unitary():
+    par, nf = dense_check_pair()
+    unitary_bytes = 16 << (2 * par.num_qubits)
+    tracemalloc.start()
+    try:
+        dev = max_unitary_difference(nf, par)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dev < 1e-12
+    assert peak <= 0.5 * unitary_bytes
+
+
+def test_max_unitary_difference_at_the_compare_cap():
+    # two unitaries of 2^13 x 2^13 would be 2 GiB; the compare holds two blocks
+    m = MAX_COMPARE_QUBITS
+    assert m == 13
+    rng = substream(95)
+    a = circuit(m, [[RTensor(tuple((q, haar_local(rng)) for q in range(0, m, 2)))], [Toffoli((0, 5), 12)]])
+    b = circuit(m, [[Toffoli((0, 5), 12)], [RTensor(tuple((q, haar_local(rng)) for q in range(1, m, 3)))]])
+    assert max_unitary_difference(a, a) == 0.0
+    # on a basis state neither reflection's state is orthogonal to, the two differ
+    assert max_unitary_difference(a, b) > 1e-3
+    with pytest.raises(ValueError, match="capped at 12"):
+        unitary(a)
+
+
+def test_max_unitary_difference_checks_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="capped at 13"):
+            max_unitary_difference(circuit(14, []), circuit(14, []))
+        with pytest.raises(ValueError, match="differ in qubit count"):
+            max_unitary_difference(circuit(3, []), circuit(4, []))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_starts_its_own_helper_thread(monkeypatch):
+    # the parent's helper thread does not exist in a forked child
+    monkeypatch.setattr(statevec, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(statevec, "_SPLIT_AMPS", 1)
+    c = circuit(3, [[h_gate(0)], [cnot(0, 1)]])
+    expected = run(c, zero_state(3)).amplitudes
+    pid = os.fork()
+    if pid == 0:
+        ok = np.array_equal(run(c, zero_state(3)).amplitudes, expected)
+        os._exit(0 if ok else 1)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child hung on the parent's helper thread")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_callers_on_many_threads_share_one_helper(monkeypatch):
+    monkeypatch.setattr(statevec, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(statevec, "_SPLIT_AMPS", 1)
+    monkeypatch.setattr(statevec, "_helper", None)
+    created = []
+
+    class CountedExecutor(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            created.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedExecutor)
+    rng = substream(96)
+    circuits = [random_qac_circuit(rng, max_qubits=6, max_depth=4) for _ in range(8)]
+    with monkeypatch.context() as serial:
+        serial.setattr(statevec, "_SPLIT_AMPS", 1 << 60)
+        expected = [unitary(c) for c in circuits]
+    results = [None] * len(circuits)
+    start = threading.Barrier(len(circuits))
+
+    def work(i):
+        start.wait(timeout=60)
+        results[i] = unitary(circuits[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(circuits))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, expected):
+        assert np.max(np.abs(got - want)) < 1e-12
+    assert len(created) == 1
+    statevec._helper.shutdown()
