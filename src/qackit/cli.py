@@ -90,7 +90,7 @@ def _load_circuit(manifest: Manifest, path: str) -> Circuit:
 def _cmd_build(args, manifest: Manifest) -> int:
     if args.what == "nekomata":
         n = args.n
-        core_n = n if args.depth == 2 else max(1, -(-n // (1 << (args.depth - 2))))
+        core_n = nekomata.core_targets(n, args.depth)
         columns = args.columns if args.columns is not None else nekomata.choose_columns(
             core_n, args.epsilon
         )
@@ -136,7 +136,7 @@ def _cmd_transform(args, manifest: Manifest) -> int:
     elif args.what == "expand-or":
         out = transforms.expand_or(circ)
     else:
-        out = transforms.conjugate_by_hadamards(circ, args.n if args.n else circ.num_qubits)
+        out = transforms.conjugate_by_hadamards(circ, args.n if args.n is not None else circ.num_qubits)
     manifest.write_output(args.out, serial.serialize(out))
     print(f"wrote {args.out}")
     return 0

@@ -145,7 +145,6 @@ Gate = Union[OneQubit, Toffoli, Or, RTensor]
 
 X_MATRIX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 H_MATRIX = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
-Z_MATRIX = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 I_MATRIX = np.eye(2, dtype=np.complex128)
 
 
@@ -155,10 +154,6 @@ def x_gate(q: QubitId) -> OneQubit:
 
 def h_gate(q: QubitId) -> OneQubit:
     return OneQubit(q, H_MATRIX)
-
-
-def z_gate(q: QubitId) -> OneQubit:
-    return OneQubit(q, Z_MATRIX)
 
 
 def toffoli(controls: Sequence[QubitId], target: QubitId) -> Gate:
@@ -332,10 +327,6 @@ def validate(c: Circuit) -> list[str]:
             if not 0 <= q < c.num_qubits:
                 problems.append(f"target qubit {q} out of range")
     return problems
-
-
-def is_valid(c: Circuit) -> bool:
-    return not validate(c)
 
 
 def gates_equal(a: Gate, b: Gate) -> bool:

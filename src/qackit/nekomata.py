@@ -63,6 +63,15 @@ def solve_bias(n: int, columns: int) -> float:
     return 0.5 * (lo + hi) if lo < 0.5 * (lo + hi) < hi else lo
 
 
+def core_targets(n: int, d: int) -> int:
+    """Targets of the depth-2 core of the depth-d builder: ``ceil(n / 2^(d-2))``."""
+    if d < 2:
+        raise ValueError("depth must be at least 2")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return -(-n // (1 << (d - 2)))
+
+
 @dataclass(frozen=True)
 class GridParams:
     """Parameters of the depth-2 grid; bias must solve the half equation."""
@@ -82,11 +91,6 @@ class GridParams:
             raise ValueError("bias out of range (0, (1/2)^(1/n))")
         if self.residual() > 1e-12:
             raise ValueError("bias does not solve (1 - 2 b^n)^(2 columns) = 1/2")
-
-    @classmethod
-    def for_error(cls, n: int, epsilon: float) -> "GridParams":
-        columns = choose_columns(n, epsilon)
-        return cls(n, columns, solve_bias(n, columns), epsilon)
 
 
 @dataclass(frozen=True)
@@ -136,10 +140,7 @@ def build_depthd_nekomata(
     """Depth-d builder: a depth-2 core on ``m = ceil(n / 2^(d-2))`` targets,
     then binary fanout stages spreading each core target over a contiguous
     block of at most ``2^(d-2)`` final targets."""
-    if d < 2:
-        raise ValueError("depth must be at least 2")
-    span = 1 << (d - 2)
-    m = max(1, math.ceil(n / span))
+    m = core_targets(n, d)
     if columns is None:
         columns = choose_columns(m, epsilon)
     if bias is None:
@@ -153,10 +154,10 @@ def build_depthd_nekomata(
     base, rem = divmod(n, m)
     extra_next = core.num_qubits
     blocks: list[list[int]] = []
-    core_targets = list(core.targets)
+    core_wires = list(core.targets)
     for i in range(m):
         block_size = base + (1 if i < rem else 0)
-        block = [core_targets[i]]
+        block = [core_wires[i]]
         for _ in range(block_size - 1):
             block.append(extra_next)
             extra_next += 1

@@ -88,13 +88,6 @@ class GateOutputDistribution:
     all_zeros_prob: float
     probs: dict[str, float]
 
-    def nonzero_conditional(self) -> dict[str, float]:
-        mass = 1.0 - self.all_zeros_prob
-        if mass <= 0.0:
-            return {}
-        zeros = "0" * len(self.qubits)
-        return {y: pr / mass for y, pr in self.probs.items() if y != zeros and pr > 0.0}
-
 
 def _one_probs(g: RTensor) -> np.ndarray:
     return np.array([st.one_probability() for st in g.states])

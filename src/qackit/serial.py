@@ -4,11 +4,12 @@ Circuit files are JSON objects with fields ``num_qubits``, ``targets``
 (array or null), and ``layers`` (array of arrays of gate objects).  Gate
 objects carry ``kind`` in {"u1", "toffoli", "or", "rtensor"} plus
 kind-specific fields; complex numbers are [re, im] pairs.  Floats are printed
-with 17 significant digits so that round-trips are bit-exact.
+as Python's shortest round-trip repr, so round-trips are bit-exact.
 """
 from __future__ import annotations
 
 import json
+import operator
 from typing import Any
 
 import numpy as np
@@ -21,50 +22,9 @@ class CircuitFormatError(ValueError):
     """Malformed circuit/state JSON; message carries location information."""
 
 
-def _fmt_float(x: float) -> str:
-    x = float(x)
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError("cannot serialize non-finite number")
-    if x == int(x) and abs(x) < 1e16:
-        return repr(x)
-    return format(x, ".17g")
-
-
-def _emit(obj: Any, out: list[str]) -> None:
-    if isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(", ")
-            _emit(item, out)
-        out.append("]")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (key, val) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(key)))
-            out.append(": ")
-            _emit(val, out)
-        out.append("}")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def _dumps(obj: Any) -> str:
-    out: list[str] = []
-    _emit(obj, out)
-    return "".join(out)
+# NaN and infinities raise ValueError; numpy integer wire ids are written as
+# ints, and any other non-JSON object raises TypeError
+_encode = json.JSONEncoder(allow_nan=False, default=operator.index).encode
 
 
 def _pair(z: complex) -> list[float]:
@@ -90,21 +50,12 @@ def _gate_obj(g: Gate) -> dict:
 
 
 def serialize(c: Circuit) -> str:
-    doc = {
-        "num_qubits": c.num_qubits,
-        "targets": list(c.targets) if c.targets is not None else None,
-        "layers": [[_gate_obj(g) for g in lay.gates] for lay in c.layers],
-    }
-    parts = ['{\n  "num_qubits": %d,\n  "targets": ' % doc["num_qubits"]]
-    parts.append(_dumps(doc["targets"]))
-    parts.append(',\n  "layers": [')
-    for i, lay in enumerate(doc["layers"]):
-        if i:
-            parts.append(",")
-        parts.append("\n    ")
-        parts.append(_dumps(lay))
-    parts.append("\n  ]\n}\n")
-    return "".join(parts)
+    """``c`` as JSON text: ``num_qubits``, then ``targets``, then one layer per line."""
+    targets = list(c.targets) if c.targets is not None else None
+    layers = ",".join("\n    " + _encode([_gate_obj(g) for g in lay.gates]) for lay in c.layers)
+    return '{\n  "num_qubits": %s,\n  "targets": %s,\n  "layers": [%s\n  ]\n}\n' % (
+        _encode(c.num_qubits), _encode(targets), layers
+    )
 
 
 def _want(obj: dict, key: str, where: str) -> Any:
@@ -117,7 +68,7 @@ def _as_complex(val: Any, where: str) -> complex:
     if (
         not isinstance(val, (list, tuple))
         or len(val) != 2
-        or not all(isinstance(v, (int, float)) for v in val)
+        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in val)
     ):
         raise CircuitFormatError(f"{where}: expected [re, im] pair")
     try:
@@ -222,8 +173,7 @@ def state_to_json(num_qubits: int, amplitudes: np.ndarray) -> str:
     amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
     if amps.shape[0] != 1 << num_qubits:
         raise ValueError("amplitude count must be 2**num_qubits")
-    doc = {"num_qubits": num_qubits, "amplitudes": [_pair(z) for z in amps]}
-    return _dumps(doc)
+    return _encode({"num_qubits": num_qubits, "amplitudes": [_pair(z) for z in amps]})
 
 
 def state_from_json(text: str) -> tuple[int, np.ndarray]:

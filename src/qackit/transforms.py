@@ -7,8 +7,6 @@ count toward depth or the (support, layer) topology entries.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ir import (
@@ -33,48 +31,39 @@ from .ir import (
 from . import statevec
 
 
-@dataclass(frozen=True)
-class ReferenceUnitary:
-    """Exact parity / fanout unitaries; dense matrices available up to 12 qubits.
+def _basis_indices(n: int) -> np.ndarray:
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n > 12:
+        raise ValueError("dense reference unitary capped at 12 qubits")
+    return np.arange(1 << n)
 
-    Both act on wires (b, x_1, .., x_{n-1}) with b on wire 0:
-    parity maps ``|b, x> -> |b ^ parity(x), x>`` and fanout maps
-    ``|b, x> -> |b, x_1 ^ b, ..>``.
-    """
 
-    kind: str
-    n: int
+def _permutation_matrix(images: np.ndarray) -> np.ndarray:
+    """Dense matrix sending basis state ``i`` to ``images[i]``."""
+    mat = np.zeros((images.size, images.size), dtype=np.complex128)
+    mat[images, np.arange(images.size)] = 1.0
+    return mat
 
-    def __post_init__(self):
-        if self.kind not in ("parity", "fanout"):
-            raise ValueError("kind must be 'parity' or 'fanout'")
-        if self.n < 1:
-            raise ValueError("n must be positive")
 
-    def matrix(self) -> np.ndarray:
-        if self.n > 12:
-            raise ValueError("dense reference unitary capped at 12 qubits")
-        dim = 1 << self.n
-        mat = np.zeros((dim, dim), dtype=np.complex128)
-        top = self.n - 1
-        for i in range(dim):
-            b = (i >> top) & 1
-            rest = i & ~(1 << top)
-            if self.kind == "parity":
-                par = bin(rest).count("1") & 1
-                j = ((b ^ par) << top) | rest
-            else:
-                j = (b << top) | (rest ^ (((1 << top) - 1) if b else 0))
-            mat[j, i] = 1.0
-        return mat
+# Both reference unitaries act on wires (b, x_1, .., x_{n-1}); b sits on
+# wire 0, the most significant bit of a basis index.
 
 
 def parity_unitary(n: int) -> np.ndarray:
-    return ReferenceUnitary("parity", n).matrix()
+    """Exact ``|b, x> -> |b ^ parity(x), x>``, up to 12 qubits."""
+    i = _basis_indices(n)
+    parity = np.zeros_like(i)
+    for k in range(n - 1):
+        parity ^= i >> k
+    return _permutation_matrix(i ^ ((parity & 1) << (n - 1)))
 
 
 def fanout_unitary(n: int) -> np.ndarray:
-    return ReferenceUnitary("fanout", n).matrix()
+    """Exact ``|b, x> -> |b, x_1 ^ b, .., x_{n-1} ^ b>``, up to 12 qubits."""
+    i = _basis_indices(n)
+    top = n - 1
+    return _permutation_matrix(i ^ ((i >> top) * ((1 << top) - 1)))
 
 
 def dagger(c: Circuit) -> Circuit:
@@ -247,6 +236,8 @@ def _conjugated_reflection(g: Gate, pending: list[np.ndarray]) -> RTensor:
 def conjugate_by_hadamards(c: Circuit, n: int) -> Circuit:
     """Sandwich the circuit between H layers on the first n wires; swaps the
     parity and fanout behaviours while keeping the topology."""
+    if n < 1:
+        raise ValueError("hadamard conjugation needs n >= 1")
     if c.num_qubits < n:
         raise ValueError("circuit acts on fewer wires than requested")
     h_layer = Layer(tuple(h_gate(q) for q in range(n)))

@@ -329,6 +329,25 @@ def test_transform_hadamard_conjugate(tmp_path, capsys):
     assert np.max(np.abs(unitary(conj) - fanout_unitary(3))) < 1e-12
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_transform_hadamard_conjugate_rejects_nonpositive_n(n, tmp_path, capsys):
+    src = tmp_path / "parity.json"
+    src.write_text(serialize(circuit(3, [[cnot(1, 0)], [cnot(2, 0)]])))
+    dst = tmp_path / "out.json"
+    code = run_cli("transform", "hadamard-conjugate", "--circuit", str(src), "--n", n, "--out", str(dst))
+    assert code == 1
+    assert "error: hadamard conjugation needs n >= 1" in capsys.readouterr().err
+    assert not dst.exists()
+
+
+@pytest.mark.parametrize("depth", ["1", "0"])
+def test_build_nekomata_rejects_depth_below_two(depth, tmp_path, capsys):
+    out = tmp_path / "nek.json"
+    assert run_cli("build", "nekomata", "--n", "6", "--depth", depth, "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: depth must be at least 2\n"
+    assert not out.exists()
+
+
 def test_transform_expand_or_cli(tmp_path):
     from qackit import Or
 

@@ -234,3 +234,19 @@ def test_depthd_depth_bound_n8():
 def test_depthd_rejects_bad_depth():
     with pytest.raises(ValueError):
         build_depthd_nekomata(4, 1, 0.3)
+
+
+def test_core_targets_is_the_core_size_of_the_depthd_builder():
+    from qackit import core_targets
+
+    assert [core_targets(n, 2) for n in (1, 5, 8)] == [1, 5, 8]
+    assert [core_targets(n, 4) for n in (1, 4, 5, 8, 9)] == [1, 1, 2, 2, 3]
+    # core of 3 targets on 2 columns (9 wires) plus 9 - 3 fanout wires
+    assert build_depthd_nekomata(9, 4, 0.3, columns=2).num_qubits == 15
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [0, -2])
+def test_depthd_rejects_nonpositive_n(n, d):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        build_depthd_nekomata(n, d, 0.3)

@@ -88,6 +88,58 @@ def test_round_trip_generated_circuits(c):
     assert again == c and circuits_equal(again, c)
 
 
+def test_serialized_layout_is_one_layer_per_line():
+    c = circuit(
+        3,
+        [
+            [h_gate(0), rtensor({1: LocalState(0.6, 0.8j), 2: LocalState(1.0, 0.0)})],
+            [Toffoli((0, 1), 2)],
+            [Or((0, 2), 1)],
+        ],
+        targets=(2, 0),
+    )
+    assert serialize(c) == (
+        '{\n'
+        '  "num_qubits": 3,\n'
+        '  "targets": [2, 0],\n'
+        '  "layers": [\n'
+        '    [{"kind": "u1", "qubit": 0, "matrix": [[0.7071067811865475, 0.0], [0.7071067811865475, 0.0], '
+        '[0.7071067811865475, 0.0], [-0.7071067811865475, 0.0]]}, {"kind": "rtensor", "factors": '
+        '[{"qubit": 1, "amp0": [0.6, 0.0], "amp1": [0.0, 0.8]}, {"qubit": 2, "amp0": [1.0, 0.0], '
+        '"amp1": [0.0, 0.0]}]}],\n'
+        '    [{"kind": "toffoli", "controls": [0, 1], "target": 2}],\n'
+        '    [{"kind": "or", "controls": [0, 2], "target": 1}]\n'
+        '  ]\n'
+        '}\n'
+    )
+    assert serialize(circuit(2, [])) == '{\n  "num_qubits": 2,\n  "targets": null,\n  "layers": [\n  ]\n}\n'
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_amplitudes_are_not_serialized(bad):
+    with pytest.raises(ValueError):
+        serialize(circuit(1, [[rtensor({0: LocalState(bad, 0.0)})]]))
+    with pytest.raises(ValueError):
+        serialize(circuit(1, [[OneQubit(0, np.array([[1.0, 0.0], [0.0, complex(0.0, bad)]]))]]))
+    with pytest.raises(ValueError):
+        state_to_json(1, np.array([bad, 0.0]))
+
+
+@pytest.mark.parametrize("int_type", [np.int64, np.int32])
+def test_numpy_integer_wire_ids_serialize_as_plain_ints(int_type):
+    def build(w):
+        return Circuit(
+            3,
+            (Layer((Toffoli((w(0), w(1)), w(2)),)), Layer((OneQubit(w(1), np.eye(2)),))),
+            (w(2), w(0)),
+        )
+
+    plain = build(int)
+    text = serialize(build(int_type))
+    assert text == serialize(plain)
+    assert deserialize(text) == plain
+
+
 def test_unknown_gate_kind_is_parse_error():
     text = '{"num_qubits": 1, "targets": null, "layers": [[{"kind": "blorp"}]]}'
     with pytest.raises(CircuitFormatError, match="unknown gate kind"):
@@ -102,11 +154,18 @@ def test_malformed_json_reports_position():
 def test_seventeen_digit_amplitudes():
     c = circuit(1, [[rtensor({0: LocalState(2**-0.5, 2**-0.5)})]])
     text = serialize(c)
-    # 17 significant digits of the stored double for 2**-0.5; parses back to
-    # the identical float (as does the 17-digit rounding of the exact real)
-    assert "0.70710678118654757" in text
+    # the shortest repr of the stored double for 2**-0.5; it parses back to
+    # the identical float, as do the 17-digit forms earlier files carry
+    assert "0.7071067811865476" in text
+    assert float("0.7071067811865476") == 2**-0.5
     assert float("0.70710678118654757") == 2**-0.5
     assert float("0.70710678118654752") == 2**-0.5
+    # a file written with 17 significant digits loads to the identical circuit
+    old = (
+        '{\n  "num_qubits": 1,\n  "targets": null,\n  "layers": [\n    [{"kind": "rtensor", "factors": '
+        '[{"qubit": 0, "amp0": [0.70710678118654757, 0.0], "amp1": [0.70710678118654757, 0.0]}]}]\n  ]\n}\n'
+    )
+    assert deserialize(old) == deserialize(text) == c
 
 
 def test_seventeen_digits_round_trip_exactly():
@@ -274,3 +333,26 @@ def test_malformed_documents_raise_only_format_errors(doc):
             load(text)
         except CircuitFormatError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# booleans are JSON values of their own, never amplitudes
+
+
+def test_boolean_u1_matrix_entry_is_rejected():
+    text = '{"num_qubits": 1, "targets": null, "layers": [[{"kind": "u1", "qubit": 0, ' \
+        '"matrix": [[false, false], [true, false], [1, 0], [0, 0]]}]]}'
+    with pytest.raises(CircuitFormatError, match=r"^layer 0, gate 0: expected \[re, im\] pair"):
+        deserialize(text)
+
+
+def test_boolean_rtensor_amplitude_is_rejected():
+    text = '{"num_qubits": 1, "targets": null, "layers": [[{"kind": "rtensor", "factors": ' \
+        '[{"qubit": 0, "amp0": [true, 0], "amp1": [0.0, 0.0]}]}]]}'
+    with pytest.raises(CircuitFormatError, match=r"^layer 0, gate 0, factor 0: expected \[re, im\] pair"):
+        deserialize(text)
+
+
+def test_boolean_state_amplitude_is_rejected():
+    with pytest.raises(CircuitFormatError, match=r"^amplitude 1: expected \[re, im\] pair"):
+        state_from_json('{"num_qubits": 1, "amplitudes": [[1.0, 0.0], [0, false]]}')

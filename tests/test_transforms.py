@@ -38,7 +38,6 @@ from qackit import (
     zero_state,
 )
 from qackit.statevec import unitary
-from qackit.transforms import ReferenceUnitary
 
 from conftest import haar_local, random_qac_circuit
 from qackit.rng import substream
@@ -199,10 +198,34 @@ def test_parity_matches_reference():
 
 
 def test_reference_unitary_validation():
-    with pytest.raises(ValueError):
-        ReferenceUnitary("swap", 2)
-    with pytest.raises(ValueError):
-        ReferenceUnitary("parity", 13).matrix()
+    for build in (parity_unitary, fanout_unitary):
+        with pytest.raises(ValueError, match="capped at 12 qubits"):
+            build(13)
+        with pytest.raises(ValueError, match="n must be positive"):
+            build(0)
+
+
+def _loop_reference_unitary(kind: str, n: int) -> np.ndarray:
+    """Reference permutation built one basis state at a time with Python integers."""
+    dim = 1 << n
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    top = n - 1
+    for i in range(dim):
+        b = (i >> top) & 1
+        rest = i & ~(1 << top)
+        if kind == "parity":
+            par = bin(rest).count("1") & 1
+            j = ((b ^ par) << top) | rest
+        else:
+            j = (b << top) | (rest ^ (((1 << top) - 1) if b else 0))
+        mat[j, i] = 1.0
+    return mat
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_reference_unitaries_match_the_loop_construction(n):
+    assert np.array_equal(parity_unitary(n), _loop_reference_unitary("parity", n))
+    assert np.array_equal(fanout_unitary(n), _loop_reference_unitary("fanout", n))
 
 
 # ---------------------------------------------------------------------------
