@@ -145,7 +145,6 @@ Gate = Union[OneQubit, Toffoli, Or, RTensor]
 
 X_MATRIX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 H_MATRIX = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
-I_MATRIX = np.eye(2, dtype=np.complex128)
 
 
 def x_gate(q: QubitId) -> OneQubit:
@@ -328,20 +327,3 @@ def validate(c: Circuit) -> list[str]:
                 problems.append(f"target qubit {q} out of range")
     return problems
 
-
-def gates_equal(a: Gate, b: Gate) -> bool:
-    return type(a) is type(b) and a == b
-
-
-def circuits_equal(a: Circuit, b: Circuit) -> bool:
-    """Exact structural equality (used for serialization round-trips)."""
-    if a.num_qubits != b.num_qubits or a.targets != b.targets:
-        return False
-    if len(a.layers) != len(b.layers):
-        return False
-    for la, lb in zip(a.layers, b.layers):
-        if len(la.gates) != len(lb.gates):
-            return False
-        if not all(gates_equal(ga, gb) for ga, gb in zip(la.gates, lb.gates)):
-            return False
-    return True

@@ -9,19 +9,23 @@ Standard-basis measurements commute with classical gates, so a
 mostly-classical circuit is sampled by drawing each first-layer gate's output
 bits and pushing them through the classical part.
 
+``gate_law`` is the one place that reads a reflection's probabilities: it
+drops the factors with ``p_j = 0`` and returns the others' positions and
+``GateLaw`` (``p``, ``prod_q``, ``all_zeros`` and the min-rank polynomials).
+
 ``sample_mostly_classical_batch`` is the one sampling pipeline.  It keeps the
 trials wire-major and bit-packed: a ``(num_qubits, ceil(trials/8))`` uint8
 buffer holds one row per wire, trial ``t`` at bit ``7 - t % 8`` of byte
-``t // 8``.  Each first-layer reflection's draws are packed into its wires'
-rows, ``_eval_classical`` applies the classical layers to whole rows (AND- or
-OR-reduce the control rows into the target, flip the row for X), and only the
-target rows are unpacked.  The per-gate law is a parameter with the signature
-``(g, trials, rng) -> (trials, k)``, where ``g`` is the reflection with its
-zero-probability factors dropped: ``direct_sample_batch`` (the default) draws
-from the closed form above, ``factorized_sample_batch`` through the
-factorization below.  Sizes are checked against ``MAX_SAMPLE_BYTES`` before
-the buffer is allocated.  ``run_classical`` and ``influences`` use the same
-evaluator.
+``t // 8``.  Each first-layer reflection's draws are packed into its kept
+wires' rows, ``_eval_classical`` applies the classical layers to whole rows
+(AND- or OR-reduce the control rows into the target, flip the row for X), and
+only the target rows are unpacked.  The per-gate law is a parameter with the
+signature ``(law, trials, rng) -> (trials, k)``: ``direct_sample_batch`` (the
+default) draws from the closed form above, ``factorized_sample_batch``
+through the factorization below.  Within one call, gates with equal ``p``
+share one ``GateLaw`` object, so its polynomials are built once.  Sizes are
+checked against ``MAX_SAMPLE_BYTES`` before the buffer is allocated.
+``run_classical`` and ``influences`` use the same evaluator.
 
 ``factorized_sample_gate`` draws the same per-gate law through an explicit
 factorization: a Bernoulli coin B, a highlighted root-to-leaf path in a
@@ -33,8 +37,7 @@ M is drawn by inverting its CDF, the antiderivative F of the density
 ``p_J prod_{i != J} (1 - p_i t)``, with Newton's method (``_invert_cdf``):
 F' is positive and decreasing on [0, 1), so F is increasing and concave and
 Newton started at 0 climbs to the root from below without overshooting.
-Both draw paths share that inversion, and both read the per-gate polynomials
-from one small cache keyed on the factor probabilities.
+Both draw paths share that inversion.
 
 Every per-trial coin of the batch laws (the direct law's active or nonzero
 trials, the factorized law's coin B, a first-layer one-qubit gate's output)
@@ -59,14 +62,13 @@ from .nekomata import classify
 
 ENUMERATION_CAP = 20
 FACTORIZED_ARITY_CAP = 12
+# widest purely classical circuit whose exact influence sets are computed
+INFLUENCE_WIDTH_CAP = 24
 # Newton on the min-rank CDF: steps at or below NEWTON_TOL end the iteration
 NEWTON_TOL = 1e-12
 NEWTON_MAX_STEPS = 100
 # cap on the packed (wires, trials/8) buffer and on the (trials, targets) result
 MAX_SAMPLE_BYTES = 1 << 28
-
-# per-gate law: (reflection without zero-probability factors, trials, rng) -> (trials, k) bits
-GateSampler = Callable[[RTensor, int, np.random.Generator], np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -74,49 +76,101 @@ GateSampler = Callable[[RTensor, int, np.random.Generator], np.ndarray]
 
 
 @dataclass(frozen=True)
+class GateLaw:
+    """Measurement law of ``R_chi |0..0>`` over the factors that can read 1.
+
+    ``p`` holds their one-probabilities, each in (0, 1]; ``prod_q`` is
+    ``prod_j (1 - p_j)`` and ``all_zeros = (1 - 2 prod_q)^2``.  Laws with
+    equal ``p`` are equal and hash alike."""
+
+    p: tuple[float, ...]
+
+    def __post_init__(self):
+        # written as not (0 < x <= 1) so that NaN fails too
+        if not all(0.0 < x <= 1.0 for x in self.p):
+            raise ValueError(f"one-probabilities must lie in (0, 1], got {self.p}")
+
+    @functools.cached_property
+    def prod_q(self) -> float:
+        return float(np.prod(1.0 - np.array(self.p)))
+
+    @functools.cached_property
+    def all_zeros(self) -> float:
+        return (1.0 - 2.0 * self.prod_q) ** 2
+
+    @functools.cached_property
+    def min_rank(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-factor densities for the minimum of the rank variables.
+
+        Factor j has rank 1 with probability 1-p_j and uniform on [0,1) with
+        probability p_j.  The density of {rank_j is the strict minimum, value
+        t} is ``p_j * prod_{i != j} (1 - p_i t)``, a polynomial in t whose
+        coefficients are row j of ``coeffs``; the exact antiderivative
+        ``anti`` gives both the selection ``weights`` (its value at 1) and the
+        conditional CDF.  The arrays are read-only."""
+        p = self.p
+        k = len(p)
+        coeffs = np.zeros((k, k))
+        for j in range(k):
+            poly = np.array([p[j]])
+            for i in range(k):
+                if i != j:
+                    poly = np.convolve(poly, np.array([1.0, -p[i]]))
+            coeffs[j, : len(poly)] = poly
+        anti = coeffs / np.arange(1, k + 1)  # antiderivative coefficients for t^1..t^k
+        weights = anti.sum(axis=1)  # integral over [0, 1)
+        for arr in (coeffs, anti, weights):
+            arr.flags.writeable = False
+        return coeffs, anti, weights
+
+
+# per-gate law: (law of a first-layer reflection, trials, rng) -> (trials, k) bits
+GateSampler = Callable[[GateLaw, int, np.random.Generator], np.ndarray]
+
+
+def gate_law(g: RTensor) -> tuple[tuple[int, ...], GateLaw]:
+    """Positions of the factors of ``g`` that can read 1, and their law.
+
+    A one-probability above 1 by rounding (a local state normalized only to
+    within ``ir.ATOL``) is read as 1."""
+    p = [min(st.one_probability(), 1.0) for st in g.states]
+    kept = tuple(j for j, x in enumerate(p) if x > 0.0)
+    return kept, GateLaw(tuple(p[j] for j in kept))
+
+
+@dataclass(frozen=True)
 class GateOutputDistribution:
     """Exact standard-basis law of a reflection applied to all-zeros.
 
     ``qubits`` orders the output bits; ``kept`` marks the factor positions
-    with nonzero one-probability (the others output 0 always), and ``p``
-    holds those probabilities.  ``probs`` is the full law over bitstrings.
+    with nonzero one-probability (the others output 0 always), and ``law``
+    is their ``GateLaw``.  ``probs`` is the full law over bitstrings.
     """
 
     qubits: tuple[int, ...]
     kept: tuple[int, ...]
-    p: tuple[float, ...]
-    all_zeros_prob: float
+    law: GateLaw
     probs: dict[str, float]
-
-
-def _one_probs(g: RTensor) -> np.ndarray:
-    return np.array([st.one_probability() for st in g.states])
 
 
 def exact_rtensor_distribution(g: RTensor) -> GateOutputDistribution:
     k = len(g.factors)
     if k > ENUMERATION_CAP:
         raise ValueError(f"arity {k} too large for full enumeration")
-    p_all = _one_probs(g)
-    kept = tuple(int(i) for i in np.flatnonzero(p_all > 0.0))
-    p = p_all[list(kept)]
-    prod_q = float(np.prod(1.0 - p)) if len(p) else 1.0
-    all_zeros = (1.0 - 2.0 * prod_q) ** 2
+    kept, law = gate_law(g)
     probs: dict[str, float] = {}
     for pattern in range(1 << len(kept)):
         bits = ["0"] * k
-        pr = 4.0 * prod_q
+        pr = 4.0 * law.prod_q
         for j, pos in enumerate(kept):
-            if (pattern >> (len(kept) - 1 - j)) & 1:
-                bits[pos] = "1"
-                pr *= p[j]
-            else:
-                pr *= 1.0 - p[j]
+            one = (pattern >> (len(kept) - 1 - j)) & 1
+            bits[pos] = "01"[one]
+            pr *= law.p[j] if one else 1.0 - law.p[j]
         if pattern == 0:
-            pr = all_zeros
+            pr = law.all_zeros
         if pr > 0.0:
-            probs["".join(bits)] = probs.get("".join(bits), 0.0) + float(pr)
-    return GateOutputDistribution(g.qubits, kept, tuple(float(x) for x in p), float(all_zeros), probs)
+            probs["".join(bits)] = float(pr)
+    return GateOutputDistribution(g.qubits, kept, law, probs)
 
 
 def _active_trials(trials: int, r: float, rng: np.random.Generator) -> np.ndarray:
@@ -129,41 +183,23 @@ def _active_trials(trials: int, r: float, rng: np.random.Generator) -> np.ndarra
     return rng.choice(trials, size=count, replace=False, shuffle=False)
 
 
-def _sample_rtensor_bits(p: np.ndarray, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``trials`` outputs (over the nonzero-probability factors only)."""
-    k = len(p)
+def direct_sample_batch(law: GateLaw, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """(trials, k) draws from the exact measurement law of ``R_chi |0..0>``."""
+    k = len(law.p)
     out = np.zeros((trials, k), dtype=np.uint8)
-    if k == 0:
-        return out
-    prod_q = float(np.prod(1.0 - p))
-    if prod_q <= 0.25:
+    if law.prod_q <= 0.25:
         # convex combination: all-zeros with prob 1 - 4 prod_q, else independent draws
-        active = _active_trials(trials, 4.0 * prod_q, rng)
-        out[active] = rng.random((active.size, k)) < p
+        active = _active_trials(trials, 4.0 * law.prod_q, rng)
+        out[active] = rng.random((active.size, k)) < law.p
         return out
     # inverse transform on the exact law, rejecting all-zero conditional draws
-    pending = _active_trials(trials, 1.0 - (1.0 - 2.0 * prod_q) ** 2, rng)
+    pending = _active_trials(trials, 1.0 - law.all_zeros, rng)
     while pending.size:
-        draws = rng.random((pending.size, k)) < p
+        draws = rng.random((pending.size, k)) < law.p
         hit = draws.any(axis=1)
         out[pending[hit]] = draws[hit]
         pending = pending[~hit]
     return out
-
-
-def direct_sample_batch(g: RTensor, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """(trials, k) draws from the exact measurement law of ``R_chi |0..0>``."""
-    return _sample_rtensor_bits(_one_probs(g), trials, rng)
-
-
-def sample_rtensor(g: RTensor, rng: np.random.Generator) -> str:
-    """One draw from the exact measurement law of ``R_chi |0..0>``."""
-    p_all = _one_probs(g)
-    kept = np.flatnonzero(p_all > 0.0)
-    row = _sample_rtensor_bits(p_all[kept], 1, rng)[0]
-    bits = np.zeros(len(g.factors), dtype=np.uint8)
-    bits[kept] = row
-    return "".join("1" if b else "0" for b in bits)
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +239,17 @@ def run_classical(c: Circuit, x: str) -> str:
 def _sample_first_layer(
     lay: Layer, bits: np.ndarray, trials: int, rng: np.random.Generator, gate_sampler: GateSampler
 ) -> None:
-    """Write each first-layer gate's draws on all-zeros input into its packed rows."""
+    """Write each first-layer gate's draws on all-zeros input into its packed
+    rows; gates with equal laws share one ``GateLaw``."""
+    laws: dict[GateLaw, GateLaw] = {}
     for g in lay.gates:
         if isinstance(g, RTensor):
-            kept = _one_probs(g) > 0.0
-            if not kept.any():
+            kept, law = gate_law(g)
+            if not kept:
                 continue
-            if not kept.all():
-                g = RTensor(tuple(f for f, keep in zip(g.factors, kept) if keep))
-            draws = gate_sampler(g, trials, rng)
+            draws = gate_sampler(laws.setdefault(law, law), trials, rng)
             # packing a contiguous copy of the transpose is ~8x faster than packing along axis 0
-            bits[list(g.qubits)] = np.packbits(np.ascontiguousarray(draws.T), axis=1)
+            bits[[g.factors[j][0] for j in kept]] = np.packbits(np.ascontiguousarray(draws.T), axis=1)
         elif isinstance(g, OneQubit):
             ones = np.zeros(trials, dtype=np.uint8)
             ones[_active_trials(trials, abs(g.matrix[1, 0]) ** 2, rng)] = 1
@@ -229,8 +265,8 @@ def sample_mostly_classical_batch(
 ) -> np.ndarray:
     """(trials, n_targets) samples of the target measurement of C|0..0>.
 
-    ``gate_sampler(g, trials, rng)`` draws the (trials, k) outputs of each
-    first-layer reflection ``g`` (zero-probability factors dropped)."""
+    ``gate_sampler(law, trials, rng)`` draws the (trials, k) outputs of each
+    first-layer reflection from its ``GateLaw`` (see ``gate_law``)."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     width = -(-trials // 8)
@@ -250,11 +286,6 @@ def sample_mostly_classical_batch(
     return np.ascontiguousarray(np.unpackbits(bits[targets], axis=1, count=trials).T)
 
 
-def sample_mostly_classical(c: Circuit, rng: np.random.Generator) -> str:
-    row = sample_mostly_classical_batch(c, 1, rng)[0]
-    return "".join("1" if b else "0" for b in row)
-
-
 # ---------------------------------------------------------------------------
 # influence sets
 
@@ -265,9 +296,6 @@ class InfluenceMap:
 
     mode: str  # "exact" or "structural"
     sets: dict[int, frozenset[int]]
-
-    def bound(self) -> int:
-        return max((len(s) for s in self.sets.values()), default=0)
 
 
 def _structural_sets(c: Circuit) -> dict[int, frozenset[int]]:
@@ -284,7 +312,7 @@ def _structural_sets(c: Circuit) -> dict[int, frozenset[int]]:
     return sets
 
 
-def influences(c: Circuit, mode: str = "exact", width_cap: int = 24) -> InfluenceMap:
+def influences(c: Circuit, mode: str = "exact") -> InfluenceMap:
     """Influence sets of a purely classical circuit.
 
     Exact mode toggles each input over all assignments of the inputs feeding
@@ -298,7 +326,7 @@ def influences(c: Circuit, mode: str = "exact", width_cap: int = 24) -> Influenc
         return InfluenceMap("structural", structural)
     if mode != "exact":
         raise ValueError("mode must be 'exact' or 'structural'")
-    if c.num_qubits > width_cap:
+    if c.num_qubits > INFLUENCE_WIDTH_CAP:
         raise ValueError(f"width {c.num_qubits} too large for the brute-force oracle")
     # backward cones: inputs that can reach each output
     reach: dict[int, set[int]] = {q: set() for q in range(c.num_qubits)}
@@ -335,18 +363,21 @@ class TauNode:
     node_id: int
     depth: int
     children: tuple[int, ...]
-    label: str
     factor: int | None = None  # factor position for factor leaves
 
 
 @dataclass(frozen=True)
 class TauTree:
     """Binary tree over distinct influence sets with factor nodes below the
-    set leaves; used to pick the minimal-rank factor hierarchically."""
+    set leaves; used to pick the minimal-rank factor hierarchically.
+    ``masses[i]`` is the min-rank weight of the factors below node ``i``
+    under the gate's ``law``."""
 
     nodes: tuple[TauNode, ...]
     root: int
     factor_leaves: dict[int, int]  # factor position -> node id
+    law: GateLaw
+    masses: tuple[float, ...]
 
     def node(self, node_id: int) -> TauNode:
         return self.nodes[node_id]
@@ -356,32 +387,30 @@ def build_tau_tree(
     g: RTensor,
     classical: Circuit | None = None,
     targets: tuple[int, ...] | None = None,
-    read_bound: int | None = None,
 ) -> TauTree:
     """Tree for ``factorized_sample_gate``.
 
     Each factor wire is assigned the set of targets it influences through the
     classical part, padded with the lowest-index targets up to the read
     bound; identical sets share a leaf.  Without a classical part each factor
-    keys its own singleton set.
+    keys its own singleton set.  Every factor of ``g`` must be able to read 1.
     """
     k = len(g.factors)
+    if k > FACTORIZED_ARITY_CAP:
+        raise ValueError(f"arity {k} over the factorized sampler cap")
+    kept, law = gate_law(g)
+    if len(kept) < k:
+        raise ValueError("elide zero-probability factors before factorized sampling")
     if classical is None:
-        leaf_sets = [(f"{{{q}}}", (j,)) for j, q in enumerate(g.qubits)]
-        groups = {key: list(members) for key, members in leaf_sets}
+        groups = {f"{{{q}}}": [j] for j, q in enumerate(g.qubits)}
     else:
         infl = influences(classical, mode="structural").sets
         if targets is None:
-            targets = classical.targets if classical.targets is not None else tuple(
-                range(classical.num_qubits)
-            )
-        bound = read_bound if read_bound is not None else max(
-            1, 1 << sum(1 for lay in classical.layers if any(is_multi_qubit(x) for x in lay.gates))
-        )
+            targets = classical.targets if classical.targets is not None else range(classical.num_qubits)
+        bound = classical_read_bound(classical)
         groups = {}
         for j, q in enumerate(g.qubits):
-            infl_targets = sorted(set(infl.get(q, frozenset())) & set(targets))
-            padded = list(infl_targets)
+            padded = sorted(set(infl.get(q, frozenset())) & set(targets))
             for t in sorted(targets):
                 if len(padded) >= min(bound, len(targets)):
                     break
@@ -389,59 +418,30 @@ def build_tau_tree(
                     padded.append(t)
             key = "{" + ",".join(str(t) for t in sorted(padded)) + "}"
             groups.setdefault(key, []).append(j)
-    keys = sorted(groups)
     nodes: list[TauNode] = []
 
     def _build(keys_slice: list[str], depth: int) -> int:
         node_id = len(nodes)
-        nodes.append(TauNode(node_id, depth, (), "", None))
+        nodes.append(TauNode(node_id, depth, ()))
         if len(keys_slice) == 1:
-            key = keys_slice[0]
-            child_ids = []
-            for j in groups[key]:
-                fid = len(nodes)
-                nodes.append(TauNode(fid, depth + 1, (), f"factor:{j}", j))
-                child_ids.append(fid)
-            nodes[node_id] = TauNode(node_id, depth, tuple(child_ids), f"set:{key}", None)
-            return node_id
-        half = (len(keys_slice) + 1) // 2
-        left = _build(keys_slice[:half], depth + 1)
-        right = _build(keys_slice[half:], depth + 1)
-        nodes[node_id] = TauNode(node_id, depth, (left, right), "internal", None)
+            children = []
+            for j in groups[keys_slice[0]]:
+                children.append(len(nodes))
+                nodes.append(TauNode(len(nodes), depth + 1, (), j))
+        else:
+            half = (len(keys_slice) + 1) // 2
+            children = [_build(keys_slice[:half], depth + 1), _build(keys_slice[half:], depth + 1)]
+        nodes[node_id] = TauNode(node_id, depth, tuple(children))
         return node_id
 
-    root = _build(keys, 0)
+    root = _build(sorted(groups), 0)
+    # children follow their parent in ``nodes``, so one reverse pass sums them
+    weights = law.min_rank[2]
+    masses = [0.0] * len(nodes)
+    for n in reversed(nodes):
+        masses[n.node_id] = sum(masses[ch] for ch in n.children) if n.children else float(weights[n.factor])
     factor_leaves = {n.factor: n.node_id for n in nodes if n.factor is not None}
-    return TauTree(tuple(nodes), root, factor_leaves)
-
-
-def _min_rank_polynomials(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-factor densities for the minimum of the rank variables.
-
-    Factor j has rank 1 with probability 1-p_j and uniform on [0,1) with
-    probability p_j.  The density of {rank_j is the strict minimum, value t}
-    is ``p_j * prod_{i != j} (1 - p_i t)``, a polynomial in t; the exact
-    antiderivative gives both the selection weights and the conditional CDF.
-    The arrays are cached per ``p`` and read-only.
-    """
-    return _min_rank_law(tuple(np.asarray(p, dtype=float).tolist()))
-
-
-@functools.lru_cache(maxsize=64)
-def _min_rank_law(p: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    k = len(p)
-    coeffs = np.zeros((k, k))
-    for j in range(k):
-        poly = np.array([p[j]])
-        for i in range(k):
-            if i != j:
-                poly = np.convolve(poly, np.array([1.0, -p[i]]))
-        coeffs[j, : len(poly)] = poly
-    anti = coeffs / np.arange(1, k + 1)  # antiderivative coefficients for t^1..t^k
-    weights = anti.sum(axis=1)  # integral over [0, 1)
-    for arr in (coeffs, anti, weights):
-        arr.flags.writeable = False
-    return coeffs, anti, weights
+    return TauTree(tuple(nodes), root, factor_leaves, law, tuple(masses))
 
 
 @dataclass(frozen=True)
@@ -454,17 +454,6 @@ class SamplerTrace:
     min_value: float
     survival_thresholds: dict[int, float]
     survival_probs: dict[int, float]
-
-
-def _subtree_masses(tree: TauTree, weights: np.ndarray) -> np.ndarray:
-    masses = np.zeros(len(tree.nodes))
-    order = sorted(tree.nodes, key=lambda n: -n.depth)
-    for n in order:
-        if n.factor is not None:
-            masses[n.node_id] = weights[n.factor]
-        else:
-            masses[n.node_id] = sum(masses[ch] for ch in n.children)
-    return masses
 
 
 def _invert_cdf(anti, density, target):
@@ -498,38 +487,22 @@ def _invert_cdf(anti, density, target):
     raise ValueError(f"min-rank CDF inversion did not converge in {NEWTON_MAX_STEPS} Newton steps")
 
 
-def factorized_sample_gate(
-    g: RTensor, tree: TauTree | None, rng: np.random.Generator
-) -> tuple[str, SamplerTrace]:
-    """One draw from the gate's measurement law via the factorized procedure,
-    with the full randomness trace.  Output is distributed identically to
-    ``exact_rtensor_distribution(g)``."""
-    k = len(g.factors)
-    if k > FACTORIZED_ARITY_CAP:
-        raise ValueError(f"arity {k} over the factorized sampler cap")
-    p_all = _one_probs(g)
-    if np.any(p_all == 0.0):
-        raise ValueError("elide zero-probability factors before factorized sampling")
-    if k == 1:
-        pr = 4.0 * p_all[0] * (1.0 - p_all[0])
-        bit = int(rng.random() < pr)
-        trace = SamplerTrace(bit, (), 0, 0.0, {}, {})
-        return ("1" if bit else "0"), trace
-    if tree is None:
-        tree = build_tau_tree(g)
-    p = p_all
-    prod_q = float(np.prod(1.0 - p))
-    b = int(rng.random() < 4.0 * prod_q - 4.0 * prod_q**2)
-    coeffs, anti, weights = _min_rank_polynomials(p)
-    masses = _subtree_masses(tree, weights)
+def factorized_sample_gate(tree: TauTree, rng: np.random.Generator) -> tuple[str, SamplerTrace]:
+    """One draw from the measurement law of the gate ``tree`` was built for,
+    via the factorized procedure, with the full randomness trace.  Output is
+    distributed identically to ``exact_rtensor_distribution`` of that gate."""
+    law, masses = tree.law, tree.masses
+    p = law.p
+    k = len(p)
+    b = int(rng.random() < 1.0 - law.all_zeros)
+    coeffs, anti, weights = law.min_rank
     # highlight one edge out of every node with mass, independently
     highlights: dict[int, int] = {}
     edges: list[tuple[int, int, int]] = []
     for n in tree.nodes:
-        if n.factor is not None or not n.children or masses[n.node_id] <= 0.0:
+        if not n.children or masses[n.node_id] <= 0.0:
             continue
-        total = sum(masses[ch] for ch in n.children)
-        draw = rng.random() * total
+        draw = rng.random() * masses[n.node_id]  # the sum of its children's masses
         acc = 0.0
         chosen = n.children[-1]
         for ch in n.children:
@@ -562,29 +535,26 @@ def factorized_sample_gate(
     return "".join(bits), trace
 
 
-def factorized_sample_batch(g: RTensor, trials: int, rng: np.random.Generator) -> np.ndarray:
+def factorized_sample_batch(law: GateLaw, trials: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized factorized sampler (no traces); same law as the single-draw
     form, drawing J directly from the leaf weights."""
-    k = len(g.factors)
+    k = len(law.p)
     if k > FACTORIZED_ARITY_CAP:
         raise ValueError(f"arity {k} over the factorized sampler cap")
-    p = _one_probs(g)
-    if np.any(p == 0.0):
-        raise ValueError("elide zero-probability factors before factorized sampling")
     out = np.zeros((trials, k), dtype=np.uint8)
-    if k == 1:
-        out[_active_trials(trials, 4.0 * p[0] * (1.0 - p[0]), rng)] = 1
-        return out
-    prod_q = float(np.prod(1.0 - p))
     # a trial with B = 0 outputs all-zeros whatever J, M and S are, so they are
     # drawn only for the trials whose B is 1
-    on = _active_trials(trials, 4.0 * prod_q - 4.0 * prod_q**2, rng)
-    coeffs, anti, weights = _min_rank_polynomials(p)
+    on = _active_trials(trials, 1.0 - law.all_zeros, rng)
+    if k == 1:
+        out[on] = 1
+        return out
+    coeffs, anti, weights = law.min_rank
     cum = np.cumsum(weights)
     j_on = np.searchsorted(cum / cum[-1], rng.random(on.size), side="right").clip(0, k - 1)
     u = rng.random(on.size)
     s = rng.random((on.size, k))
     m_val = _invert_cdf(anti.T[:, j_on], coeffs.T[:, j_on], u * weights[j_on])
+    p = np.array(law.p)
     surv = p[None, :] * (1.0 - m_val[:, None]) / (1.0 - p[None, :] * m_val[:, None])
     out[on] = (s <= surv) | (np.arange(k)[None, :] == j_on[:, None])
     return out

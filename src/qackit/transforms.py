@@ -306,6 +306,8 @@ def parity_from_nekomata(constructor: Circuit, n: int) -> Circuit:
     of the inputs and restores the constructor wires to all zeros.
     """
     a = constructor.num_qubits
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if a < n:
         raise ValueError("constructor must act on at least n wires")
     shifted = permute_qubits(constructor, {q: q + n for q in range(a)}, num_qubits=n + a + 1)

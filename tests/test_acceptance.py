@@ -28,6 +28,7 @@ from qackit import (
     expand_or,
     factorized_sample_batch,
     fanout_tree,
+    gate_law,
     h_gate,
     hamming_stats,
     impurity_bound,
@@ -203,7 +204,7 @@ def test_criterion_6_sampler_oracle_agreement():
         g = rtensor({q: haar_local(rng) for q in range(k)})
         if any(s.one_probability() == 0.0 for s in g.states):
             g = rtensor({q: haar_local(rng) for q in range(k)})
-        rows = factorized_sample_batch(g, trials, substream(207, i))
+        rows = factorized_sample_batch(gate_law(g)[1], trials, substream(207, i))
         tv = tv_distance(counts_from_rows(rows), exact_rtensor_distribution(g).probs, trials)
         worst_gate_tv = max(worst_gate_tv, tv)
     elapsed = time.monotonic() - started

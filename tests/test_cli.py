@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qackit import circuits_equal, deserialize, serialize, circuit, cnot
+from qackit import deserialize, serialize, circuit, cnot
 from qackit.cli import main
 
 
@@ -311,6 +311,17 @@ def test_build_parity_from_nekomata(tmp_path, capsys):
     assert run_cli("info", "--circuit", str(out)) == 0
     text = capsys.readouterr().out
     assert "depth=7" in text
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_build_parity_from_nekomata_rejects_n_below_one(n, tmp_path, capsys):
+    cat2 = tmp_path / "cat2.json"
+    cat2.write_text(serialize(circuit(2, [[cnot(0, 1)]])))
+    out = tmp_path / "parity.json"
+    code = run_cli("build", "parity-from-nekomata", "--constructor", str(cat2), "--n", n, "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == "error: n must be at least 1\n"
+    assert not out.exists()
 
 
 def test_transform_hadamard_conjugate(tmp_path, capsys):

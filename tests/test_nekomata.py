@@ -207,9 +207,7 @@ def test_depthd_equals_depth2_when_d_is_2():
     bias = solve_bias(3, 2)
     a = build_depthd_nekomata(3, 2, 0.4, columns=2, bias=bias)
     b = build_depth2_nekomata(3, 2, bias)
-    from qackit import circuits_equal
-
-    assert circuits_equal(a, b)
+    assert a == b
 
 
 def test_depthd_structure_and_fidelity():

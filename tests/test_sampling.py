@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qackit import (
+    GateLaw,
     KET1,
     PLUS,
     Or,
@@ -23,6 +24,7 @@ from qackit import (
     factorized_sample_batch,
     factorized_sample_gate,
     fanout_tree,
+    gate_law,
     h_gate,
     hamming_stats,
     influences,
@@ -30,9 +32,7 @@ from qackit import (
     run,
     run_classical,
     rtensor,
-    sample_mostly_classical,
     sample_mostly_classical_batch,
-    sample_rtensor,
     solve_bias,
     x_gate,
     zero_state,
@@ -99,17 +99,15 @@ def test_exact_distribution_arity_cap():
 def test_sample_rtensor_cz_always_zero():
     rng = substream(32)
     g = rtensor({0: KET1, 1: KET1})
-    assert all(sample_rtensor(g, rng) == "00" for _ in range(50))
+    rows = direct_sample_batch(gate_law(g)[1], 50, rng)
+    assert rows.shape == (50, 2) and not rows.any()
 
 
 def test_sample_rtensor_plus_plus_tv():
     rng = substream(33)
     g = rtensor({0: PLUS, 1: PLUS})
-    counts: dict[str, int] = {}
     trials = 20000
-    for _ in range(trials):
-        y = sample_rtensor(g, rng)
-        counts[y] = counts.get(y, 0) + 1
+    counts = counts_from_rows(direct_sample_batch(gate_law(g)[1], trials, rng))
     assert tv_distance(counts, exact_rtensor_distribution(g).probs, trials) < 0.02
 
 
@@ -119,10 +117,7 @@ def test_sample_rtensor_rejection_branch():
     g = rtensor({0: weak, 1: weak})
     rng = substream(34)
     trials = 30000
-    counts: dict[str, int] = {}
-    for _ in range(trials):
-        y = sample_rtensor(g, rng)
-        counts[y] = counts.get(y, 0) + 1
+    counts = counts_from_rows(direct_sample_batch(gate_law(g)[1], trials, rng))
     assert tv_distance(counts, exact_rtensor_distribution(g).probs, trials) < 0.02
 
 
@@ -132,10 +127,7 @@ def test_sample_rtensor_nice_boundary():
     g = rtensor({0: LocalState(np.sqrt(1 - p), np.sqrt(p)), 1: LocalState(np.sqrt(1 - p), np.sqrt(p))})
     rng = substream(35)
     trials = 30000
-    counts: dict[str, int] = {}
-    for _ in range(trials):
-        y = sample_rtensor(g, rng)
-        counts[y] = counts.get(y, 0) + 1
+    counts = counts_from_rows(direct_sample_batch(gate_law(g)[1], trials, rng))
     exact = exact_rtensor_distribution(g).probs
     zeros_freq = counts.get("00", 0) / trials
     sigma = np.sqrt(exact["00"] * (1 - exact["00"]) / trials)
@@ -171,9 +163,8 @@ def test_run_classical_rejects_quantum_gates():
 
 def test_sample_deterministic_circuit():
     c = circuit(2, [[rtensor({0: KET1, 1: KET1})], [cnot(0, 1)]], targets=(0, 1))
-    rng = substream(36)
-    for _ in range(20):
-        assert sample_mostly_classical(c, rng) == "00"
+    rows = sample_mostly_classical_batch(c, 20, substream(36))
+    assert rows.shape == (20, 2) and not rows.any()
 
 
 def test_sample_grid_zeros_frequency():
@@ -210,7 +201,7 @@ def test_sample_matches_oracle_random_circuits():
 def test_sample_rejects_non_classical():
     c = circuit(2, [[cnot(0, 1)], [h_gate(0)]])
     with pytest.raises(ValueError, match="mostly classical"):
-        sample_mostly_classical(c, substream(41))
+        sample_mostly_classical_batch(c, 1, substream(41))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +265,8 @@ def test_influences_requires_classical():
 def test_factorized_single_qubit_reduces_to_bernoulli():
     g = rtensor({0: PLUS})
     rng = substream(43)
-    draws = [factorized_sample_gate(g, None, rng)[0] for _ in range(5000)]
+    tree = build_tau_tree(g)
+    draws = [factorized_sample_gate(tree, rng)[0] for _ in range(5000)]
     freq = draws.count("1") / 5000
     # P(1) = 4 p (1 - p) = 1 at p = 1/2
     assert freq == pytest.approx(1.0)
@@ -283,8 +275,9 @@ def test_factorized_single_qubit_reduces_to_bernoulli():
 def test_factorized_all_ones_factors_output_zero():
     g = rtensor({0: KET1, 1: KET1})
     rng = substream(44)
+    tree = build_tau_tree(g)
     for _ in range(20):
-        bits, trace = factorized_sample_gate(g, None, rng)
+        bits, trace = factorized_sample_gate(tree, rng)
         assert bits == "00" and trace.b == 0
 
 
@@ -292,7 +285,7 @@ def test_factorized_trace_has_single_highlighted_path():
     rng = substream(45)
     g = rtensor({q: haar_local(rng) for q in range(4)})
     tree = build_tau_tree(g)
-    bits, trace = factorized_sample_gate(g, tree, rng)
+    bits, trace = factorized_sample_gate(tree, rng)
     by_parent = {parent: child for _, parent, child in trace.highlighted_edges}
     node = tree.root
     path = 0
@@ -308,7 +301,7 @@ def test_factorized_matches_exact_law():
     rng = substream(46)
     g = rtensor({0: PLUS, 1: PLUS})
     trials = 50_000
-    rows = factorized_sample_batch(g, trials, rng)
+    rows = factorized_sample_batch(gate_law(g)[1], trials, rng)
     assert tv_distance(counts_from_rows(rows), exact_rtensor_distribution(g).probs, trials) < 0.02
 
 
@@ -322,7 +315,7 @@ def test_factorized_single_draw_matches_exact_law():
     singles: dict[str, int] = {}
     r1 = substream(48, 0)
     for _ in range(trials):
-        y, _ = factorized_sample_gate(g, tree, r1)
+        y, _ = factorized_sample_gate(tree, r1)
         singles[y] = singles.get(y, 0) + 1
     assert tv_distance(singles, exact_rtensor_distribution(g).probs, trials) < 0.03
 
@@ -330,7 +323,7 @@ def test_factorized_single_draw_matches_exact_law():
 def test_factorized_requires_nonzero_factors():
     g = rtensor({0: LocalState(1.0, 0.0), 1: PLUS})
     with pytest.raises(ValueError, match="elide"):
-        factorized_sample_gate(g, None, substream(49))
+        build_tau_tree(g)
 
 
 def test_tau_tree_from_circuit_influences():
@@ -379,29 +372,27 @@ def test_hamming_tails_independent_bits():
 def test_first_layer_classical_gates_give_zeros():
     # Toffoli/OR in the first layer act on all-zeros input and stay zero
     c = circuit(3, [[Toffoli((0,), 1)], [cnot(1, 2)]], targets=(0, 1, 2))
-    rng = substream(52)
-    for _ in range(10):
-        assert sample_mostly_classical(c, rng) == "000"
+    rows = sample_mostly_classical_batch(c, 10, substream(52))
+    assert rows.shape == (10, 3) and not rows.any()
 
 
 def test_factorized_chosen_factor_matches_analytic_weights():
     # P(J = j) equals the integral of p_j prod_{i!=j}(1 - p_i t) over [0,1),
     # normalized by 1 - prod(1 - p_i)
-    from qackit.sampling import _min_rank_polynomials, _one_probs
-
     rng = substream(53)
     g = rtensor({q: haar_local(rng) for q in range(3)})
-    p = _one_probs(g)
-    if np.any(p == 0.0):
+    kept, law = gate_law(g)
+    if len(kept) < 3:
         pytest.skip("zero-probability factor drawn")
-    _, _, weights = _min_rank_polynomials(p)
+    p = np.array(law.p)
+    _, _, weights = law.min_rank
     assert weights.sum() == pytest.approx(1.0 - np.prod(1.0 - p), abs=1e-12)
     counts = np.zeros(3)
     trials = 20_000
     r = substream(54)
     tree = build_tau_tree(g)
     for _ in range(trials):
-        _, trace = factorized_sample_gate(g, tree, r)
+        _, trace = factorized_sample_gate(tree, r)
         counts[trace.chosen_factor] += 1
     expected = weights / weights.sum()
     for j in range(3):
@@ -411,20 +402,18 @@ def test_factorized_chosen_factor_matches_analytic_weights():
 
 def test_factorized_min_value_matches_conditional_cdf():
     # empirical law of M given J against the exact polynomial CDF
-    from qackit.sampling import _min_rank_polynomials, _one_probs
-
     rng = substream(55)
     g = rtensor({q: haar_local(rng) for q in range(2)})
-    p = _one_probs(g)
-    if np.any(p == 0.0):
+    kept, law = gate_law(g)
+    if len(kept) < 2:
         pytest.skip("zero-probability factor drawn")
-    _, anti, weights = _min_rank_polynomials(p)
+    _, anti, weights = law.min_rank
     trials = 10_000
     r = substream(56)
     values = {0: [], 1: []}
     tree = build_tau_tree(g)
     for _ in range(trials):
-        _, trace = factorized_sample_gate(g, tree, r)
+        _, trace = factorized_sample_gate(tree, r)
         values[trace.chosen_factor].append(trace.min_value)
     for j in (0, 1):
         sample = np.sort(np.array(values[j]))
@@ -458,13 +447,13 @@ def _random_factor_probs(rng: np.random.Generator, k: int) -> np.ndarray:
 
 
 def test_newton_inversion_matches_bisection():
-    from qackit.sampling import FACTORIZED_ARITY_CAP, _invert_cdf, _min_rank_polynomials
+    from qackit.sampling import FACTORIZED_ARITY_CAP, _invert_cdf
 
     rng = substream(67)
     worst = 0.0
     for trial in range(150):
         k = 2 + trial % (FACTORIZED_ARITY_CAP - 1)
-        coeffs, anti, weights = _min_rank_polynomials(_random_factor_probs(rng, k))
+        coeffs, anti, weights = GateLaw(tuple(_random_factor_probs(rng, k))).min_rank
         u = np.r_[0.0, 0.5, 0.999, 0.999 * rng.random(20)]
         j_star = np.repeat(np.arange(k), u.size)
         target = np.tile(u, k) * weights[j_star]
@@ -476,13 +465,13 @@ def test_newton_inversion_matches_bisection():
 def test_newton_inversion_stays_in_unit_interval_and_terminates():
     # u = 1 - 2^-53 with every other factor at p = 1 is the slowest case:
     # F' vanishes to high order at t = 1 and Newton converges only linearly
-    from qackit.sampling import FACTORIZED_ARITY_CAP, _invert_cdf, _min_rank_polynomials
+    from qackit.sampling import FACTORIZED_ARITY_CAP, _invert_cdf
 
     rng = substream(68)
     cases = [np.array([0.5, 1.0] * (FACTORIZED_ARITY_CAP // 2)), np.ones(FACTORIZED_ARITY_CAP)]
     cases += [_random_factor_probs(rng, k) for k in range(2, FACTORIZED_ARITY_CAP + 1) for _ in range(5)]
     for p in cases:
-        coeffs, anti, weights = _min_rank_polynomials(p)
+        coeffs, anti, weights = GateLaw(tuple(p)).min_rank
         for j in range(len(p)):
             for u in (0.0, 1.0 - 2.0**-53):
                 # raises ValueError if the iteration cap is reached
@@ -494,11 +483,11 @@ def test_newton_inversion_stays_in_unit_interval_and_terminates():
 def test_newton_inversion_same_bits_for_batch_and_single_draw():
     # the batch path gathers coefficient columns by J, the single-draw path
     # passes Python floats; both must give the same m for the same (J, u)
-    from qackit.sampling import FACTORIZED_ARITY_CAP, _invert_cdf, _min_rank_polynomials
+    from qackit.sampling import FACTORIZED_ARITY_CAP, _invert_cdf
 
     rng = substream(69)
     for k in range(2, FACTORIZED_ARITY_CAP + 1):
-        coeffs, anti, weights = _min_rank_polynomials(_random_factor_probs(rng, k))
+        coeffs, anti, weights = GateLaw(tuple(_random_factor_probs(rng, k))).min_rank
         j_star = rng.integers(0, k, 64)
         u = np.r_[rng.random(61), 0.0, 0.999, 1.0 - 2.0**-53]
         batch = _invert_cdf(anti.T[:, j_star], coeffs.T[:, j_star], u * weights[j_star])
@@ -515,14 +504,15 @@ def test_factorized_law_invariant_under_tree_shape():
     if any(s.one_probability() == 0.0 for s in g.states):
         pytest.skip("zero-probability factor drawn")
     classical = fanout_tree(4, 2)
+    plain = build_tau_tree(g)
     shaped = build_tau_tree(g, classical=classical, targets=(0, 1, 2, 3))
     trials = 15_000
     a: dict[str, int] = {}
     b: dict[str, int] = {}
     r1, r2 = substream(58, 0), substream(58, 1)
     for _ in range(trials):
-        y1, _ = factorized_sample_gate(g, None, r1)
-        y2, _ = factorized_sample_gate(g, shaped, r2)
+        y1, _ = factorized_sample_gate(plain, r1)
+        y2, _ = factorized_sample_gate(shaped, r2)
         a[y1] = a.get(y1, 0) + 1
         b[y2] = b.get(y2, 0) + 1
     exact = exact_rtensor_distribution(g).probs
@@ -631,26 +621,26 @@ def test_pipeline_takes_the_gate_law_as_a_parameter():
     trials = 40_000
     seen = []
 
-    def law(g, n, r):
-        seen.append(g)
-        return factorized_sample_batch(g, n, r)
+    def law(gl, n, r):
+        seen.append(gl)
+        return factorized_sample_batch(gl, n, r)
 
     rows = sample_mostly_classical_batch(c, trials, substream(64), law)
     exact = measurement_distribution(run(c, zero_state(c.num_qubits)), c.targets)
     assert tv_distance(counts_from_rows(rows), exact.probs, trials) < 0.02
-    assert seen and all(s.one_probability() > 0.0 for g in seen for s in g.states)
+    assert seen and all(isinstance(gl, GateLaw) and min(gl.p) > 0.0 for gl in seen)
 
 
 def test_pipeline_drops_zero_probability_factors_before_the_law():
     c = circuit(3, [[rtensor({0: LocalState(1.0, 0.0), 1: PLUS, 2: PLUS})]], targets=(0, 1, 2))
     seen = []
 
-    def law(g, n, r):
-        seen.append(g.qubits)
-        return factorized_sample_batch(g, n, r)
+    def law(gl, n, r):
+        seen.append(len(gl.p))
+        return factorized_sample_batch(gl, n, r)
 
     rows = sample_mostly_classical_batch(c, 100, substream(65), law)
-    assert seen == [(1, 2)] and not rows[:, 0].any()
+    assert seen == [2] and not rows[:, 0].any() and rows[:, 1:].any()
 
 
 def test_sample_rejects_bad_trials_and_oversized_buffers_before_allocating():
@@ -751,7 +741,7 @@ def test_random_numbers_scale_with_active_trials(law):
     rng = substream(74)
     trials = 10**6
     before = _philox_counter(rng)
-    rows = law(g, trials, rng)
+    rows = law(gate_law(g)[1], trials, rng)
     assert rows.shape == (trials, 6) and 0 < np.count_nonzero(rows.any(axis=1)) < trials // 100
     assert _philox_counter(rng) - before < trials // 100
 
@@ -785,12 +775,53 @@ def test_samplers_match_the_exact_grid_law_on_twelve_thousand_wires(stream, law)
 
 
 def test_min_rank_polynomials_are_shared_and_read_only():
-    from qackit.sampling import _min_rank_polynomials
-
-    p = np.array([0.3, 0.9, 0.5])
-    first = _min_rank_polynomials(p)
-    again = _min_rank_polynomials(p.copy())
+    law = GateLaw((0.3, 0.9, 0.5))
+    first = law.min_rank
+    again = law.min_rank
     assert all(a is b for a, b in zip(first, again))
     for arr in first:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# one law per distinct first-layer reflection
+
+
+def test_grid_column_gates_share_one_gate_law():
+    n, columns = 6, 2000
+    c = build_depth2_nekomata(n, columns, solve_bias(n, columns))
+    seen = []
+
+    def law(gl, trials, r):
+        seen.append(gl)
+        return direct_sample_batch(gl, trials, r)
+
+    sample_mostly_classical_batch(c, 64, substream(76), law)
+    assert len(seen) == columns and len({id(gl) for gl in seen}) == 1
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0 + 1e-12, float("nan")])
+def test_gate_law_rejects_probabilities_outside_the_half_open_unit_interval(bad):
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        GateLaw((0.5, bad))
+
+
+def test_gate_law_reads_one_probabilities_rounded_above_one_as_one():
+    # a local state normalized only within ir.ATOL can have |amp1|^2 > 1
+    g = rtensor({0: LocalState(0.0, 1.0 + 1e-13), 1: LocalState(1.0, 0.0), 2: PLUS})
+    kept, law = gate_law(g)
+    assert kept == (0, 2) and law.p[0] == 1.0 and law == GateLaw((1.0, PLUS.one_probability()))
+
+
+def test_nonzero_rate_matches_its_other_spellings():
+    rng = substream(77)
+    for p in np.r_[rng.random(200), 1e-9, 0.5, 1.0]:
+        law = GateLaw((float(p),))
+        q = law.prod_q
+        assert abs((1.0 - law.all_zeros) - 4.0 * p * (1.0 - p)) <= 1e-15
+        assert abs((1.0 - law.all_zeros) - (4.0 * q - 4.0 * q**2)) <= 1e-15
+    for k in range(2, 7):
+        law = GateLaw(tuple(float(x) for x in rng.random(k)))
+        q = law.prod_q
+        assert abs((1.0 - law.all_zeros) - (4.0 * q - 4.0 * q**2)) <= 1e-15

@@ -12,7 +12,6 @@ from qackit import (
     CircuitFormatError,
     LocalState,
     circuit,
-    circuits_equal,
     cnot,
     deserialize,
     h_gate,
@@ -28,14 +27,14 @@ from qackit.rng import substream
 
 def test_round_trip_parity_circuit():
     c = circuit(4, [[cnot(1, 0)], [cnot(2, 0)], [cnot(3, 0)]], targets=(0,))
-    assert circuits_equal(deserialize(serialize(c)), c)
+    assert deserialize(serialize(c)) == c
 
 
 def test_round_trip_random_circuits():
     rng = substream(5)
     for _ in range(25):
         c = random_qac_circuit(rng)
-        assert circuits_equal(deserialize(serialize(c)), c)
+        assert deserialize(serialize(c)) == c
 
 
 _angles = st.floats(0.0, 2.0 * math.pi)
@@ -85,7 +84,7 @@ def _valid_circuits(draw) -> Circuit:
 def test_round_trip_generated_circuits(c):
     assert validate(c) == []
     again = deserialize(serialize(c))
-    assert again == c and circuits_equal(again, c)
+    assert again == c
 
 
 def test_serialized_layout_is_one_layer_per_line():
