@@ -63,6 +63,31 @@ def solve_bias(n: int, columns: int) -> float:
     return 0.5 * (lo + hi) if lo < 0.5 * (lo + hi) < hi else lo
 
 
+def grid_law(n: int, columns: int, bias: float) -> tuple[float, float, float]:
+    """Exact target law of the depth-2 grid: ``(p, q, fidelity)``.
+
+    ``p`` and ``q`` are the probabilities that the n targets read all-zeros
+    and all-ones, and ``fidelity = ((sqrt p + sqrt q) / sqrt 2)^2``.  The
+    targets are the OR of ``columns`` i.i.d. column outputs, and a column's
+    ones lie inside a row set of size s with probability
+    ``F(s) = (1 - 2 b^n)^2 + 4 b^n (b^(n-s) - b^n)``, so ``p = F(0)^M`` and
+    inclusion-exclusion gives ``q = sum_s (-1)^(n-s) C(n, s) F(s)^M``.  The
+    alternating sum cancels badly, so it runs in ``decimal`` at 120 digits."""
+    import decimal
+
+    if n < 1 or columns < 1:
+        raise ValueError("need n >= 1 and columns >= 1")
+    with decimal.localcontext() as ctx:
+        ctx.prec = 120
+        b = decimal.Decimal(bias)
+        bn = b**n
+        F = [(1 - 2 * bn) ** 2 + 4 * bn * (b ** (n - s) - bn) for s in range(n + 1)]
+        p = F[0] ** columns
+        q = sum((-1) ** (n - s) * math.comb(n, s) * F[s] ** columns for s in range(n + 1))
+        fidelity = (p.sqrt() + q.sqrt()) ** 2 / 2
+    return float(p), float(q), float(fidelity)
+
+
 def core_targets(n: int, d: int) -> int:
     """Targets of the depth-2 core of the depth-d builder: ``ceil(n / 2^(d-2))``."""
     if d < 2:

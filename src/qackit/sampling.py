@@ -16,16 +16,22 @@ drops the factors with ``p_j = 0`` and returns the others' positions and
 ``sample_mostly_classical_batch`` is the one sampling pipeline.  It keeps the
 trials wire-major and bit-packed: a ``(num_qubits, ceil(trials/8))`` uint8
 buffer holds one row per wire, trial ``t`` at bit ``7 - t % 8`` of byte
-``t // 8``.  Each first-layer reflection's draws are packed into its kept
-wires' rows, ``_eval_classical`` applies the classical layers to whole rows
-(AND- or OR-reduce the control rows into the target, flip the row for X), and
-only the target rows are unpacked.  The per-gate law is a parameter with the
-signature ``(law, trials, rng) -> (trials, k)``: ``direct_sample_batch`` (the
-default) draws from the closed form above, ``factorized_sample_batch``
-through the factorization below.  Within one call, gates with equal ``p``
-share one ``GateLaw`` object, so its polynomials are built once.  Sizes are
-checked against ``MAX_SAMPLE_BYTES`` before the buffer is allocated.
-``run_classical`` and ``influences`` use the same evaluator.
+``t // 8``.  The first-layer gates are grouped once per call by their law:
+reflections by their ``GateLaw`` (so the polynomials of equal gates are built
+once), one-qubit gates by their one-rate ``|U_10|^2``.  Gate i of a group is
+rows ``i*trials .. (i+1)*trials - 1`` of that law, and each slice of whole
+gates is drawn in one call.  The per-gate law is a parameter with the
+signature ``(law, rows, rng) -> (hit row indices, (hits, k) bits)``, and
+every row not hit reads all-zeros: ``direct_sample_batch`` (the default)
+draws from the closed form above, ``factorized_sample_batch`` through the
+factorization below.  Only the set bits are written into the buffer, by
+``np.bitwise_or.at`` (two trials can share a byte); ``_eval_classical`` then
+applies the classical layers to whole rows (AND- or OR-reduce the control
+rows into the target, flip the row for X), and only the target rows are
+unpacked.  The trials run in chunks of whole bytes whose packed buffer holds
+at most 32 MiB and fits in ``MAX_SAMPLE_BYTES``; the (trials, targets) result
+and one chunk are checked against the cap before anything is allocated.  ``run_classical`` and
+``influences`` use the same evaluator.
 
 ``factorized_sample_gate`` draws the same per-gate law through an explicit
 factorization: a Bernoulli coin B, a highlighted root-to-leaf path in a
@@ -39,14 +45,14 @@ F' is positive and decreasing on [0, 1), so F is increasing and concave and
 Newton started at 0 climbs to the root from below without overshooting.
 Both draw paths share that inversion.
 
-Every per-trial coin of the batch laws (the direct law's active or nonzero
-trials, the factorized law's coin B, a first-layer one-qubit gate's output)
-is drawn by ``_active_trials``: a Binomial(trials, r) count, then a uniform
-subset of ``range(trials)`` of that size.  Given its size, a uniform subset
-has the law of one independent Bernoulli(r) coin per trial, so the laws are
-unchanged, but random numbers are drawn only for the trials whose output can
-be nonzero: a trial with B = 0 draws nothing, whatever its J, M and S would
-have been.
+Every per-row coin of the batch laws (the direct law's active or nonzero
+rows, the factorized law's coin B, a first-layer one-qubit gate's output) is
+drawn by ``_active_trials``: below rate 1/20 a Binomial(rows, r) count, then
+a uniform subset of ``range(rows)`` of that size, and one coin per row at
+higher rates.  Given its size, a uniform subset has the law of one
+independent Bernoulli(r) coin per row, so the laws are unchanged, but random
+numbers are drawn only for the rows whose output can be nonzero: a row with
+B = 0 draws nothing, whatever its J, M and S would have been.
 """
 from __future__ import annotations
 
@@ -67,8 +73,17 @@ INFLUENCE_WIDTH_CAP = 24
 # Newton on the min-rank CDF: steps at or below NEWTON_TOL end the iteration
 NEWTON_TOL = 1e-12
 NEWTON_MAX_STEPS = 100
-# cap on the packed (wires, trials/8) buffer and on the (trials, targets) result
+# cap on the packed (wires, chunk trials/8) buffer and on the (trials, targets) result
 MAX_SAMPLE_BYTES = 1 << 28
+# packed bytes of one trial chunk (whole bytes per wire, at least one, within
+# MAX_SAMPLE_BYTES): sampling 10^6 trials of the 90,372-wire grid on a 2-core
+# Xeon, 32 MiB chunks peak at 186 MiB against 420 MiB for chunks of the whole
+# cap, and take 10.0 s against 11.3 s
+_CHUNK_BYTES = 1 << 25
+# rows of a first-layer law drawn per sampler call (whole gates, at least one)
+_SLICE_ROWS = 1 << 18
+# rates at or above which _active_trials draws one coin per row
+_DENSE_COIN_RATE = 1.0 / 20.0
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +139,8 @@ class GateLaw:
         return coeffs, anti, weights
 
 
-# per-gate law: (law of a first-layer reflection, trials, rng) -> (trials, k) bits
-GateSampler = Callable[[GateLaw, int, np.random.Generator], np.ndarray]
+# per-gate law: (law of a first-layer reflection, rows, rng) -> (hit row indices, (hits, k) bits)
+GateSampler = Callable[[GateLaw, int, np.random.Generator], tuple[np.ndarray, np.ndarray]]
 
 
 def gate_law(g: RTensor) -> tuple[tuple[int, ...], GateLaw]:
@@ -173,33 +188,39 @@ def exact_rtensor_distribution(g: RTensor) -> GateOutputDistribution:
     return GateOutputDistribution(g.qubits, kept, law, probs)
 
 
-def _active_trials(trials: int, r: float, rng: np.random.Generator) -> np.ndarray:
-    """Indices of an i.i.d. Bernoulli(r) subset of ``range(trials)``.
+def _active_trials(rows: int, r: float, rng: np.random.Generator) -> np.ndarray:
+    """Indices of an i.i.d. Bernoulli(r) subset of ``range(rows)``.
 
-    A Binomial(trials, r) count, then a uniform subset of that size, in no
-    particular order: callers give every index the same i.i.d. draws.  ``r``
-    is clipped to [0, 1] against rounding."""
-    count = int(rng.binomial(trials, min(max(r, 0.0), 1.0)))
-    return rng.choice(trials, size=count, replace=False, shuffle=False)
+    At ``r >= _DENSE_COIN_RATE`` one coin per row; below it a Binomial(rows, r)
+    count, then a uniform subset of that size, in no particular order:
+    callers give every index the same i.i.d. draws.  (At such rates numpy's
+    subset draw builds an index for every row anyway.)  ``r`` is clipped to
+    [0, 1] against rounding."""
+    r = min(max(r, 0.0), 1.0)
+    if r >= _DENSE_COIN_RATE:
+        return np.flatnonzero(rng.random(rows) < r)
+    count = int(rng.binomial(rows, r))
+    return rng.choice(rows, size=count, replace=False, shuffle=False)
 
 
-def direct_sample_batch(law: GateLaw, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """(trials, k) draws from the exact measurement law of ``R_chi |0..0>``."""
+def direct_sample_batch(law: GateLaw, rows: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` i.i.d. draws from the exact measurement law of ``R_chi |0..0>``,
+    as the indices of the rows that may be nonzero and their (hits, k) bits."""
     k = len(law.p)
-    out = np.zeros((trials, k), dtype=np.uint8)
     if law.prod_q <= 0.25:
         # convex combination: all-zeros with prob 1 - 4 prod_q, else independent draws
-        active = _active_trials(trials, 4.0 * law.prod_q, rng)
-        out[active] = rng.random((active.size, k)) < law.p
-        return out
+        active = _active_trials(rows, 4.0 * law.prod_q, rng)
+        return active, rng.random((active.size, k)) < law.p
     # inverse transform on the exact law, rejecting all-zero conditional draws
-    pending = _active_trials(trials, 1.0 - law.all_zeros, rng)
+    pending = _active_trials(rows, 1.0 - law.all_zeros, rng)
+    hits, bits = [pending[:0]], [np.zeros((0, k), dtype=bool)]
     while pending.size:
         draws = rng.random((pending.size, k)) < law.p
         hit = draws.any(axis=1)
-        out[pending[hit]] = draws[hit]
+        hits.append(pending[hit])
+        bits.append(draws[hit])
         pending = pending[~hit]
-    return out
+    return np.concatenate(hits), np.concatenate(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -236,28 +257,48 @@ def run_classical(c: Circuit, x: str) -> str:
     return "".join("1" if b else "0" for b in out[:, 0])
 
 
-def _sample_first_layer(
-    lay: Layer, bits: np.ndarray, trials: int, rng: np.random.Generator, gate_sampler: GateSampler
-) -> None:
-    """Write each first-layer gate's draws on all-zeros input into its packed
-    rows; gates with equal laws share one ``GateLaw``."""
-    laws: dict[GateLaw, GateLaw] = {}
+def _first_layer_groups(lay: Layer) -> dict[GateLaw | float, np.ndarray]:
+    """The first-layer gates that can output a 1, grouped by law: each
+    reflection's ``GateLaw``, or a one-qubit gate's one-rate, maps to the
+    (gates, k) wires its gates' draws are written to, in layer order."""
+    groups: dict[GateLaw | float, list[list[int]]] = {}
     for g in lay.gates:
         if isinstance(g, RTensor):
             kept, law = gate_law(g)
-            if not kept:
-                continue
-            draws = gate_sampler(laws.setdefault(law, law), trials, rng)
-            # packing a contiguous copy of the transpose is ~8x faster than packing along axis 0
-            bits[[g.factors[j][0] for j in kept]] = np.packbits(np.ascontiguousarray(draws.T), axis=1)
+            if kept:
+                groups.setdefault(law, []).append([g.factors[j][0] for j in kept])
         elif isinstance(g, OneQubit):
-            ones = np.zeros(trials, dtype=np.uint8)
-            ones[_active_trials(trials, abs(g.matrix[1, 0]) ** 2, rng)] = 1
-            bits[g.qubit] = np.packbits(ones)
-        elif isinstance(g, (Toffoli, Or)):
-            pass  # classical gate on all-zeros input leaves zeros
-        else:
+            groups.setdefault(float(abs(g.matrix[1, 0]) ** 2), []).append([g.qubit])
+        elif not isinstance(g, (Toffoli, Or)):  # a classical gate on all-zeros input leaves zeros
             raise ValueError(f"unsupported first-layer gate {type(g).__name__}")
+    return {law: np.array(wires) for law, wires in groups.items()}
+
+
+def _sample_first_layer(
+    groups: dict[GateLaw | float, np.ndarray],
+    bits: np.ndarray,
+    trials: int,
+    rng: np.random.Generator,
+    gate_sampler: GateSampler,
+) -> None:
+    """Set the packed bits of the first layer's draws on all-zeros input.
+
+    Gate i of a group is rows ``i*trials .. (i+1)*trials - 1`` of its law,
+    drawn in one call per slice of whole gates of about ``_SLICE_ROWS``
+    rows.  Only set bits are written, with ``bitwise_or.at`` because two
+    trials can share a byte."""
+    per_call = max(1, _SLICE_ROWS // trials)
+    for law, wires in groups.items():
+        for lo in range(0, len(wires), per_call):
+            w = wires[lo : lo + per_call]
+            if isinstance(law, GateLaw):
+                hits, draws = gate_sampler(law, len(w) * trials, rng)
+                row, j = np.nonzero(draws)
+                hits = hits[row]
+            else:
+                hits, j = _active_trials(len(w) * trials, law, rng), 0
+            t = hits % trials
+            np.bitwise_or.at(bits, (w[hits // trials, j], t >> 3), (0x80 >> (t & 7)).astype(np.uint8))
 
 
 def sample_mostly_classical_batch(
@@ -265,13 +306,16 @@ def sample_mostly_classical_batch(
 ) -> np.ndarray:
     """(trials, n_targets) samples of the target measurement of C|0..0>.
 
-    ``gate_sampler(law, trials, rng)`` draws the (trials, k) outputs of each
-    first-layer reflection from its ``GateLaw`` (see ``gate_law``)."""
+    ``gate_sampler(law, rows, rng)`` draws ``rows`` i.i.d. outputs of a
+    first-layer reflection's ``GateLaw`` (see ``gate_law``) as the indices of
+    the rows that may be nonzero and their bits.  Trials run in chunks of
+    whole bytes whose packed buffer holds at most ``_CHUNK_BYTES`` (one byte
+    per wire at least) and fits in ``MAX_SAMPLE_BYTES``."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    width = -(-trials // 8)
     n_targets = len(c.targets) if c.targets is not None else c.num_qubits
-    need = max(c.num_qubits * width, trials * n_targets)
+    # one chunk holds at least 8 trials, one byte per wire
+    need = max(c.num_qubits, trials * n_targets)
     if need > MAX_SAMPLE_BYTES:
         raise ValueError(
             f"{trials} trials on {c.num_qubits} wires need {need} bytes, over the {MAX_SAMPLE_BYTES}-byte cap"
@@ -279,11 +323,17 @@ def sample_mostly_classical_batch(
     if not classify(c).mostly_classical:
         raise ValueError("circuit is not mostly classical")
     targets = list(c.targets) if c.targets is not None else list(range(c.num_qubits))
-    bits = np.zeros((c.num_qubits, width), dtype=np.uint8)
-    if c.layers:
-        _sample_first_layer(c.layers[0], bits, trials, rng, gate_sampler)
+    groups = _first_layer_groups(c.layers[0]) if c.layers else {}
+    per_wire = max(1, min(_CHUNK_BYTES, MAX_SAMPLE_BYTES) // max(c.num_qubits, 1))
+    chunk = 8 * min(-(-trials // 8), per_wire)
+    out = np.empty((trials, n_targets), dtype=np.uint8)
+    for start in range(0, trials, chunk):
+        n = min(chunk, trials - start)
+        bits = np.zeros((c.num_qubits, -(-n // 8)), dtype=np.uint8)
+        _sample_first_layer(groups, bits, n, rng, gate_sampler)
         _eval_classical(c.layers[1:], bits)
-    return np.ascontiguousarray(np.unpackbits(bits[targets], axis=1, count=trials).T)
+        out[start : start + n] = np.unpackbits(bits[targets], axis=1, count=n).T
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -535,19 +585,17 @@ def factorized_sample_gate(tree: TauTree, rng: np.random.Generator) -> tuple[str
     return "".join(bits), trace
 
 
-def factorized_sample_batch(law: GateLaw, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized factorized sampler (no traces); same law as the single-draw
-    form, drawing J directly from the leaf weights."""
+def factorized_sample_batch(law: GateLaw, rows: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized factorized sampler (no traces); same law and sparse return
+    as ``direct_sample_batch``, drawing J directly from the leaf weights."""
     k = len(law.p)
     if k > FACTORIZED_ARITY_CAP:
         raise ValueError(f"arity {k} over the factorized sampler cap")
-    out = np.zeros((trials, k), dtype=np.uint8)
-    # a trial with B = 0 outputs all-zeros whatever J, M and S are, so they are
-    # drawn only for the trials whose B is 1
-    on = _active_trials(trials, 1.0 - law.all_zeros, rng)
+    # a row with B = 0 outputs all-zeros whatever J, M and S are, so they are
+    # drawn only for the rows whose B is 1
+    on = _active_trials(rows, 1.0 - law.all_zeros, rng)
     if k == 1:
-        out[on] = 1
-        return out
+        return on, np.ones((on.size, 1), dtype=bool)
     coeffs, anti, weights = law.min_rank
     cum = np.cumsum(weights)
     j_on = np.searchsorted(cum / cum[-1], rng.random(on.size), side="right").clip(0, k - 1)
@@ -556,8 +604,7 @@ def factorized_sample_batch(law: GateLaw, trials: int, rng: np.random.Generator)
     m_val = _invert_cdf(anti.T[:, j_on], coeffs.T[:, j_on], u * weights[j_on])
     p = np.array(law.p)
     surv = p[None, :] * (1.0 - m_val[:, None]) / (1.0 - p[None, :] * m_val[:, None])
-    out[on] = (s <= surv) | (np.arange(k)[None, :] == j_on[:, None])
-    return out
+    return on, (s <= surv) | (np.arange(k)[None, :] == j_on[:, None])
 
 
 # ---------------------------------------------------------------------------

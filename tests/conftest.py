@@ -109,6 +109,15 @@ def counts_from_rows(rows: np.ndarray) -> dict[str, int]:
     return {k.decode(): int(c) for k, c in zip(keys, counts)}
 
 
+def densify(draw: tuple[np.ndarray, np.ndarray], rows: int) -> np.ndarray:
+    """(rows, k) 0/1 matrix of a per-gate law's sparse draw: the hit row
+    indices and their (hits, k) bits; every other row is all-zeros."""
+    hits, bits = draw
+    out = np.zeros((rows, bits.shape[1]), dtype=np.uint8)
+    out[hits] = bits
+    return out
+
+
 @pytest.fixture
 def rng():
     return substream(20240817)

@@ -18,6 +18,7 @@ from qackit import (
     circuit,
     classify,
     cnot,
+    grid_law,
     depth,
     h_gate,
     impurity_bound,
@@ -248,3 +249,30 @@ def test_core_targets_is_the_core_size_of_the_depthd_builder():
 def test_depthd_rejects_nonpositive_n(n, d):
     with pytest.raises(ValueError, match="n must be >= 1"):
         build_depthd_nekomata(n, d, 0.3)
+
+
+def test_grid_law_matches_the_oracle_at_n2_m3():
+    bias = solve_bias(2, 3)
+    c = build_depth2_nekomata(2, 3, bias)
+    rep = best_nekomata_fidelity(run(c, zero_state(8)), c.targets)
+    p, q, fidelity = grid_law(2, 3, bias)
+    assert p == pytest.approx(rep.all_zeros_prob, abs=1e-12)
+    assert q == pytest.approx(rep.all_ones_prob, abs=1e-12)
+    assert fidelity == pytest.approx(rep.fidelity, abs=1e-12)
+    assert q == pytest.approx(0.34497568297591, abs=1e-13)
+    assert fidelity == pytest.approx(0.8378043972474801, abs=1e-13)
+
+
+@pytest.mark.parametrize("n, epsilon", [(2, 0.15), (3, 0.2), (4, 0.25), (6, 0.25), (8, 0.3)])
+def test_grid_law_meets_the_fidelity_guarantee_at_choose_columns(n, epsilon):
+    columns = choose_columns(n, epsilon)
+    p, q, fidelity = grid_law(n, columns, solve_bias(n, columns))
+    assert p == pytest.approx(0.5, abs=1e-12)
+    assert 0.0 < q < 0.5
+    assert fidelity >= 1.0 - epsilon
+
+
+def test_grid_law_rejects_empty_grids():
+    for n, columns in ((0, 3), (2, 0)):
+        with pytest.raises(ValueError, match="n >= 1"):
+            grid_law(n, columns, 0.5)

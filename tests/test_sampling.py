@@ -25,6 +25,7 @@ from qackit import (
     factorized_sample_gate,
     fanout_tree,
     gate_law,
+    grid_law,
     h_gate,
     hamming_stats,
     influences,
@@ -42,6 +43,7 @@ from qackit.rng import substream
 
 from conftest import (
     counts_from_rows,
+    densify,
     haar_local,
     random_mostly_classical_circuit,
     tv_distance,
@@ -99,7 +101,7 @@ def test_exact_distribution_arity_cap():
 def test_sample_rtensor_cz_always_zero():
     rng = substream(32)
     g = rtensor({0: KET1, 1: KET1})
-    rows = direct_sample_batch(gate_law(g)[1], 50, rng)
+    rows = densify(direct_sample_batch(gate_law(g)[1], 50, rng), 50)
     assert rows.shape == (50, 2) and not rows.any()
 
 
@@ -107,7 +109,7 @@ def test_sample_rtensor_plus_plus_tv():
     rng = substream(33)
     g = rtensor({0: PLUS, 1: PLUS})
     trials = 20000
-    counts = counts_from_rows(direct_sample_batch(gate_law(g)[1], trials, rng))
+    counts = counts_from_rows(densify(direct_sample_batch(gate_law(g)[1], trials, rng), trials))
     assert tv_distance(counts, exact_rtensor_distribution(g).probs, trials) < 0.02
 
 
@@ -117,7 +119,7 @@ def test_sample_rtensor_rejection_branch():
     g = rtensor({0: weak, 1: weak})
     rng = substream(34)
     trials = 30000
-    counts = counts_from_rows(direct_sample_batch(gate_law(g)[1], trials, rng))
+    counts = counts_from_rows(densify(direct_sample_batch(gate_law(g)[1], trials, rng), trials))
     assert tv_distance(counts, exact_rtensor_distribution(g).probs, trials) < 0.02
 
 
@@ -127,7 +129,7 @@ def test_sample_rtensor_nice_boundary():
     g = rtensor({0: LocalState(np.sqrt(1 - p), np.sqrt(p)), 1: LocalState(np.sqrt(1 - p), np.sqrt(p))})
     rng = substream(35)
     trials = 30000
-    counts = counts_from_rows(direct_sample_batch(gate_law(g)[1], trials, rng))
+    counts = counts_from_rows(densify(direct_sample_batch(gate_law(g)[1], trials, rng), trials))
     exact = exact_rtensor_distribution(g).probs
     zeros_freq = counts.get("00", 0) / trials
     sigma = np.sqrt(exact["00"] * (1 - exact["00"]) / trials)
@@ -301,7 +303,7 @@ def test_factorized_matches_exact_law():
     rng = substream(46)
     g = rtensor({0: PLUS, 1: PLUS})
     trials = 50_000
-    rows = factorized_sample_batch(gate_law(g)[1], trials, rng)
+    rows = densify(factorized_sample_batch(gate_law(g)[1], trials, rng), trials)
     assert tv_distance(counts_from_rows(rows), exact_rtensor_distribution(g).probs, trials) < 0.02
 
 
@@ -741,23 +743,9 @@ def test_random_numbers_scale_with_active_trials(law):
     rng = substream(74)
     trials = 10**6
     before = _philox_counter(rng)
-    rows = law(gate_law(g)[1], trials, rng)
+    rows = densify(law(gate_law(g)[1], trials, rng), trials)
     assert rows.shape == (trials, 6) and 0 < np.count_nonzero(rows.any(axis=1)) < trials // 100
     assert _philox_counter(rng) - before < trials // 100
-
-
-def _grid_all_ones_law(n: int, columns: int, bias: float) -> float:
-    """P(all n targets of the depth-2 grid read 1).
-
-    A column's ones lie inside a row set of size s with probability
-    ``F(s) = (1 - 2 b^n)^2 + 4 b^n (b^(n-s) - b^n) = 1 - 4 b^n (1 - b^(n-s))``,
-    the target ones are the union over M i.i.d. columns, and inclusion-exclusion
-    gives ``sum_S (-1)^(n-|S|) F(|S|)^M`` over row subsets S."""
-    bn = bias**n
-    return math.fsum(
-        math.comb(n, s) * (-1) ** (n - s) * math.exp(columns * math.log1p(-4.0 * bn * (1.0 - bias ** (n - s))))
-        for s in range(n + 1)
-    )
 
 
 @pytest.mark.parametrize("stream, law", [(0, direct_sample_batch), (1, factorized_sample_batch)])
@@ -769,7 +757,7 @@ def test_samplers_match_the_exact_grid_law_on_twelve_thousand_wires(stream, law)
     rows = sample_mostly_classical_batch(c, trials, substream(75, stream), law)
     for freq, law_p in (
         (np.mean(~rows.any(axis=1)), 0.5),
-        (np.mean(rows.all(axis=1)), _grid_all_ones_law(n, columns, bias)),
+        (np.mean(rows.all(axis=1)), grid_law(n, columns, bias)[1]),
     ):
         assert abs(freq - law_p) <= 5.0 * np.sqrt(law_p * (1.0 - law_p) / trials)
 
@@ -789,16 +777,17 @@ def test_min_rank_polynomials_are_shared_and_read_only():
 
 
 def test_grid_column_gates_share_one_gate_law():
-    n, columns = 6, 2000
+    n, columns, trials = 6, 2000, 64
     c = build_depth2_nekomata(n, columns, solve_bias(n, columns))
     seen = []
 
-    def law(gl, trials, r):
-        seen.append(gl)
-        return direct_sample_batch(gl, trials, r)
+    def law(gl, rows, r):
+        seen.append((gl, rows))
+        return direct_sample_batch(gl, rows, r)
 
-    sample_mostly_classical_batch(c, 64, substream(76), law)
-    assert len(seen) == columns and len({id(gl) for gl in seen}) == 1
+    sample_mostly_classical_batch(c, trials, substream(76), law)
+    assert len({id(gl) for gl, _ in seen}) == 1
+    assert sum(rows for _, rows in seen) == columns * trials
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0 + 1e-12, float("nan")])
@@ -825,3 +814,103 @@ def test_nonzero_rate_matches_its_other_spellings():
         law = GateLaw(tuple(float(x) for x in rng.random(k)))
         q = law.prod_q
         assert abs((1.0 - law.all_zeros) - (4.0 * q - 4.0 * q**2)) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# grouped, sparse and trial-chunked first layer
+
+
+def test_active_trials_at_rate_one_half():
+    # one coin per row at large rates: the count is Binomial(40, 1/2) and the
+    # positions are distinct and uniform
+    from qackit.sampling import _active_trials
+
+    rng = substream(78)
+    trials, r, reps = 40, 0.5, 4000
+    sizes = np.zeros(reps, dtype=np.int64)
+    hits = np.zeros(trials, dtype=np.int64)
+    for i in range(reps):
+        idx = _active_trials(trials, r, rng)
+        assert np.unique(idx).size == idx.size
+        sizes[i] = idx.size
+        hits += np.bincount(idx, minlength=trials)
+    # counts <= 15, 16 .. 23 one by one, and >= 24
+    pmf = [math.comb(trials, c) * 0.5**trials for c in range(trials + 1)]
+    probs = [math.fsum(pmf[:16])] + pmf[16:24] + [math.fsum(pmf[24:])]
+    observed = np.bincount(np.clip(sizes, 15, 24) - 15, minlength=10)
+    expected = reps * np.array(probs)
+    assert ((observed - expected) ** 2 / expected).sum() < _CHI2_9DF
+    observed = hits.reshape(20, -1).sum(axis=1)
+    expected = observed.sum() / 20
+    assert ((observed - expected) ** 2 / expected).sum() < _CHI2_19DF
+
+
+def test_hadamard_first_layer_memory_is_bounded_by_the_buffers():
+    # 2000 H gates are one law of 2 * 10^7 rows at rate 1/2; drawn in slices,
+    # the peak stays within the packed buffer, the result and its unpacked
+    # transpose, plus 16 MiB for one slice's coins and indices
+    wires, trials = 2000, 10_000
+    c = circuit(wires, [[h_gate(q) for q in range(wires)]])
+    packed = wires * -(-trials // 8)
+    result = trials * wires
+    bound = packed + 2 * result + (16 << 20)
+    tracemalloc.start()
+    try:
+        rows = sample_mostly_classical_batch(c, trials, substream(79))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+    sigma = np.sqrt(0.25 / rows.size)
+    assert abs(rows.mean() - 0.5) <= 5 * sigma
+
+
+@pytest.mark.parametrize("stream, law", [(0, direct_sample_batch), (1, factorized_sample_batch)])
+def test_chunked_samplers_match_the_exact_grid_law(monkeypatch, stream, law):
+    # a cap of 500 bytes per wire splits 20,001 trials into chunks of 4000
+    # trials and a last chunk of one
+    from qackit import sampling
+
+    n, columns, trials = 6, 2000, 20_001
+    bias = solve_bias(n, columns)
+    c = build_depth2_nekomata(n, columns, bias)
+    monkeypatch.setattr(sampling, "MAX_SAMPLE_BYTES", 500 * c.num_qubits)
+    chunks = []
+    evaluate = sampling._eval_classical
+
+    def counting_eval(layers, bits):
+        chunks.append(bits.shape)
+        return evaluate(layers, bits)
+
+    monkeypatch.setattr(sampling, "_eval_classical", counting_eval)
+    rows = sample_mostly_classical_batch(c, trials, substream(80, stream), law)
+    assert rows.shape == (trials, n) and len(chunks) >= 4
+    p, q, _ = grid_law(n, columns, bias)
+    for freq, law_p in ((np.mean(~rows.any(axis=1)), p), (np.mean(rows.all(axis=1)), q)):
+        assert abs(freq - law_p) <= 5.0 * np.sqrt(law_p * (1.0 - law_p) / trials)
+
+
+@pytest.mark.parametrize("cap", ["MAX_SAMPLE_BYTES", "_CHUNK_BYTES"])
+@pytest.mark.parametrize("law", [direct_sample_batch, factorized_sample_batch])
+def test_chunk_boundaries_keep_every_trial_bit(monkeypatch, law, cap):
+    # a one-factor reflection about |+> maps |0> to -|1>, and X maps it to
+    # |1>: every first-layer wire reads 1 in every trial, so the Toffoli of
+    # all 64 reads 1 in every trial, across chunks of 96 trials and a ragged
+    # end, whichever of the two limits sets the chunk
+    from qackit import sampling
+
+    first = [rtensor({q: PLUS}) for q in range(32)] + [x_gate(q) for q in range(32, 64)]
+    c = circuit(65, [first, [Toffoli(tuple(range(64)), 64)]], targets=(64,))
+    monkeypatch.setattr(sampling, cap, 12 * c.num_qubits)
+    widths = []
+    evaluate = sampling._eval_classical
+
+    def counting_eval(layers, bits):
+        widths.append(bits.shape[1])
+        return evaluate(layers, bits)
+
+    monkeypatch.setattr(sampling, "_eval_classical", counting_eval)
+    trials = 389
+    rows = sample_mostly_classical_batch(c, trials, substream(81), law)
+    assert widths == [12, 12, 12, 12, 1]
+    assert rows.shape == (trials, 1) and rows.all()
