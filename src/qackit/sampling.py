@@ -29,9 +29,9 @@ factorization below.  Only the set bits are written into the buffer, by
 applies the classical layers to whole rows (AND- or OR-reduce the control
 rows into the target, flip the row for X), and only the target rows are
 unpacked.  The trials run in chunks of whole bytes whose packed buffer holds
-at most 32 MiB and fits in ``MAX_SAMPLE_BYTES``; the (trials, targets) result
-and one chunk are checked against the cap before anything is allocated.  ``run_classical`` and
-``influences`` use the same evaluator.
+at most 32 MiB (one byte per wire at least); the (trials, targets) result and
+one chunk are checked against ``MAX_SAMPLE_BYTES`` before anything is
+allocated.  ``run_classical`` and ``influences`` use the same evaluator.
 
 ``factorized_sample_gate`` draws the same per-gate law through an explicit
 factorization: a Bernoulli coin B, a highlighted root-to-leaf path in a
@@ -47,12 +47,12 @@ Both draw paths share that inversion.
 
 Every per-row coin of the batch laws (the direct law's active or nonzero
 rows, the factorized law's coin B, a first-layer one-qubit gate's output) is
-drawn by ``_active_trials``: below rate 1/20 a Binomial(rows, r) count, then
-a uniform subset of ``range(rows)`` of that size, and one coin per row at
-higher rates.  Given its size, a uniform subset has the law of one
-independent Bernoulli(r) coin per row, so the laws are unchanged, but random
-numbers are drawn only for the rows whose output can be nonzero: a row with
-B = 0 draws nothing, whatever its J, M and S would have been.
+drawn by ``_active_trials``: a Binomial(rows, r) count, then a uniform
+subset of ``range(rows)`` of that size.  Given its size, a uniform subset has
+the law of one independent Bernoulli(r) coin per row, so the laws are
+unchanged, but random numbers are drawn only for the rows whose output can be
+nonzero: a row with B = 0 draws nothing, whatever its J, M and S would have
+been.
 """
 from __future__ import annotations
 
@@ -73,17 +73,16 @@ INFLUENCE_WIDTH_CAP = 24
 # Newton on the min-rank CDF: steps at or below NEWTON_TOL end the iteration
 NEWTON_TOL = 1e-12
 NEWTON_MAX_STEPS = 100
-# cap on the packed (wires, chunk trials/8) buffer and on the (trials, targets) result
+# cap on the (trials, targets) result and on one chunk's packed buffer, which
+# holds at least one byte per wire
 MAX_SAMPLE_BYTES = 1 << 28
-# packed bytes of one trial chunk (whole bytes per wire, at least one, within
-# MAX_SAMPLE_BYTES): sampling 10^6 trials of the 90,372-wire grid on a 2-core
-# Xeon, 32 MiB chunks peak at 186 MiB against 420 MiB for chunks of the whole
-# cap, and take 10.0 s against 11.3 s
+# packed bytes of one trial chunk (whole bytes per wire, at least one):
+# sampling 10^6 trials of the 90,372-wire grid on a 2-core Xeon, 32 MiB chunks
+# peak at 186 MiB against 420 MiB for chunks of 256 MiB, and take 10.0 s
+# against 11.3 s
 _CHUNK_BYTES = 1 << 25
 # rows of a first-layer law drawn per sampler call (whole gates, at least one)
 _SLICE_ROWS = 1 << 18
-# rates at or above which _active_trials draws one coin per row
-_DENSE_COIN_RATE = 1.0 / 20.0
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +190,10 @@ def exact_rtensor_distribution(g: RTensor) -> GateOutputDistribution:
 def _active_trials(rows: int, r: float, rng: np.random.Generator) -> np.ndarray:
     """Indices of an i.i.d. Bernoulli(r) subset of ``range(rows)``.
 
-    At ``r >= _DENSE_COIN_RATE`` one coin per row; below it a Binomial(rows, r)
-    count, then a uniform subset of that size, in no particular order:
-    callers give every index the same i.i.d. draws.  (At such rates numpy's
-    subset draw builds an index for every row anyway.)  ``r`` is clipped to
-    [0, 1] against rounding."""
-    r = min(max(r, 0.0), 1.0)
-    if r >= _DENSE_COIN_RATE:
-        return np.flatnonzero(rng.random(rows) < r)
-    count = int(rng.binomial(rows, r))
+    A Binomial(rows, r) count, then a uniform subset of that size, in no
+    particular order: callers give every index the same i.i.d. draws.  ``r``
+    is clipped to [0, 1] against rounding."""
+    count = int(rng.binomial(rows, min(max(r, 0.0), 1.0)))
     return rng.choice(rows, size=count, replace=False, shuffle=False)
 
 
@@ -260,18 +254,22 @@ def run_classical(c: Circuit, x: str) -> str:
 def _first_layer_groups(lay: Layer) -> dict[GateLaw | float, np.ndarray]:
     """The first-layer gates that can output a 1, grouped by law: each
     reflection's ``GateLaw``, or a one-qubit gate's one-rate, maps to the
-    (gates, k) wires its gates' draws are written to, in layer order."""
-    groups: dict[GateLaw | float, list[list[int]]] = {}
+    (gates, k) wires its gates' draws are written to, in layer order, as
+    int32 (the cap check keeps every wire below 2^28)."""
+    groups: dict[GateLaw | float, list[int]] = {}
     for g in lay.gates:
         if isinstance(g, RTensor):
             kept, law = gate_law(g)
             if kept:
-                groups.setdefault(law, []).append([g.factors[j][0] for j in kept])
+                groups.setdefault(law, []).extend(g.factors[j][0] for j in kept)
         elif isinstance(g, OneQubit):
-            groups.setdefault(float(abs(g.matrix[1, 0]) ** 2), []).append([g.qubit])
+            groups.setdefault(float(abs(g.matrix[1, 0]) ** 2), []).append(g.qubit)
         elif not isinstance(g, (Toffoli, Or)):  # a classical gate on all-zeros input leaves zeros
             raise ValueError(f"unsupported first-layer gate {type(g).__name__}")
-    return {law: np.array(wires) for law, wires in groups.items()}
+    return {
+        law: np.array(wires, dtype=np.int32).reshape(-1, len(law.p) if isinstance(law, GateLaw) else 1)
+        for law, wires in groups.items()
+    }
 
 
 def _sample_first_layer(
@@ -310,7 +308,7 @@ def sample_mostly_classical_batch(
     first-layer reflection's ``GateLaw`` (see ``gate_law``) as the indices of
     the rows that may be nonzero and their bits.  Trials run in chunks of
     whole bytes whose packed buffer holds at most ``_CHUNK_BYTES`` (one byte
-    per wire at least) and fits in ``MAX_SAMPLE_BYTES``."""
+    per wire at least)."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     n_targets = len(c.targets) if c.targets is not None else c.num_qubits
@@ -324,7 +322,7 @@ def sample_mostly_classical_batch(
         raise ValueError("circuit is not mostly classical")
     targets = list(c.targets) if c.targets is not None else list(range(c.num_qubits))
     groups = _first_layer_groups(c.layers[0]) if c.layers else {}
-    per_wire = max(1, min(_CHUNK_BYTES, MAX_SAMPLE_BYTES) // max(c.num_qubits, 1))
+    per_wire = max(1, _CHUNK_BYTES // max(c.num_qubits, 1))
     chunk = 8 * min(-(-trials // 8), per_wire)
     out = np.empty((trials, n_targets), dtype=np.uint8)
     for start in range(0, trials, chunk):

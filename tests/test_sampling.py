@@ -821,8 +821,8 @@ def test_nonzero_rate_matches_its_other_spellings():
 
 
 def test_active_trials_at_rate_one_half():
-    # one coin per row at large rates: the count is Binomial(40, 1/2) and the
-    # positions are distinct and uniform
+    # at a large rate the count is Binomial(40, 1/2) and the positions are
+    # distinct and uniform
     from qackit.sampling import _active_trials
 
     rng = substream(78)
@@ -867,14 +867,14 @@ def test_hadamard_first_layer_memory_is_bounded_by_the_buffers():
 
 @pytest.mark.parametrize("stream, law", [(0, direct_sample_batch), (1, factorized_sample_batch)])
 def test_chunked_samplers_match_the_exact_grid_law(monkeypatch, stream, law):
-    # a cap of 500 bytes per wire splits 20,001 trials into chunks of 4000
+    # chunks of 500 bytes per wire split 20,001 trials into chunks of 4000
     # trials and a last chunk of one
     from qackit import sampling
 
     n, columns, trials = 6, 2000, 20_001
     bias = solve_bias(n, columns)
     c = build_depth2_nekomata(n, columns, bias)
-    monkeypatch.setattr(sampling, "MAX_SAMPLE_BYTES", 500 * c.num_qubits)
+    monkeypatch.setattr(sampling, "_CHUNK_BYTES", 500 * c.num_qubits)
     chunks = []
     evaluate = sampling._eval_classical
 
@@ -890,18 +890,17 @@ def test_chunked_samplers_match_the_exact_grid_law(monkeypatch, stream, law):
         assert abs(freq - law_p) <= 5.0 * np.sqrt(law_p * (1.0 - law_p) / trials)
 
 
-@pytest.mark.parametrize("cap", ["MAX_SAMPLE_BYTES", "_CHUNK_BYTES"])
 @pytest.mark.parametrize("law", [direct_sample_batch, factorized_sample_batch])
-def test_chunk_boundaries_keep_every_trial_bit(monkeypatch, law, cap):
+def test_chunk_boundaries_keep_every_trial_bit(monkeypatch, law):
     # a one-factor reflection about |+> maps |0> to -|1>, and X maps it to
     # |1>: every first-layer wire reads 1 in every trial, so the Toffoli of
     # all 64 reads 1 in every trial, across chunks of 96 trials and a ragged
-    # end, whichever of the two limits sets the chunk
+    # end
     from qackit import sampling
 
     first = [rtensor({q: PLUS}) for q in range(32)] + [x_gate(q) for q in range(32, 64)]
     c = circuit(65, [first, [Toffoli(tuple(range(64)), 64)]], targets=(64,))
-    monkeypatch.setattr(sampling, cap, 12 * c.num_qubits)
+    monkeypatch.setattr(sampling, "_CHUNK_BYTES", 12 * c.num_qubits)
     widths = []
     evaluate = sampling._eval_classical
 
