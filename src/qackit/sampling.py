@@ -33,17 +33,14 @@ at most 32 MiB (one byte per wire at least); the (trials, targets) result and
 one chunk are checked against ``MAX_SAMPLE_BYTES`` before anything is
 allocated.  ``run_classical`` and ``influences`` use the same evaluator.
 
-``factorized_sample_gate`` draws the same per-gate law through an explicit
-factorization: a Bernoulli coin B, a highlighted root-to-leaf path in a
-binary tree over influence sets choosing the minimal-rank factor J, the
-conditional minimum M, and per-factor survival thresholds S.  The tree walk
-is how the law decomposes into read-bounded pieces; here it is implemented
-at desk scale with exact polynomial integrals for the conditional laws.
-M is drawn by inverting its CDF, the antiderivative F of the density
-``p_J prod_{i != J} (1 - p_i t)``, with Newton's method (``_invert_cdf``):
-F' is positive and decreasing on [0, 1), so F is increasing and concave and
-Newton started at 0 climbs to the root from below without overshooting.
-Both draw paths share that inversion.
+``factorized_sample_batch`` draws the same per-gate law through a
+factorization.  A Bernoulli coin B is 1 with probability ``1 - all_zeros``;
+a row with B = 0 reads all-zeros.  Otherwise J, the factor of minimal rank,
+is drawn from the min-rank weights (``GateLaw.min_rank``), and M, the
+minimum given J, by Newton's method on its conditional CDF
+(``_invert_cdf``).  Factor J reads 1, and every other factor i draws a
+survival threshold S_i and reads 1 when ``S_i <= p_i (1 - M) / (1 - p_i M)``.
+``exact_rtensor_distribution`` enumerates the law both samplers draw from.
 
 Every per-row coin of the batch laws (the direct law's active or nonzero
 rows, the factorized law's coin B, a first-layer one-qubit gate's output) is
@@ -168,6 +165,10 @@ class GateOutputDistribution:
 
 
 def exact_rtensor_distribution(g: RTensor) -> GateOutputDistribution:
+    """The full standard-basis law of ``g`` applied to all-zeros, by
+    enumeration over the factors that can read 1: the exact law that
+    ``direct_sample_batch`` and ``factorized_sample_batch`` draw from.
+    Raises ``ValueError`` above ``ENUMERATION_CAP`` factors."""
     k = len(g.factors)
     if k > ENUMERATION_CAP:
         raise ValueError(f"arity {k} too large for full enumeration")
@@ -406,118 +407,19 @@ def influences(c: Circuit, mode: str = "exact") -> InfluenceMap:
 # factorized gate sampler
 
 
-@dataclass(frozen=True)
-class TauNode:
-    node_id: int
-    depth: int
-    children: tuple[int, ...]
-    factor: int | None = None  # factor position for factor leaves
-
-
-@dataclass(frozen=True)
-class TauTree:
-    """Binary tree over distinct influence sets with factor nodes below the
-    set leaves; used to pick the minimal-rank factor hierarchically.
-    ``masses[i]`` is the min-rank weight of the factors below node ``i``
-    under the gate's ``law``."""
-
-    nodes: tuple[TauNode, ...]
-    root: int
-    factor_leaves: dict[int, int]  # factor position -> node id
-    law: GateLaw
-    masses: tuple[float, ...]
-
-    def node(self, node_id: int) -> TauNode:
-        return self.nodes[node_id]
-
-
-def build_tau_tree(
-    g: RTensor,
-    classical: Circuit | None = None,
-    targets: tuple[int, ...] | None = None,
-) -> TauTree:
-    """Tree for ``factorized_sample_gate``.
-
-    Each factor wire is assigned the set of targets it influences through the
-    classical part, padded with the lowest-index targets up to the read
-    bound; identical sets share a leaf.  Without a classical part each factor
-    keys its own singleton set.  Every factor of ``g`` must be able to read 1.
-    """
-    k = len(g.factors)
-    if k > FACTORIZED_ARITY_CAP:
-        raise ValueError(f"arity {k} over the factorized sampler cap")
-    kept, law = gate_law(g)
-    if len(kept) < k:
-        raise ValueError("elide zero-probability factors before factorized sampling")
-    if classical is None:
-        groups = {f"{{{q}}}": [j] for j, q in enumerate(g.qubits)}
-    else:
-        infl = influences(classical, mode="structural").sets
-        if targets is None:
-            targets = classical.targets if classical.targets is not None else range(classical.num_qubits)
-        bound = classical_read_bound(classical)
-        groups = {}
-        for j, q in enumerate(g.qubits):
-            padded = sorted(set(infl.get(q, frozenset())) & set(targets))
-            for t in sorted(targets):
-                if len(padded) >= min(bound, len(targets)):
-                    break
-                if t not in padded:
-                    padded.append(t)
-            key = "{" + ",".join(str(t) for t in sorted(padded)) + "}"
-            groups.setdefault(key, []).append(j)
-    nodes: list[TauNode] = []
-
-    def _build(keys_slice: list[str], depth: int) -> int:
-        node_id = len(nodes)
-        nodes.append(TauNode(node_id, depth, ()))
-        if len(keys_slice) == 1:
-            children = []
-            for j in groups[keys_slice[0]]:
-                children.append(len(nodes))
-                nodes.append(TauNode(len(nodes), depth + 1, (), j))
-        else:
-            half = (len(keys_slice) + 1) // 2
-            children = [_build(keys_slice[:half], depth + 1), _build(keys_slice[half:], depth + 1)]
-        nodes[node_id] = TauNode(node_id, depth, tuple(children))
-        return node_id
-
-    root = _build(sorted(groups), 0)
-    # children follow their parent in ``nodes``, so one reverse pass sums them
-    weights = law.min_rank[2]
-    masses = [0.0] * len(nodes)
-    for n in reversed(nodes):
-        masses[n.node_id] = sum(masses[ch] for ch in n.children) if n.children else float(weights[n.factor])
-    factor_leaves = {n.factor: n.node_id for n in nodes if n.factor is not None}
-    return TauTree(tuple(nodes), root, factor_leaves, law, tuple(masses))
-
-
-@dataclass(frozen=True)
-class SamplerTrace:
-    """Record of the factorized randomness behind one draw."""
-
-    b: int
-    highlighted_edges: tuple[tuple[int, int, int], ...]  # (level, parent, child)
-    chosen_factor: int
-    min_value: float
-    survival_thresholds: dict[int, float]
-    survival_probs: dict[int, float]
-
-
 def _invert_cdf(anti, density, target):
-    """Newton's method for ``m`` in [0, 1] with ``F(m) = target``.
+    """Newton's method for the ``m`` in [0, 1] with ``F(m) = target``, one per
+    entry of the array ``target``.
 
     ``F(t) = sum_i anti[i] t^(i+1)`` and ``F'(t) = sum_i density[i] t^i`` are
-    evaluated by Horner: on floats and a float ``target`` for a single draw,
-    which stays in Python arithmetic, or on coefficient columns and an array of
-    targets for a batch.  ``F' = p_J prod_{i != J} (1 - p_i t)`` is positive
-    and decreasing on [0, 1), so F is increasing and concave, every tangent
-    lies above it, and Newton from 0 rises to the root without overshooting.
-    Against rounding, steps are clipped to [0, 1 - t] and a non-positive F'
-    (only near t = 1) counts as F' + 1.  A trial is done after its first step
-    at or below ``NEWTON_TOL`` and stays frozen while its batch finishes.  The
-    clips are arithmetic, not ``np.maximum``, so both forms give the same
-    bits."""
+    evaluated by Horner on coefficient columns: ``anti[i]`` and ``density[i]``
+    hold coefficient i for every target.  ``F' = p_J prod_{i != J} (1 - p_i t)``
+    is positive and decreasing on [0, 1), so F is increasing and concave, every
+    tangent lies above it, and Newton from 0 rises to the root without
+    overshooting.  Against rounding, steps are clipped to [0, 1 - t] and a
+    non-positive F' (only near t = 1) counts as F' + 1.  A trial is done after
+    its first step at or below ``NEWTON_TOL`` and stays frozen while its batch
+    finishes."""
     t = 0.0 * target
     live = t + 1.0
     for _ in range(NEWTON_MAX_STEPS):
@@ -530,62 +432,16 @@ def _invert_cdf(anti, density, target):
         step = step * (step > 0.0) * (step <= room) + room * (step > room)
         t = t + step * live
         live = live * (step > NEWTON_TOL)
-        if not (live.any() if isinstance(live, np.ndarray) else live):
+        if not live.any():
             return t
     raise ValueError(f"min-rank CDF inversion did not converge in {NEWTON_MAX_STEPS} Newton steps")
 
 
-def factorized_sample_gate(tree: TauTree, rng: np.random.Generator) -> tuple[str, SamplerTrace]:
-    """One draw from the measurement law of the gate ``tree`` was built for,
-    via the factorized procedure, with the full randomness trace.  Output is
-    distributed identically to ``exact_rtensor_distribution`` of that gate."""
-    law, masses = tree.law, tree.masses
-    p = law.p
-    k = len(p)
-    b = int(rng.random() < 1.0 - law.all_zeros)
-    coeffs, anti, weights = law.min_rank
-    # highlight one edge out of every node with mass, independently
-    highlights: dict[int, int] = {}
-    edges: list[tuple[int, int, int]] = []
-    for n in tree.nodes:
-        if not n.children or masses[n.node_id] <= 0.0:
-            continue
-        draw = rng.random() * masses[n.node_id]  # the sum of its children's masses
-        acc = 0.0
-        chosen = n.children[-1]
-        for ch in n.children:
-            acc += masses[ch]
-            if draw < acc:
-                chosen = ch
-                break
-        highlights[n.node_id] = chosen
-        edges.append((n.depth, n.node_id, chosen))
-    node = tree.root
-    while tree.node(node).factor is None:
-        node = highlights[node]
-    j_star = tree.node(node).factor
-    m_val = _invert_cdf(anti[j_star].tolist(), coeffs[j_star].tolist(), rng.random() * float(weights[j_star]))
-    thresholds = {}
-    survival = {}
-    bits = ["0"] * k
-    if b:
-        bits[j_star] = "1"
-    for j in range(k):
-        if j == j_star:
-            continue
-        s = float(rng.random())
-        surv = p[j] * (1.0 - m_val) / (1.0 - p[j] * m_val)
-        thresholds[j] = s
-        survival[j] = surv
-        if b and s <= surv:
-            bits[j] = "1"
-    trace = SamplerTrace(b, tuple(edges), int(j_star), m_val, thresholds, survival)
-    return "".join(bits), trace
-
-
 def factorized_sample_batch(law: GateLaw, rows: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized factorized sampler (no traces); same law and sparse return
-    as ``direct_sample_batch``, drawing J directly from the leaf weights."""
+    """``rows`` i.i.d. draws from the same law as ``direct_sample_batch``,
+    through the factorization B, J, M, S of the module docstring, returned in
+    the same sparse form.  Raises ``ValueError`` above ``FACTORIZED_ARITY_CAP``
+    factors."""
     k = len(law.p)
     if k > FACTORIZED_ARITY_CAP:
         raise ValueError(f"arity {k} over the factorized sampler cap")

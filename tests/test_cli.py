@@ -166,6 +166,24 @@ def test_sample_factorized_sampler(tmp_path):
     assert len(rows) == 301
 
 
+def test_sample_factorized_rejects_arity_over_the_cap(tmp_path, capsys):
+    # n = 13 puts 13 factors on each column reflection; the direct sampler has no cap
+    nek = tmp_path / "nek.json"
+    assert run_cli("build", "nekomata", "--n", "13", "--columns", "2", "--out", str(nek)) == 0
+    out = tmp_path / "f.csv"
+    capsys.readouterr()
+    code = run_cli(
+        "sample", "--circuit", str(nek), "--sampler", "factorized", "--trials", "10", "--seed", "1",
+        "--out", str(out),
+    )
+    assert code == 1
+    assert "error: arity 13 over the factorized sampler cap" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "f.csv.manifest.json").exists()
+    direct = tmp_path / "d.csv"
+    assert run_cli("sample", "--circuit", str(nek), "--trials", "10", "--seed", "1", "--out", str(direct)) == 0
+    assert len(direct.read_text().splitlines()) == 11
+
+
 def test_verify_all_suites(tmp_path, capsys):
     report = tmp_path / "report.json"
     assert run_cli("verify", "--suite", "all", "--seed", "0", "--report", str(report)) == 0

@@ -15,14 +15,12 @@ from qackit import (
     Toffoli,
     apply_gate,
     build_depth2_nekomata,
-    build_tau_tree,
     circuit,
     classical_read_bound,
     cnot,
     direct_sample_batch,
     exact_rtensor_distribution,
     factorized_sample_batch,
-    factorized_sample_gate,
     fanout_tree,
     gate_law,
     grid_law,
@@ -265,38 +263,20 @@ def test_influences_requires_classical():
 
 
 def test_factorized_single_qubit_reduces_to_bernoulli():
-    g = rtensor({0: PLUS})
-    rng = substream(43)
-    tree = build_tau_tree(g)
-    draws = [factorized_sample_gate(tree, rng)[0] for _ in range(5000)]
-    freq = draws.count("1") / 5000
-    # P(1) = 4 p (1 - p) = 1 at p = 1/2
-    assert freq == pytest.approx(1.0)
+    # P(1) = 4 p (1 - p) = 1 at p = 1/2: every row reads 1
+    rows = densify(factorized_sample_batch(gate_law(rtensor({0: PLUS}))[1], 5000, substream(43)), 5000)
+    assert rows.all()
 
 
 def test_factorized_all_ones_factors_output_zero():
-    g = rtensor({0: KET1, 1: KET1})
-    rng = substream(44)
-    tree = build_tau_tree(g)
-    for _ in range(20):
-        bits, trace = factorized_sample_gate(tree, rng)
-        assert bits == "00" and trace.b == 0
+    # p = (1, 1): all_zeros = (1 - 2 * 0)^2 = 1, so coin B never fires
+    hits, bits = factorized_sample_batch(gate_law(rtensor({0: KET1, 1: KET1}))[1], 5000, substream(44))
+    assert hits.size == 0 and bits.shape == (0, 2)
 
 
-def test_factorized_trace_has_single_highlighted_path():
-    rng = substream(45)
-    g = rtensor({q: haar_local(rng) for q in range(4)})
-    tree = build_tau_tree(g)
-    bits, trace = factorized_sample_gate(tree, rng)
-    by_parent = {parent: child for _, parent, child in trace.highlighted_edges}
-    node = tree.root
-    path = 0
-    while tree.node(node).factor is None:
-        assert node in by_parent
-        node = by_parent[node]
-        path += 1
-    assert tree.node(node).factor == trace.chosen_factor
-    assert path >= 1
+def test_factorized_rejects_arity_over_the_cap():
+    with pytest.raises(ValueError, match="factorized sampler cap"):
+        factorized_sample_batch(GateLaw((0.5,) * 13), 8, substream(45))
 
 
 def test_factorized_matches_exact_law():
@@ -305,37 +285,6 @@ def test_factorized_matches_exact_law():
     trials = 50_000
     rows = densify(factorized_sample_batch(gate_law(g)[1], trials, rng), trials)
     assert tv_distance(counts_from_rows(rows), exact_rtensor_distribution(g).probs, trials) < 0.02
-
-
-def test_factorized_single_draw_matches_exact_law():
-    rng = substream(47)
-    g = rtensor({q: haar_local(rng) for q in range(3)})
-    if any(s.one_probability() == 0.0 for s in g.states):
-        pytest.skip("zero-probability factor drawn")
-    trials = 8_000
-    tree = build_tau_tree(g)
-    singles: dict[str, int] = {}
-    r1 = substream(48, 0)
-    for _ in range(trials):
-        y, _ = factorized_sample_gate(tree, r1)
-        singles[y] = singles.get(y, 0) + 1
-    assert tv_distance(singles, exact_rtensor_distribution(g).probs, trials) < 0.03
-
-
-def test_factorized_requires_nonzero_factors():
-    g = rtensor({0: LocalState(1.0, 0.0), 1: PLUS})
-    with pytest.raises(ValueError, match="elide"):
-        build_tau_tree(g)
-
-
-def test_tau_tree_from_circuit_influences():
-    # factors feeding a fanout tree: influence sets padded to the read bound
-    tree_circ = fanout_tree(4, 2)
-    g = rtensor({0: PLUS, 1: PLUS, 2: PLUS, 3: PLUS})
-    tree = build_tau_tree(g, classical=tree_circ, targets=(0, 1, 2, 3))
-    assert set(tree.factor_leaves) == {0, 1, 2, 3}
-    depths = {tree.node(n).depth for n in tree.factor_leaves.values()}
-    assert all(d >= 1 for d in depths)
 
 
 # ---------------------------------------------------------------------------
@@ -376,55 +325,6 @@ def test_first_layer_classical_gates_give_zeros():
     c = circuit(3, [[Toffoli((0,), 1)], [cnot(1, 2)]], targets=(0, 1, 2))
     rows = sample_mostly_classical_batch(c, 10, substream(52))
     assert rows.shape == (10, 3) and not rows.any()
-
-
-def test_factorized_chosen_factor_matches_analytic_weights():
-    # P(J = j) equals the integral of p_j prod_{i!=j}(1 - p_i t) over [0,1),
-    # normalized by 1 - prod(1 - p_i)
-    rng = substream(53)
-    g = rtensor({q: haar_local(rng) for q in range(3)})
-    kept, law = gate_law(g)
-    if len(kept) < 3:
-        pytest.skip("zero-probability factor drawn")
-    p = np.array(law.p)
-    _, _, weights = law.min_rank
-    assert weights.sum() == pytest.approx(1.0 - np.prod(1.0 - p), abs=1e-12)
-    counts = np.zeros(3)
-    trials = 20_000
-    r = substream(54)
-    tree = build_tau_tree(g)
-    for _ in range(trials):
-        _, trace = factorized_sample_gate(tree, r)
-        counts[trace.chosen_factor] += 1
-    expected = weights / weights.sum()
-    for j in range(3):
-        sigma = np.sqrt(expected[j] * (1 - expected[j]) / trials)
-        assert abs(counts[j] / trials - expected[j]) <= 4 * sigma + 1e-3
-
-
-def test_factorized_min_value_matches_conditional_cdf():
-    # empirical law of M given J against the exact polynomial CDF
-    rng = substream(55)
-    g = rtensor({q: haar_local(rng) for q in range(2)})
-    kept, law = gate_law(g)
-    if len(kept) < 2:
-        pytest.skip("zero-probability factor drawn")
-    _, anti, weights = law.min_rank
-    trials = 10_000
-    r = substream(56)
-    values = {0: [], 1: []}
-    tree = build_tau_tree(g)
-    for _ in range(trials):
-        _, trace = factorized_sample_gate(tree, r)
-        values[trace.chosen_factor].append(trace.min_value)
-    for j in (0, 1):
-        sample = np.sort(np.array(values[j]))
-        if sample.size < 500:
-            continue
-        grid = np.linspace(0.05, 0.95, 10)
-        cdf_exact = np.polynomial.polynomial.polyval(grid, np.r_[0.0, anti[j]]) / weights[j]
-        cdf_emp = np.searchsorted(sample, grid) / sample.size
-        assert np.max(np.abs(cdf_emp - cdf_exact)) < 0.05
 
 
 def _bisect_cdf(anti_rows: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -474,52 +374,13 @@ def test_newton_inversion_stays_in_unit_interval_and_terminates():
     cases += [_random_factor_probs(rng, k) for k in range(2, FACTORIZED_ARITY_CAP + 1) for _ in range(5)]
     for p in cases:
         coeffs, anti, weights = GateLaw(tuple(p)).min_rank
-        for j in range(len(p)):
-            for u in (0.0, 1.0 - 2.0**-53):
-                # raises ValueError if the iteration cap is reached
-                m = _invert_cdf(anti[j].tolist(), coeffs[j].tolist(), u * float(weights[j]))
-                assert isinstance(m, float) and 0.0 <= m <= 1.0
-                assert m == 0.0 or u > 0.0
-
-
-def test_newton_inversion_same_bits_for_batch_and_single_draw():
-    # the batch path gathers coefficient columns by J, the single-draw path
-    # passes Python floats; both must give the same m for the same (J, u)
-    from qackit.sampling import FACTORIZED_ARITY_CAP, _invert_cdf
-
-    rng = substream(69)
-    for k in range(2, FACTORIZED_ARITY_CAP + 1):
-        coeffs, anti, weights = GateLaw(tuple(_random_factor_probs(rng, k))).min_rank
-        j_star = rng.integers(0, k, 64)
-        u = np.r_[rng.random(61), 0.0, 0.999, 1.0 - 2.0**-53]
-        batch = _invert_cdf(anti.T[:, j_star], coeffs.T[:, j_star], u * weights[j_star])
-        for j, uj, m in zip(j_star, u, batch):
-            single = _invert_cdf(anti[j].tolist(), coeffs[j].tolist(), float(uj) * float(weights[j]))
-            assert single == m
-
-
-def test_factorized_law_invariant_under_tree_shape():
-    # the tree only factorizes the choice of J; the output law must not
-    # depend on which influence sets shaped it
-    rng = substream(57)
-    g = rtensor({q: haar_local(rng) for q in range(4)})
-    if any(s.one_probability() == 0.0 for s in g.states):
-        pytest.skip("zero-probability factor drawn")
-    classical = fanout_tree(4, 2)
-    plain = build_tau_tree(g)
-    shaped = build_tau_tree(g, classical=classical, targets=(0, 1, 2, 3))
-    trials = 15_000
-    a: dict[str, int] = {}
-    b: dict[str, int] = {}
-    r1, r2 = substream(58, 0), substream(58, 1)
-    for _ in range(trials):
-        y1, _ = factorized_sample_gate(plain, r1)
-        y2, _ = factorized_sample_gate(shaped, r2)
-        a[y1] = a.get(y1, 0) + 1
-        b[y2] = b.get(y2, 0) + 1
-    exact = exact_rtensor_distribution(g).probs
-    assert tv_distance(a, exact, trials) < 0.03
-    assert tv_distance(b, exact, trials) < 0.03
+        # every factor j against u = 0 and u = 1 - 2^-53, in one call per law
+        j_star = np.repeat(np.arange(len(p)), 2)
+        u = np.tile([0.0, 1.0 - 2.0**-53], len(p))
+        # raises ValueError if the iteration cap is reached
+        m = _invert_cdf(anti.T[:, j_star], coeffs.T[:, j_star], u * weights[j_star])
+        assert np.all((0.0 <= m) & (m <= 1.0))
+        assert np.array_equal(m == 0.0, u == 0.0)
 
 
 def test_hamming_stats_read_override():
@@ -767,6 +628,8 @@ def test_min_rank_polynomials_are_shared_and_read_only():
     first = law.min_rank
     again = law.min_rank
     assert all(a is b for a, b in zip(first, again))
+    # the weights integrate each density over [0, 1): P(some rank < 1) = 1 - prod(1 - p)
+    assert first[2].sum() == pytest.approx(1.0 - np.prod(1.0 - np.array(law.p)), abs=1e-12)
     for arr in first:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
