@@ -82,7 +82,6 @@ from .sampling import (
     GateLaw,
     GateOutputDistribution,
     HammingStats,
-    InfluenceMap,
     classical_read_bound,
     direct_sample_batch,
     exact_rtensor_distribution,
@@ -90,7 +89,6 @@ from .sampling import (
     gate_law,
     hamming_stats,
     hamming_stats_of_samples,
-    influences,
     run_classical,
     sample_mostly_classical_batch,
 )

@@ -205,8 +205,6 @@ class ClassificationResult:
     purely_classical: bool
     mostly_classical: bool
     nice: bool
-    witness_first_layer: Layer | None = None
-    witness_classical: Circuit | None = None
 
 
 def classify(c: Circuit) -> ClassificationResult:
@@ -219,8 +217,6 @@ def classify(c: Circuit) -> ClassificationResult:
     )
     mostly = purely or rest_classical
     nice = False
-    witness_first = None
-    witness_rest = None
     if mostly:
         nice = True
         if c.layers and not purely:
@@ -231,6 +227,4 @@ def classify(c: Circuit) -> ClassificationResult:
                         zero_weight *= abs(st.amp0) ** 2
                     if zero_weight > 0.25 + 1e-12:
                         nice = False
-        witness_first = c.layers[0] if c.layers else Layer(())
-        witness_rest = Circuit(c.num_qubits, c.layers[1:] if c.layers else (), c.targets)
-    return ClassificationResult(purely, mostly, nice, witness_first, witness_rest)
+    return ClassificationResult(purely, mostly, nice)

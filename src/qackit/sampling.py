@@ -31,7 +31,7 @@ rows into the target, flip the row for X), and only the target rows are
 unpacked.  The trials run in chunks of whole bytes whose packed buffer holds
 at most 32 MiB (one byte per wire at least); the (trials, targets) result and
 one chunk are checked against ``MAX_SAMPLE_BYTES`` before anything is
-allocated.  ``run_classical`` and ``influences`` use the same evaluator.
+allocated.  ``run_classical`` uses the same evaluator.
 
 ``factorized_sample_batch`` draws the same per-gate law through a
 factorization.  A Bernoulli coin B is 1 with probability ``1 - all_zeros``;
@@ -60,13 +60,11 @@ from typing import Callable
 
 import numpy as np
 
-from .ir import Circuit, Layer, OneQubit, Or, RTensor, Toffoli, is_classical_gate, is_multi_qubit
+from .ir import Circuit, Layer, OneQubit, Or, RTensor, Toffoli, is_classical_gate, support
 from .nekomata import classify
 
 ENUMERATION_CAP = 20
 FACTORIZED_ARITY_CAP = 12
-# widest purely classical circuit whose exact influence sets are computed
-INFLUENCE_WIDTH_CAP = 24
 # Newton on the min-rank CDF: steps at or below NEWTON_TOL end the iteration
 NEWTON_TOL = 1e-12
 NEWTON_MAX_STEPS = 100
@@ -336,74 +334,6 @@ def sample_mostly_classical_batch(
 
 
 # ---------------------------------------------------------------------------
-# influence sets
-
-
-@dataclass(frozen=True)
-class InfluenceMap:
-    """Per-input sets of output wires the input can change."""
-
-    mode: str  # "exact" or "structural"
-    sets: dict[int, frozenset[int]]
-
-
-def _structural_sets(c: Circuit) -> dict[int, frozenset[int]]:
-    deps: list[set[int]] = [{q} for q in range(c.num_qubits)]
-    for lay in c.layers:
-        for g in lay.gates:
-            if isinstance(g, (Toffoli, Or)):
-                for ctrl in g.controls:
-                    deps[g.target] |= deps[ctrl]
-    sets: dict[int, frozenset[int]] = {q: frozenset() for q in range(c.num_qubits)}
-    for wire, srcs in enumerate(deps):
-        for s in srcs:
-            sets[s] = sets[s] | {wire}
-    return sets
-
-
-def influences(c: Circuit, mode: str = "exact") -> InfluenceMap:
-    """Influence sets of a purely classical circuit.
-
-    Exact mode toggles each input over all assignments of the inputs feeding
-    its structural light cone; structural mode is the connectivity
-    over-approximation (always a superset of the exact sets).
-    """
-    if not classify(c).purely_classical:
-        raise ValueError("circuit is not purely classical")
-    structural = _structural_sets(c)
-    if mode == "structural":
-        return InfluenceMap("structural", structural)
-    if mode != "exact":
-        raise ValueError("mode must be 'exact' or 'structural'")
-    if c.num_qubits > INFLUENCE_WIDTH_CAP:
-        raise ValueError(f"width {c.num_qubits} too large for the brute-force oracle")
-    # backward cones: inputs that can reach each output
-    reach: dict[int, set[int]] = {q: set() for q in range(c.num_qubits)}
-    for src, outs in structural.items():
-        for w in outs:
-            reach[w].add(src)
-    sets: dict[int, frozenset[int]] = {}
-    for j in range(c.num_qubits):
-        cone_inputs = sorted(set().union(*(reach[w] for w in structural[j])) | {j})
-        free = [q for q in cone_inputs if q != j]
-        if len(free) > 22:
-            raise ValueError("light cone too wide for exhaustive toggling")
-        count = 1 << len(free)
-        # trial t < count sets input j to 0, trial count + t to 1; t picks the free inputs
-        bits = np.zeros((c.num_qubits, 2 * count), dtype=np.uint8)
-        if free:
-            assign = ((np.arange(count)[None, :] >> np.arange(len(free))[:, None]) & 1).astype(np.uint8)
-            bits[free, :count] = assign
-            bits[free, count:] = assign
-        bits[j, count:] = 1
-        outs = _eval_classical(c.layers, np.packbits(bits, axis=1))
-        outs = np.unpackbits(outs, axis=1, count=2 * count)
-        diff = outs[:, :count] != outs[:, count:]
-        sets[j] = frozenset(int(w) for w in np.flatnonzero(diff.any(axis=1)))
-    return InfluenceMap("exact", sets)
-
-
-# ---------------------------------------------------------------------------
 # factorized gate sampler
 
 
@@ -484,13 +414,39 @@ class HammingStats:
 
 
 def classical_read_bound(c: Circuit) -> int:
-    """2^(depth of the classical part): the read parameter for target bits as
-    functions of independent first-layer output bits.  Valid for circuits
-    with disjoint layer supports past the first layer."""
-    result = classify(c)
-    layers = c.layers if result.purely_classical else c.layers[1:]
-    d = sum(1 for lay in layers if any(is_multi_qubit(g) for g in lay.gates))
-    return 1 << d
+    """Structural read of the target bits as functions of the first-layer
+    outputs: the most targets that one first-layer gate which is not
+    classical can reach through ``c.layers[1:]``, and at least 1.
+
+    One backward pass maps each wire to a bitmask of the targets it can reach
+    (every wire is a target when ``c.targets`` is None): a Toffoli or Or ORs
+    its target's mask into each control's.  A gate reaches the OR of its
+    wires' masks.  A gate's bits can change only targets it reaches, so the
+    bound is never below the true read.  The masks hold at most
+    ``num_qubits * targets`` bits, which is checked against
+    ``8 * MAX_SAMPLE_BYTES`` first."""
+    if not classify(c).mostly_classical:
+        raise ValueError("circuit is not mostly classical")
+    targets = c.targets if c.targets is not None else range(c.num_qubits)
+    bits = c.num_qubits * len(targets)
+    if bits > 8 * MAX_SAMPLE_BYTES:
+        raise ValueError(f"the read bound's masks need up to {bits} bits, over the {8 * MAX_SAMPLE_BYTES}-bit cap")
+    reach = [0] * c.num_qubits
+    for i, t in enumerate(targets):
+        reach[t] |= 1 << i
+    for lay in reversed(c.layers[1:]):
+        for g in lay.gates:
+            if isinstance(g, (Toffoli, Or)):
+                for q in g.controls:
+                    reach[q] |= reach[g.target]
+    read = 1
+    for g in c.layers[0].gates if c.layers else ():
+        if not is_classical_gate(g):
+            mask = 0
+            for q in support(g):
+                mask |= reach[q]
+            read = max(read, mask.bit_count())
+    return read
 
 
 def hamming_stats(

@@ -297,22 +297,24 @@ def cat_from_restricted_fanout(c: Circuit, n: int) -> Circuit:
 def parity_from_nekomata(constructor: Circuit, n: int) -> Circuit:
     """Parity circuit driven by a nekomata constructor.
 
-    ``constructor`` acts on ``a`` wires and is assumed to place the nekomata
-    targets on its first ``n`` wires.  The output acts on n + a + 1 wires:
-    inputs 0..n-1, constructor wires n..n+a-1, parity wire n+a.  The gate
-    sequence is C, CZ pairing input i with target i, C^dagger, one OR from all
-    constructor wires into the parity wire, then C, CZ, C^dagger again.
-    With an exact constructor the circuit flips the parity wire by the parity
-    of the inputs and restores the constructor wires to all zeros.
+    ``constructor`` acts on ``a`` wires, and input i is paired with its i-th
+    declared target (with wire i when ``targets`` is None).  The output acts
+    on n + a + 1 wires: inputs 0..n-1, constructor wires n..n+a-1, parity
+    wire n+a.  The gate sequence is C, CZ pairing input i with target i,
+    C^dagger, one OR from all constructor wires into the parity wire, then
+    C, CZ, C^dagger again.  With an exact constructor the circuit flips the
+    parity wire by the parity of the inputs and restores the constructor
+    wires to all zeros.
     """
     a = constructor.num_qubits
+    targets = constructor.targets if constructor.targets is not None else range(a)
     if n < 1:
         raise ValueError("n must be at least 1")
-    if a < n:
-        raise ValueError("constructor must act on at least n wires")
+    if n > len(targets):
+        raise ValueError(f"{n} inputs need {n} constructor targets, the constructor has {len(targets)}")
     shifted = permute_qubits(constructor, {q: q + n for q in range(a)}, num_qubits=n + a + 1)
     shifted = Circuit(shifted.num_qubits, shifted.layers, None)
-    cz_layer = Layer(tuple(cz(i, n + i) for i in range(n)))
+    cz_layer = Layer(tuple(cz(i, n + targets[i]) for i in range(n)))
     or_layer = Layer((Or(tuple(range(n, n + a)), n + a),))
     inv = dagger(shifted)
     layers = (

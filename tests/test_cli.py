@@ -112,9 +112,11 @@ def test_sample_summary_tails_come_from_rows(tmp_path, sampler):
     mean = weights.mean()
     doc = json.loads(summary.read_text())
     assert doc["mean"] == pytest.approx(mean, abs=1e-12)
+    assert doc["read_r"] == n  # every column reaches both targets
     assert len(doc["tails"]) == 3
     for tail in doc["tails"]:
         eps = tail["epsilon"]
+        assert tail["bound"] == pytest.approx(np.exp(-2.0 * eps * eps * n / doc["read_r"]))
         assert tail["upper_tail"] == np.mean(weights >= mean + eps * n)
         assert tail["lower_tail"] == np.mean(weights <= mean - eps * n)
 
@@ -342,6 +344,46 @@ def test_build_parity_from_nekomata_rejects_n_below_one(n, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_build_parity_from_nekomata_rejects_n_above_the_declared_targets(tmp_path, capsys):
+    nek = tmp_path / "nek.json"
+    run_cli("build", "nekomata", "--n", "2", "--columns", "3", "--out", str(nek))
+    capsys.readouterr()
+    out = tmp_path / "parity.json"
+    code = run_cli("build", "parity-from-nekomata", "--constructor", str(nek), "--n", "3", "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == "error: 3 inputs need 3 constructor targets, the constructor has 2\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # choose_columns(6, 0.25) = 41,834,371 columns: 251,006,232 wires
+        ("nekomata", "--n", "6"),
+        ("fanout-tree", "--n", "100000000"),
+        ("cat", "--n", "100000000"),
+    ],
+)
+def test_build_rejects_widths_over_the_cap_before_allocating(argv, tmp_path, capsys):
+    out = tmp_path / "wide.json"
+    tracemalloc.start()
+    try:
+        code = run_cli("build", *argv, "--out", str(out))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and peak < 1 << 20
+    assert "over the 1048576-wire" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_version_is_the_package_version(capsys):
+    import qackit
+
+    assert run_cli("--version") == 0
+    assert capsys.readouterr().out == f"{qackit.__version__}\n"
+
+
 def test_transform_hadamard_conjugate(tmp_path, capsys):
     src = tmp_path / "parity.json"
     c = circuit(3, [[cnot(1, 0)], [cnot(2, 0)]])
@@ -430,6 +472,21 @@ def test_sample_rejects_oversized_run_before_allocating(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 1 and peak < 1 << 20
     assert "cap" in capsys.readouterr().err
+
+
+def test_sample_summary_checks_the_read_bound_cap_before_writing(tmp_path, capsys):
+    from qackit import h_gate
+
+    # 2^16 wires, each a target: read-bound masks of up to 2^32 bits
+    path = tmp_path / "wide.json"
+    path.write_text(serialize(circuit(1 << 16, [[h_gate(0)]])))
+    out, summary = tmp_path / "s.csv", tmp_path / "summary.json"
+    code = run_cli(
+        "sample", "--circuit", str(path), "--trials", "8", "--seed", "1", "--out", str(out), "--summary", str(summary)
+    )
+    assert code == 1
+    assert "bit cap" in capsys.readouterr().err
+    assert not out.exists() and not summary.exists()
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (1001, 6), (4, 0)])

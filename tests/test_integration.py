@@ -87,6 +87,17 @@ def test_parity_from_approximate_grid_constructor():
     assert worsts[1] < worsts[2] < worsts[3]
 
 
+def test_parity_pairs_inputs_with_the_declared_targets():
+    # the grid declares its targets last; moving them first must not change
+    # which wires the inputs are paired with.  Two columns, because with one
+    # every target is a copy of its column wire and either pairing agrees.
+    grid = build_depth2_nekomata(2, 2, solve_bias(2, 2))
+    assert grid.targets == (4, 5)
+    assert _worst_clean_parity_pdf(grid, 2) == pytest.approx(
+        _worst_clean_parity_pdf(targets_first(grid), 2), abs=1e-12
+    )
+
+
 def test_parity_circuit_is_h_conjugate_of_fanout():
     from qackit import cnot
 

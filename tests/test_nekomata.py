@@ -155,6 +155,8 @@ def test_classification_of_builders():
     assert result.mostly_classical and result.nice and not result.purely_classical
     result_d = classify(build_depthd_nekomata(4, 3, 0.3, columns=3))
     assert result_d.mostly_classical and result_d.nice
+    result_2 = classify(build_depth2_nekomata(2, 2, solve_bias(2, 2)))
+    assert result_2.mostly_classical and result_2.nice and not result_2.purely_classical
 
 
 def test_classify_cnot_only():
@@ -173,14 +175,6 @@ def test_classify_late_reflection_not_mostly():
     c = circuit(3, [[cnot(0, 1)], [rtensor({0: PLUS, 2: PLUS})]])
     result = classify(c)
     assert not result.mostly_classical and not result.nice
-
-
-def test_classify_witness():
-    bias = solve_bias(2, 2)
-    c = build_depth2_nekomata(2, 2, bias)
-    result = classify(c)
-    assert result.witness_first_layer is c.layers[0]
-    assert classify(result.witness_classical).purely_classical
 
 
 def test_impurity_bound_edges():

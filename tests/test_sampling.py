@@ -26,7 +26,6 @@ from qackit import (
     grid_law,
     h_gate,
     hamming_stats,
-    influences,
     measurement_distribution,
     run,
     run_classical,
@@ -36,7 +35,7 @@ from qackit import (
     x_gate,
     zero_state,
 )
-from qackit.ir import LocalState
+from qackit.ir import Circuit, LocalState, is_classical_gate, support
 from qackit.rng import substream
 
 from conftest import (
@@ -205,60 +204,6 @@ def test_sample_rejects_non_classical():
 
 
 # ---------------------------------------------------------------------------
-# influence sets
-
-
-def test_influences_single_cnot():
-    c = circuit(2, [[cnot(0, 1)]])
-    infl = influences(c)
-    assert infl.sets[0] == frozenset({0, 1})
-    assert infl.sets[1] == frozenset({1})
-
-
-def test_influences_identity():
-    c = circuit(3, [])
-    infl = influences(c)
-    assert all(infl.sets[q] == frozenset({q}) for q in range(3))
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_influences_fanout_tree(d):
-    c = fanout_tree(1 << d, 2)
-    infl = influences(c)
-    assert infl.sets[0] == frozenset(range(1 << d))
-
-
-def test_influences_exact_subset_of_structural():
-    rng = substream(42)
-    for _ in range(10):
-        m = int(rng.integers(3, 8))
-        layers = []
-        for _ in range(int(rng.integers(1, 4))):
-            wires = list(rng.permutation(m))
-            gates = []
-            while len(wires) >= 2 and rng.random() < 0.8:
-                k = int(rng.integers(2, min(3, len(wires)) + 1))
-                chosen, wires = wires[:k], wires[k:]
-                gates.append(Toffoli(tuple(int(q) for q in chosen[:-1]), int(chosen[-1])))
-            if gates:
-                layers.append(gates)
-        if not layers:
-            continue
-        c = circuit(m, layers)
-        exact = influences(c, mode="exact")
-        structural = influences(c, mode="structural")
-        d = sum(1 for lay in c.layers if lay.gates)
-        for q in range(m):
-            assert exact.sets[q] <= structural.sets[q]
-            assert len(structural.sets[q]) <= 1 << d
-
-
-def test_influences_requires_classical():
-    with pytest.raises(ValueError):
-        influences(circuit(1, [[h_gate(0)]]))
-
-
-# ---------------------------------------------------------------------------
 # factorized sampler
 
 
@@ -307,6 +252,32 @@ def test_hamming_read_bound():
         targets=(0, 1, 2, 3),
     )
     assert classical_read_bound(coin) == 4
+
+
+def test_read_bound_counts_every_target_a_first_layer_gate_reaches():
+    # every column of the n=3 grid feeds all 3 targets through the row ORs
+    assert classical_read_bound(build_depth2_nekomata(3, 4, solve_bias(3, 4))) == 3
+    # one reflection whose own wires are the targets
+    assert classical_read_bound(circuit(4, [[rtensor({q: PLUS for q in range(4)})]], targets=(0, 1, 2, 3))) == 4
+    # the arity-3 fanout stages share their live control within a layer
+    tree = fanout_tree(9, 3)
+    coin = circuit(9, [[h_gate(0)]] + [list(lay.gates) for lay in tree.layers], targets=tuple(range(9)))
+    assert classical_read_bound(coin) == 9
+
+
+def test_read_bound_rejects_bad_circuits_before_allocating():
+    with pytest.raises(ValueError, match="mostly classical"):
+        classical_read_bound(circuit(3, [[cnot(0, 1)], [rtensor({0: PLUS, 2: PLUS})]]))
+    # 2^16 wires, each a target: masks of up to 2^32 bits
+    wide = circuit(1 << 16, [[h_gate(0)]])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="bit cap"):
+            classical_read_bound(wide)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_hamming_tails_independent_bits():
@@ -460,21 +431,67 @@ def test_packed_evaluator_padding_stays_out_of_results():
     assert rows.shape == (9, 2) and np.all(rows == [1, 1])
 
 
-def test_influences_match_brute_force_with_x_gates():
+def _exact_read(c) -> int:
+    """Most targets that change when one first-layer gate's bits change, by
+    brute force over every assignment of the first-layer wires (the other
+    wires start at 0) with ``_reference_classical``.  Two assignments that
+    differ only on a gate's wires differ on a target only if one of them
+    differs there from the assignment with those wires at 0."""
+    gates = [g for g in c.layers[0].gates if not is_classical_gate(g)]
+    wires = sorted({q for g in gates for q in support(g)})
+    rest = Circuit(c.num_qubits, c.layers[1:], None)
+    targets = c.targets if c.targets is not None else range(c.num_qubits)
+    outs = {}
+    for a in range(1 << len(wires)):
+        x = ["0"] * c.num_qubits
+        for i, q in enumerate(wires):
+            x[q] = "01"[(a >> i) & 1]
+        y = _reference_classical(rest, "".join(x))
+        outs[a] = [y[t] for t in targets]
+    read = 0
+    for g in gates:
+        clear = ~sum(1 << wires.index(q) for q in support(g))
+        changed = set()
+        for a, y in outs.items():
+            changed |= {i for i, (u, v) in enumerate(zip(y, outs[a & clear])) if u != v}
+        read = max(read, len(changed))
+    return read
+
+
+def _random_first_layer(rng, m: int) -> list:
+    """Reflections about Haar product states and H gates on disjoint wires."""
+    wires = [int(q) for q in rng.permutation(m)]
+    gates = []
+    while wires and rng.random() < 0.85:
+        k = int(rng.integers(1, min(3, len(wires)) + 1))
+        chosen, wires = wires[:k], wires[k:]
+        if k == 1 and rng.random() < 0.5:
+            gates.append(h_gate(chosen[0]))
+        else:
+            gates.append(rtensor({q: haar_local(rng) for q in chosen}))
+    return gates
+
+
+def test_read_bound_is_at_least_the_exact_read():
     rng = substream(62)
-    for _ in range(10):
-        m = int(rng.integers(2, 6))
-        c = _random_classical_circuit(rng, m)
-        outs = {}
-        for i in range(1 << m):
-            x = format(i, f"0{m}b")
-            outs[x] = run_classical(c, x)
-        for j in range(m):
-            flipped = set()
-            for x, y in outs.items():
-                z = outs[x[:j] + ("1" if x[j] == "0" else "0") + x[j + 1:]]
-                flipped |= {w for w in range(m) if y[w] != z[w]}
-            assert influences(c).sets[j] == frozenset(flipped)
+    for _ in range(30):
+        m = int(rng.integers(2, 9))
+        first = _random_first_layer(rng, m)
+        rest = [list(lay.gates) for lay in _random_classical_circuit(rng, m).layers]
+        targets = None
+        if rng.random() < 0.5:
+            size = int(rng.integers(1, m + 1))
+            targets = tuple(int(q) for q in rng.choice(m, size=size, replace=False))
+        c = circuit(m, [first] + rest, targets)
+        assert classical_read_bound(c) >= _exact_read(c)
+    # reachability is the exact read on the grid and on fanout trees
+    grids = [build_depth2_nekomata(n, cols, solve_bias(n, cols)) for n, cols in ((2, 3), (3, 4))]
+    trees = [
+        circuit(n, [[h_gate(0)]] + [list(lay.gates) for lay in fanout_tree(n, m).layers], tuple(range(n)))
+        for n, m in ((8, 2), (9, 3))
+    ]
+    for c in grids + trees:
+        assert classical_read_bound(c) == _exact_read(c)
 
 
 def test_pipeline_takes_the_gate_law_as_a_parameter():
