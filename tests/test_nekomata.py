@@ -155,8 +155,6 @@ def test_classification_of_builders():
     assert result.mostly_classical and result.nice and not result.purely_classical
     result_d = classify(build_depthd_nekomata(4, 3, 0.3, columns=3))
     assert result_d.mostly_classical and result_d.nice
-    result_2 = classify(build_depth2_nekomata(2, 2, solve_bias(2, 2)))
-    assert result_2.mostly_classical and result_2.nice and not result_2.purely_classical
 
 
 def test_classify_cnot_only():
@@ -175,6 +173,18 @@ def test_classify_late_reflection_not_mostly():
     c = circuit(3, [[cnot(0, 1)], [rtensor({0: PLUS, 2: PLUS})]])
     result = classify(c)
     assert not result.mostly_classical and not result.nice
+
+
+def test_classify_witness():
+    # The first layer is the only non-classical one: dropping it leaves a
+    # purely classical circuit on the same wires.
+    bias = solve_bias(2, 2)
+    c = build_depth2_nekomata(2, 2, bias)
+    result = classify(c)
+    assert result.mostly_classical and result.nice and not result.purely_classical
+    assert any(isinstance(g, RTensor) for g in c.layers[0].gates)
+    rest = circuit(c.num_qubits, c.layers[1:])
+    assert classify(rest).purely_classical
 
 
 def test_impurity_bound_edges():
