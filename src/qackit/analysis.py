@@ -101,14 +101,24 @@ def optimal_interpolation(sigma: np.ndarray, tau: np.ndarray, d: int) -> Interpo
     return InterpolationResult(states, value)
 
 
-def chain_product_value(sigma: np.ndarray, middles, tau: np.ndarray) -> float:
-    """|<sigma|m_1><m_1|m_2> .. <m_{d-1}|tau>| for an explicit chain."""
-    states = [np.asarray(sigma).reshape(-1), *[np.asarray(m).reshape(-1) for m in middles]]
-    states.append(np.asarray(tau).reshape(-1))
-    value = 1.0
-    for a, b in zip(states, states[1:]):
-        value *= abs(np.vdot(a, b))
-    return float(value)
+def chain_product_value(sigma: np.ndarray, middles, tau: np.ndarray) -> float | np.ndarray:
+    """|<sigma|m_1><m_1|m_2> .. <m_{d-1}|tau>| for an explicit chain.
+
+    ``middles`` holds the d-1 middle states as rows; with shape
+    ``(..., d-1, dim)`` it is a stack of chains, and the result is an array
+    with one value per chain."""
+    sigma = np.asarray(sigma, dtype=np.complex128).reshape(-1)
+    tau = np.asarray(tau, dtype=np.complex128).reshape(-1)
+    middles = np.asarray(middles, dtype=np.complex128)
+    if middles.size == 0:  # d = 1
+        middles = middles.reshape(0, sigma.size)
+    batch = middles.shape[:-2]
+    chain = np.concatenate(
+        [np.broadcast_to(sigma, (*batch, 1, sigma.size)), middles, np.broadcast_to(tau, (*batch, 1, tau.size))],
+        axis=-2,
+    )
+    value = np.prod(np.abs(np.sum(chain[..., :-1, :].conj() * chain[..., 1:, :], axis=-1)), axis=-1)
+    return value if batch else float(value)
 
 
 def check_cos_exp_inequality(resolution: int = 1_000_000, slack: float = 1e-12) -> bool:
@@ -118,17 +128,19 @@ def check_cos_exp_inequality(resolution: int = 1_000_000, slack: float = 1e-12) 
 
 
 def angular_triangle_check(trials: int, dim: int, rng: np.random.Generator, atol: float = 1e-9) -> bool:
-    """Triangle inequality for the angular metric on random state triples."""
-    for _ in range(trials):
-        a, b, c = (_haar_state(dim, rng) for _ in range(3))
-        if angular_distance(a, c) > angular_distance(a, b) + angular_distance(b, c) + atol:
-            return False
-    return True
+    """Triangle inequality for the angular metric on random state triples.
 
+    Each state is drawn as ``dim`` normal real parts, then ``dim`` imaginary
+    parts, one triple after another, all in one call to ``rng``."""
+    parts = rng.normal(size=(trials, 3, 2, dim))
+    states = parts[..., 0, :] + 1j * parts[..., 1, :]
+    states /= np.linalg.norm(states, axis=-1, keepdims=True)
+    a, b, c = np.moveaxis(states, 1, 0)
 
-def _haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
+    def dist(x, y):
+        return np.arccos(np.clip(np.abs(np.sum(x.conj() * y, axis=-1)), 0.0, 1.0))
+
+    return bool(np.all(dist(a, c) <= dist(a, b) + dist(b, c) + atol))
 
 
 def generalized_markov_threshold(law: list[tuple[float, float]], a: float, delta: float) -> float:

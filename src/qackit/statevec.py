@@ -3,15 +3,22 @@
 Amplitude indexing puts qubit 0 at the most significant bit of the basis
 index, so ``|q0 q1 q2>`` has index ``4*q0 + 2*q1 + q2``.  Equivalently, a
 buffer of ``2**m`` amplitudes reshaped to ``(2,) * m`` has one axis per wire,
-in wire order.  The engine works in place on such views: a one-qubit gate
-updates the two slices along its wire's axis, Toffoli and Or swap the two
-target slices where the controls hold given values, and a reflection
-``I - 2|chi><chi|`` contracts ``chi`` against its wires' axes.  Any trailing
+in wire order.  The engine works in place on such views.  A one-qubit gate
+updates the two slices along its wire's axis.  Every other gate is a
+reflection ``I - 2|chi><chi|`` about a product state: a Toffoli about
+``|1..1>|->``, an Or, after an X on its target, about ``|0..0>|->``.  A
+factor of ``chi`` equal to ``|0>`` or ``|1>`` up to phase only selects the
+slice of the buffer where its wire holds that value.  On that slice, no
+factor left means -1, a lone ``|->`` up to phase is X on its wire (a swap of
+two halves), and any other factors are contracted against their wires' axes.
+So a circuit in reflection normal form runs at the cost of the classical
+gates it was written from.  Any trailing
 axes of the buffer form a batch axis that every gate acts on alike, so
 ``unitary`` is ``run`` applied to column blocks of the identity matrix, each
 written into the one result matrix, and ``max_unitary_difference`` runs two
 circuits on the same block and keeps only the largest entry of the
-difference, so it stores neither matrix.  Public functions
+difference, so it stores neither matrix; each gate's kernel is built once
+for all the blocks.  Public functions
 never modify their arguments: ``run`` and ``apply_gate`` copy the input
 amplitudes once, apply gates in place, and hand that buffer to the result
 read-only, without a second copy.  The practical cap is 24 qubits
@@ -37,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ir import Circuit, Gate, LocalState, OneQubit, Or, RTensor, Toffoli, support
+from .ir import KET0, KET1, MINUS, Circuit, Gate, LocalState, OneQubit, Or, RTensor, Toffoli, support
 
 MAX_QUBITS = 24
 # ``max_unitary_difference`` holds two column blocks, not two matrices
@@ -109,25 +116,85 @@ def product_state(factors: list[LocalState]) -> StateVector:
     return StateVector._adopt(len(factors), amps)
 
 
-def _halves(psi: np.ndarray, m: int, axis: int, fixed=()):
-    """Views of ``psi`` with wire ``axis`` at 0 and at 1 and each ``(wire,
-    value)`` pair of ``fixed`` holding.  The trailing ``...`` keeps the result
-    a view even when every wire is fixed."""
+def _select(psi: np.ndarray, m: int, fixed) -> np.ndarray:
+    """View of ``psi`` where each ``(wire, value)`` pair of ``fixed`` holds,
+    without those wires' axes.  The trailing ``...`` keeps the result a view
+    even when every wire is fixed."""
     idx: list = [slice(None)] * m
     for q, v in fixed:
         idx[q] = v
-    idx[axis] = 0
-    lo = psi[(*idx, ...)]
-    idx[axis] = 1
-    return lo, psi[(*idx, ...)]
+    return psi[(*idx, ...)]
 
 
-def _controlled_x(psi: np.ndarray, m: int, controls, value: int, target: int) -> None:
-    """X on ``target`` wherever every control wire holds ``value``."""
-    lo, hi = _halves(psi, m, target, [(c, value) for c in controls])
+def _halves(psi: np.ndarray, m: int, axis: int, fixed=()):
+    """Views of ``psi`` with wire ``axis`` at 0 and at 1 and each ``(wire,
+    value)`` pair of ``fixed`` holding."""
+    return _select(psi, m, (*fixed, (axis, 0))), _select(psi, m, (*fixed, (axis, 1)))
+
+
+def _controlled_x(psi: np.ndarray, m: int, fixed, target: int) -> None:
+    """X on ``target`` wherever each ``(wire, value)`` pair of ``fixed`` holds."""
+    lo, hi = _halves(psi, m, target, fixed)
     tmp = lo.copy()
     lo[...] = hi
     hi[...] = tmp
+
+
+def _unit(a: complex) -> bool:
+    """``|a|^2 = 1`` up to rounding, so that taking ``a`` for a pure phase
+    moves no amplitude by more than about 1e-14."""
+    return abs(abs(a) ** 2 - 1.0) <= 1e-14
+
+
+def _is_minus(v: np.ndarray) -> bool:
+    """``v`` is |-> up to phase and rounding."""
+    return v[1] == -v[0] and _unit(2**0.5 * v[0])
+
+
+def _reflection_kernel(factors, m: int):
+    """In-place ``I - 2|chi><chi|`` on a slab, for ``chi`` the product of the
+    ``(wire, LocalState)`` pairs of ``factors``.
+
+    A factor equal to |0> or |1> up to phase fixes its wire, which picks the
+    slice the reflection acts on.  On that slice, no factor left is -1, a lone
+    |-> up to phase is X, and otherwise the factors left are contracted."""
+    fixed, rest = [], []
+    for q, s in factors:
+        v = s.vec()
+        if v[1] == 0 and _unit(v[0]):
+            fixed.append((q, 0))
+        elif v[0] == 0 and _unit(v[1]):
+            fixed.append((q, 1))
+        else:
+            rest.append((q, v))
+
+    if not rest:
+
+        def kernel(psi):
+            part = _select(psi, m, fixed)
+            np.negative(part, out=part)
+
+    elif len(rest) == 1 and _is_minus(rest[0][1]):
+        target = rest[0][0]
+
+        def kernel(psi):
+            _controlled_x(psi, m, fixed, target)
+
+    else:
+        # the slice has no axes for the fixed wires
+        wires = [q - sum(f < q for f, _ in fixed) for q, _ in rest]
+        chi = functools.reduce(np.multiply.outer, [v for _, v in rest])
+        chi_bra, two_chi = chi.conj(), 2.0 * chi
+
+        def kernel(psi):
+            part = _select(psi, m, fixed)
+            # <chi| part> by einsum's own loop: BLAS serializes concurrent callers
+            axes = list(range(part.ndim))
+            others = [a for a in axes if a not in wires]
+            overlap = np.einsum(chi_bra, wires, part, axes, others, optimize=False)
+            np.moveaxis(part, wires, range(len(wires)))[...] -= np.multiply.outer(two_chi, overlap)
+
+    return kernel
 
 
 def _slab_kernel(g: Gate, m: int):
@@ -142,33 +209,22 @@ def _slab_kernel(g: Gate, m: int):
             lo, hi = _halves(psi, m, g.qubit)
             lo[...], hi[...] = u[0, 0] * lo + u[0, 1] * hi, u[1, 0] * lo + u[1, 1] * hi
 
-    elif isinstance(g, Toffoli):
+        return kernel
+    if isinstance(g, Toffoli):
+        return _reflection_kernel([*((c, KET1) for c in g.controls), (g.target, MINUS)], m)
+    if isinstance(g, Or):
+        # b ^ OR(x) = NOT b, undone where every control is 0
+        flip = _reflection_kernel([(g.target, MINUS)], m)
+        unflip = _reflection_kernel([*((c, KET0) for c in g.controls), (g.target, MINUS)], m)
 
         def kernel(psi):
-            _controlled_x(psi, m, g.controls, 1, g.target)
+            flip(psi)
+            unflip(psi)
 
-    elif isinstance(g, Or):
-
-        def kernel(psi):
-            # b ^ OR(x) = NOT b, undone where every control is 0
-            _controlled_x(psi, m, (), 1, g.target)
-            _controlled_x(psi, m, g.controls, 0, g.target)
-
-    elif isinstance(g, RTensor):
-        wires = list(g.qubits)
-        chi = functools.reduce(np.multiply.outer, [s.vec() for s in g.states])
-        chi_bra, two_chi = chi.conj(), 2.0 * chi
-
-        def kernel(psi):
-            # <chi| psi> by einsum's own loop: BLAS serializes concurrent callers
-            axes = list(range(psi.ndim))
-            rest = [a for a in axes if a not in wires]
-            overlap = np.einsum(chi_bra, wires, psi, axes, rest, optimize=False)
-            np.moveaxis(psi, wires, range(len(wires)))[...] -= np.multiply.outer(two_chi, overlap)
-
-    else:
-        raise TypeError(f"unknown gate {type(g)!r}")
-    return kernel
+        return kernel
+    if isinstance(g, RTensor):
+        return _reflection_kernel(g.factors, m)
+    raise TypeError(f"unknown gate {type(g)!r}")
 
 
 def _usable_cpus() -> int:
@@ -202,18 +258,30 @@ def _forget_helper() -> None:
 os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _apply_gate_in_place(buf: np.ndarray, m: int, g: Gate) -> None:
-    """Apply ``g`` to every column of ``buf``, whose first axis holds 2**m amplitudes.
-
-    A large buffer is cut in two at the first wire ``g`` leaves free, and the
-    helper thread works on one half while the caller works on the other."""
+def _gate_step(g: Gate, m: int):
+    """``g``'s slab kernel and the first wire ``g`` leaves free (None if it
+    covers all ``m``), after checking its support."""
     wires = support(g)
     for q in wires:
         if not 0 <= q < m:
             raise ValueError(f"gate support {wires} out of range for {m} qubits")
-    kernel = _slab_kernel(g, m)
+    return _slab_kernel(g, m), next((q for q in range(m) if q not in wires), None)
+
+
+def _steps(c: Circuit):
+    """The circuit's gate steps in order, each built when it is reached, so
+    that a run holds one gate's ``chi`` at a time."""
+    return (_gate_step(g, c.num_qubits) for lay in c.layers for g in lay.gates)
+
+
+def _apply_in_place(buf: np.ndarray, m: int, step) -> None:
+    """Apply a gate step to every column of ``buf``, whose first axis holds
+    2**m amplitudes.
+
+    A large buffer is cut in two at the first wire the gate leaves free, and
+    the helper thread works on one half while the caller works on the other."""
+    kernel, free = step
     psi = buf.reshape((2,) * m + buf.shape[1:])
-    free = next((q for q in range(m) if q not in wires), None)
     if free is None or buf.size < _SPLIT_AMPS or _usable_cpus() < 2:
         kernel(psi)
         return
@@ -227,15 +295,14 @@ def _apply_gate_in_place(buf: np.ndarray, m: int, g: Gate) -> None:
         other_half.result()
 
 
-def _run_in_place(buf: np.ndarray, c: Circuit) -> None:
-    for lay in c.layers:
-        for g in lay.gates:
-            _apply_gate_in_place(buf, c.num_qubits, g)
+def _run_in_place(buf: np.ndarray, m: int, steps) -> None:
+    for step in steps:
+        _apply_in_place(buf, m, step)
 
 
 def apply_gate(state: StateVector, g: Gate) -> StateVector:
     amps = state.amplitudes.copy()
-    _apply_gate_in_place(amps, state.num_qubits, g)
+    _apply_in_place(amps, state.num_qubits, _gate_step(g, state.num_qubits))
     return StateVector._adopt(state.num_qubits, amps)
 
 
@@ -243,19 +310,22 @@ def run(c: Circuit, state: StateVector) -> StateVector:
     if c.num_qubits != state.num_qubits:
         raise ValueError("circuit and state qubit counts differ")
     amps = state.amplitudes.copy()
-    _run_in_place(amps, c)
+    _run_in_place(amps, c.num_qubits, _steps(c))
     return StateVector._adopt(c.num_qubits, amps)
 
 
 def _column_blocks(c: Circuit):
     """``(j, block)`` pairs: columns ``j, j+1, ...`` of the circuit's unitary,
     in blocks of about ``_BLOCK_AMPS`` amplitudes, so the kernels'
-    temporaries are block-sized, not matrix-sized."""
-    dim = 1 << c.num_qubits
-    cols = min(dim, max(1, _BLOCK_AMPS >> c.num_qubits))
+    temporaries are block-sized, not matrix-sized.  The gate steps are built
+    once and run on every block."""
+    m = c.num_qubits
+    steps = list(_steps(c))
+    dim = 1 << m
+    cols = min(dim, max(1, _BLOCK_AMPS >> m))
     for j in range(0, dim, cols):
         block = np.eye(dim, cols, -j, dtype=np.complex128)
-        _run_in_place(block, c)
+        _run_in_place(block, m, steps)
         yield j, block
 
 

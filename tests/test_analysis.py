@@ -61,6 +61,30 @@ def test_triangle_random_sweep():
     assert angular_triangle_check(10_000, 8, substream(62))
 
 
+def reference_triangle_check(trials: int, dim: int, rng, atol: float = 1e-9) -> bool:
+    """The triangle check one trial at a time, as it was before it drew all
+    trials in one call."""
+    for _ in range(trials):
+        a, b, c = (haar_state(dim, rng) for _ in range(3))
+        if angular_distance(a, c) > angular_distance(a, b) + angular_distance(b, c) + atol:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("atol", [1e-9, -0.05, -0.2])
+def test_triangle_check_matches_the_per_trial_loop(atol):
+    # a negative atol makes the check fail on some trial
+    got = angular_triangle_check(500, 4, substream(68), atol)
+    assert got == reference_triangle_check(500, 4, substream(68), atol)
+    assert got == (atol > -0.1)
+
+
+def test_triangle_check_draws_what_the_per_trial_loop_draws():
+    rng, ref = substream(69), substream(69)
+    assert angular_triangle_check(500, 4, rng) and reference_triangle_check(500, 4, ref)
+    assert rng.normal() == ref.normal()
+
+
 # ---------------------------------------------------------------------------
 # projection chains
 
@@ -141,6 +165,20 @@ def test_interpolation_dominates_random_chains():
     for _ in range(1000):
         middles = [haar_state(8, rng) for _ in range(d - 1)]
         assert chain_product_value(sigma, middles, tau) <= res.product_value + 1e-10
+
+
+def test_chain_product_value_of_a_stack_matches_each_chain():
+    rng = substream(70)
+    sigma, tau = haar_state(8, rng), haar_state(8, rng)
+    stack = np.array([[haar_state(8, rng) for _ in range(4)] for _ in range(50)])
+    values = chain_product_value(sigma, stack, tau)
+    assert values.shape == (50,)
+    for middles, value in zip(stack, values):
+        states = [sigma, *middles, tau]
+        expected = math.prod(abs(np.vdot(a, b)) for a, b in zip(states, states[1:]))
+        assert abs(value - expected) < 1e-14
+        assert abs(chain_product_value(sigma, list(middles), tau) - expected) < 1e-14
+    assert abs(chain_product_value(sigma, [], tau) - abs(np.vdot(sigma, tau))) < 1e-14
 
 
 # ---------------------------------------------------------------------------

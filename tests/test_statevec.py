@@ -15,6 +15,7 @@ from qackit import (
     KET0,
     KET1,
     LocalState,
+    MINUS,
     OneQubit,
     Or,
     PLUS,
@@ -24,8 +25,10 @@ from qackit import (
     basis_state,
     best_nekomata_fidelity,
     build_depth2_nekomata,
+    cat_from_restricted_fanout,
     circuit,
     cnot,
+    fanout_tree,
     fidelity,
     h_gate,
     measure_in_basis,
@@ -302,6 +305,21 @@ def test_unitary_matches_run_at_the_edges_of_every_block(m):
             assert np.max(np.abs(u[:, idx] - out.amplitudes)) < 1e-12
 
 
+def test_each_gate_kernel_is_built_once_for_all_the_column_blocks(monkeypatch):
+    built = []
+    slab_kernel = statevec._slab_kernel
+    monkeypatch.setattr(statevec, "_slab_kernel", lambda g, m: built.append(g) or slab_kernel(g, m))
+    monkeypatch.setattr(statevec, "_BLOCK_AMPS", 1 << 7)
+    rng = substream(98)
+    a, b = wide_circuit(6, rng), wide_circuit(6, rng)
+    gates = [sum(len(lay.gates) for lay in c.layers) for c in (a, b)]
+    unitary(a)
+    assert len(built) == gates[0]
+    built.clear()
+    max_unitary_difference(a, b)
+    assert len(built) == sum(gates)
+
+
 def test_unitary_peak_memory_stays_near_the_result_size():
     nek = build_depth2_nekomata(2, 3, solve_bias(2, 3))
     par = parity_from_nekomata(nek, 2)
@@ -382,15 +400,40 @@ def reference_unitary(c) -> np.ndarray:
     return u
 
 
+def phased(s: LocalState, phi: float) -> LocalState:
+    z = complex(np.exp(1j * phi))
+    return LocalState(z * s.amp0, z * s.amp1)
+
+
 def full_cover_circuits():
     """Toffoli and Or whose controls are every wire but the target, and a
-    reflection over every wire, so that the kernels work on 0-d views."""
+    reflection over every wire, so that the kernels work on 0-d views; then
+    reflections whose |0>/|1> factors pick the slice they act on."""
     for m in (2, 3, 4):
         rest = tuple(range(1, m))
         yield circuit(m, [[Toffoli(rest, 0)]])
         yield circuit(m, [[Or(rest, 0)]])
         yield circuit(m, [[Or(tuple(range(m - 1)), m - 1)]])
         yield circuit(m, [[RTensor(tuple((q, PLUS) for q in range(m)))]])
+    one, minus, general = phased(KET1, 0.7), phased(MINUS, -1.3), LocalState(0.6, 0.8j)
+    # not |-> up to phase, and not |1> up to rounding (its norm is off by 8e-13)
+    near_minus = LocalState(2**-0.5, -np.exp(1e-6j) * 2**-0.5)
+    near_one = LocalState(0.0, 1.0 + 4e-13)
+    for m in (3, 4):
+        last = m - 1
+        # no factor left: -1 on the slice, on every wire a 0-d slice
+        yield circuit(m, [[rtensor({0: KET0, 2: one})]])
+        yield circuit(m, [[RTensor(tuple((q, phased(KET0, q) if q % 2 else one) for q in range(m)))]])
+        # a lone |-> up to phase: X on the slice, or everywhere
+        yield circuit(m, [[rtensor({1: KET0, 0: one, last: minus})]])
+        yield circuit(m, [[rtensor({1: minus})]])
+        # general factors contracted on the slice
+        yield circuit(m, [[rtensor({1: one, 0: PLUS, last: general})]])
+        yield circuit(m, [[rtensor({0: KET0, 1: general})]])
+        # near misses stay in the contraction
+        yield circuit(m, [[rtensor({0: KET1, last: near_minus})]])
+        yield circuit(m, [[rtensor({1: near_minus})]])
+        yield circuit(m, [[rtensor({0: KET0, 1: near_one})]])
 
 
 def test_kernels_match_kron_reference(monkeypatch):
@@ -419,6 +462,16 @@ def check_kernels_against_kron_reference(monkeypatch):
         amps = haar_state(1 << c.num_qubits, rng)
         out = run(c, StateVector(c.num_qubits, amps))
         assert np.max(np.abs(out.amplitudes - ref @ amps)) < 1e-12
+
+
+def test_normal_form_of_the_cat_circuit_matches_its_toffolis():
+    m = 12
+    c = cat_from_restricted_fanout(fanout_tree(m, 2), m)
+    nf = to_rtensor_normal_form(c)
+    assert any(isinstance(g, Toffoli) for lay in c.layers for g in lay.gates)
+    assert all(isinstance(g, (OneQubit, RTensor)) for lay in nf.layers for g in lay.gates)
+    for state in (zero_state(m), StateVector(m, haar_state(1 << m, substream(97)))):
+        assert np.max(np.abs(run(nf, state).amplitudes - run(c, state).amplitudes)) < 1e-12
 
 
 def test_state_does_not_follow_the_array_it_was_built_from():
