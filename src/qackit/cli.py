@@ -143,6 +143,9 @@ def _cmd_transform(args, manifest: Manifest) -> int:
         out = transforms.expand_or(circ)
     else:
         out = transforms.conjugate_by_hadamards(circ, args.n if args.n is not None else circ.num_qubits)
+    problems = validate(out)
+    if problems:
+        raise CliError(f"{args.what} gives an invalid circuit:\n  " + "\n  ".join(problems))
     manifest.write_output(args.out, serial.serialize(out))
     print(f"wrote {args.out}")
     return 0
@@ -418,7 +421,9 @@ def _cmd_info(args, manifest: Manifest) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="qackit", description=__doc__)
     parser.add_argument("--version", action="version", version=qackit.__version__)
     sub = parser.add_subparsers(dest="command", required=True)

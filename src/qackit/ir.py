@@ -12,10 +12,11 @@ Size, depth, and topology count multi-qubit gates only; one-qubit gates may
 be interleaved freely and never contribute to the metrics.
 
 Gate supports within a layer must be pairwise disjoint, with one deliberate
-exception: two classically controlled gates (Toffoli/Or) may share wires that
-are controls of *both*.  Such gates commute, and a restricted-fanout stage
-(one control copied onto k-1 fresh wires) only fits in a single layer under
-this convention.  ``validate`` enforces exactly this rule.
+exception: gates may share a wire that each holds at |0> or |1> (up to phase)
+in every one of its ``reflections`` on that wire.  Such gates commute.  For
+Toffoli and Or these are exactly the controls, so a restricted-fanout stage
+(one control copied onto k-1 fresh wires) fits in a single layer.
+``validate`` enforces exactly this rule.
 
 Circuits and gates are immutable after construction; every function here is
 pure and safe to share across threads.
@@ -86,35 +87,30 @@ class OneQubit:
 
 
 @dataclass(frozen=True)
-class Toffoli:
+class _Classical:
+    """Toffoli and Or; the generated equality tells the two classes apart."""
+
     controls: tuple[QubitId, ...]
     target: QubitId
 
     def __post_init__(self):
+        name = type(self).__name__
         controls = tuple(self.controls)
         if not controls:
-            raise ValueError("Toffoli needs at least one control; use an X gate instead")
+            raise ValueError(f"{name} needs at least one control")
         if len(set(controls)) != len(controls):
-            raise ValueError("Toffoli controls must be distinct")
+            raise ValueError(f"{name} controls must be distinct")
         if self.target in controls:
-            raise ValueError("Toffoli target must not be a control")
+            raise ValueError(f"{name} target must not be a control")
         object.__setattr__(self, "controls", controls)
 
 
-@dataclass(frozen=True)
-class Or:
-    controls: tuple[QubitId, ...]
-    target: QubitId
+class Toffoli(_Classical):
+    """``|x, b> -> |x, b ^ AND(x)>``; with no controls, use an X gate."""
 
-    def __post_init__(self):
-        controls = tuple(self.controls)
-        if not controls:
-            raise ValueError("Or needs at least one control")
-        if len(set(controls)) != len(controls):
-            raise ValueError("Or controls must be distinct")
-        if self.target in controls:
-            raise ValueError("Or target must not be a control")
-        object.__setattr__(self, "controls", controls)
+
+class Or(_Classical):
+    """``|x, b> -> |x, b ^ OR(x)>``."""
 
 
 @dataclass(frozen=True)
@@ -181,9 +177,35 @@ def cz(a: QubitId, b: QubitId) -> RTensor:
 def support(g: Gate) -> tuple[QubitId, ...]:
     if isinstance(g, OneQubit):
         return (g.qubit,)
-    if isinstance(g, (Toffoli, Or)):
+    if isinstance(g, _Classical):
         return tuple(sorted(g.controls + (g.target,)))
     return g.qubits
+
+
+def reflections(g: Gate) -> tuple[tuple[tuple[QubitId, LocalState], ...], ...]:
+    """The ``(wire, LocalState)`` factor tuples whose commuting reflections
+    ``I - 2|chi><chi|`` multiply to ``g``.  A Toffoli is the reflection about
+    ``|1..1>|->``.  An Or is X on its target (the reflection about ``|->``),
+    undone where every control is 0 (the one about ``|0..0>|->``).  An
+    RTensor is its own factors; a one-qubit gate raises TypeError."""
+    if isinstance(g, Toffoli):
+        return ((*[(q, KET1) for q in g.controls], (g.target, MINUS)),)
+    if isinstance(g, Or):
+        return (((g.target, MINUS),), (*[(q, KET0) for q in g.controls], (g.target, MINUS)))
+    if isinstance(g, RTensor):
+        return (g.factors,)
+    raise TypeError(f"{type(g).__name__} is not a product of reflections")
+
+
+def basis_value(s: LocalState) -> int | None:
+    """0 or 1 when ``s`` is |0> or |1> up to phase, else None: one amplitude
+    exactly 0, the other of modulus 1 up to rounding (1e-14 on its square)."""
+    a0, a1 = complex(s.amp0), complex(s.amp1)
+    if a1 == 0 and abs(abs(a0) ** 2 - 1.0) <= 1e-14:
+        return 0
+    if a0 == 0 and abs(abs(a1) ** 2 - 1.0) <= 1e-14:
+        return 1
+    return None
 
 
 def is_multi_qubit(g: Gate) -> bool:
@@ -263,34 +285,42 @@ def _unitarity_error(m: np.ndarray) -> float:
 
 def is_classical_gate(g: Gate) -> bool:
     """Toffoli, Or, or a one-qubit gate equal to X within ``ATOL``."""
-    if isinstance(g, (Toffoli, Or)):
+    if isinstance(g, _Classical):
         return True
     return isinstance(g, OneQubit) and bool(np.max(np.abs(g.matrix - X_MATRIX)) <= ATOL)
 
 
-def _classical_controls(g: Gate) -> frozenset[int]:
-    if isinstance(g, (Toffoli, Or)):
-        return frozenset(g.controls)
-    return frozenset()
+def _moved_wires(g: Gate, values: dict[int, int | None]) -> set[int]:
+    """Wires that a reflection of ``g`` does not hold at |0> or |1>; a
+    one-qubit gate moves its wire.  ``values`` caches ``basis_value`` by
+    state identity, since every Toffoli and Or uses the same few states."""
+    if isinstance(g, OneQubit):
+        return {g.qubit}
+    moved = set()
+    for factors in reflections(g):
+        for q, s in factors:
+            if id(s) not in values:
+                values[id(s)] = basis_value(s)
+            if values[id(s)] is None:
+                moved.add(q)
+    return moved
 
 
-def _overlaps(supports: list[tuple[int, ...]], controls: list[frozenset[int]]) -> list[tuple[int, int]]:
-    """Sorted gate-index pairs of one layer that share a wire which is not a
-    classical control of both gates.
-
-    Each wire maps to the gates holding it as a control and to the gates
-    holding it otherwise; only pairs with a gate of the second kind are
-    formed, so a wire shared only as a control costs nothing."""
-    as_control: dict[int, list[int]] = {}
-    otherwise: dict[int, list[int]] = {}
-    for j, (sup, ctl) in enumerate(zip(supports, controls)):
-        for q in sup:
-            (as_control if q in ctl else otherwise).setdefault(q, []).append(j)
+def _overlaps(gates: Sequence[Gate], holders: dict[int, list[int]]) -> list[tuple[int, int]]:
+    """Sorted gate-index pairs of one layer that share a wire which one of
+    the two moves.  ``holders`` maps each wire to the gates on it; only the
+    gates on a wire held twice or more are read, each once."""
+    moved: dict[int, set[int]] = {}
+    values: dict[int, int | None] = {}
     pairs = set()
-    for q, owners in otherwise.items():
-        holders = owners + as_control.get(q, [])
+    for q, owners in holders.items():
+        if len(owners) < 2:
+            continue
         for j1 in owners:
-            pairs.update((min(j1, j2), max(j1, j2)) for j2 in holders if j2 != j1)
+            if j1 not in moved:
+                moved[j1] = _moved_wires(gates[j1], values)
+            if q in moved[j1]:
+                pairs.update((min(j1, j2), max(j1, j2)) for j2 in owners if j2 != j1)
     return sorted(pairs)
 
 
@@ -302,10 +332,11 @@ def validate(c: Circuit) -> list[str]:
     problems: list[str] = []
     for k, lay in enumerate(c.layers):
         supports = [support(g) for g in lay.gates]
-        controls = [_classical_controls(g) for g in lay.gates]
+        holders: dict[int, list[int]] = {}
         for j, (g, sup) in enumerate(zip(lay.gates, supports)):
             where = f"layer {k}, gate {j}"
             for q in sup:
+                holders.setdefault(q, []).append(j)
                 if not 0 <= q < c.num_qubits:
                     problems.append(f"{where}: qubit {q} out of range")
             # written as not (err <= ATOL) so that NaN errors fail too
@@ -315,8 +346,8 @@ def validate(c: Circuit) -> list[str]:
                 for q, s in g.factors:
                     if not s.norm_error() <= ATOL:
                         problems.append(f"{where}: non-normalized local state on qubit {q}")
-        for j1, j2 in _overlaps(supports, controls):
-            # every shared wire is listed, shared classical controls included
+        for j1, j2 in _overlaps(lay.gates, holders):
+            # every shared wire is listed, shared basis wires included
             shared = set(supports[j1]) & set(supports[j2])
             problems.append(f"layer {k}: overlapping supports on qubits {sorted(shared)}")
     if c.targets is not None:

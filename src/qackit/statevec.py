@@ -5,12 +5,13 @@ index, so ``|q0 q1 q2>`` has index ``4*q0 + 2*q1 + q2``.  Equivalently, a
 buffer of ``2**m`` amplitudes reshaped to ``(2,) * m`` has one axis per wire,
 in wire order.  The engine works in place on such views.  A one-qubit gate
 updates the two slices along its wire's axis.  Every other gate is a
-reflection ``I - 2|chi><chi|`` about a product state: a Toffoli about
-``|1..1>|->``, an Or, after an X on its target, about ``|0..0>|->``.  A
-factor of ``chi`` equal to ``|0>`` or ``|1>`` up to phase only selects the
-slice of the buffer where its wire holds that value.  On that slice, no
-factor left means -1, a lone ``|->`` up to phase is X on its wire (a swap of
-two halves), and any other factors are contracted against their wires' axes.
+product of reflections ``I - 2|chi><chi|`` about product states, as
+``ir.reflections`` lists them, and each reflection is one kernel.  A factor
+of ``chi`` equal to ``|0>`` or ``|1>`` up to phase (``ir.basis_value``)
+only selects the slice of the buffer where its wire holds that value.  On
+that slice, no factor left means -1, a lone ``|->`` up to phase is X on its
+wire (a swap of two halves), and any other factors are contracted against
+their wires' axes.
 So a circuit in reflection normal form runs at the cost of the classical
 gates it was written from.  Any trailing
 axes of the buffer form a batch axis that every gate acts on alike, so
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ir import KET0, KET1, MINUS, Circuit, Gate, LocalState, OneQubit, Or, RTensor, Toffoli, support
+from .ir import Circuit, Gate, LocalState, OneQubit, basis_value, reflections, support
 
 MAX_QUBITS = 24
 # ``max_unitary_difference`` holds two column blocks, not two matrices
@@ -140,15 +141,9 @@ def _controlled_x(psi: np.ndarray, m: int, fixed, target: int) -> None:
     hi[...] = tmp
 
 
-def _unit(a: complex) -> bool:
-    """``|a|^2 = 1`` up to rounding, so that taking ``a`` for a pure phase
-    moves no amplitude by more than about 1e-14."""
-    return abs(abs(a) ** 2 - 1.0) <= 1e-14
-
-
 def _is_minus(v: np.ndarray) -> bool:
     """``v`` is |-> up to phase and rounding."""
-    return v[1] == -v[0] and _unit(2**0.5 * v[0])
+    return v[1] == -v[0] and abs(abs(2**0.5 * v[0]) ** 2 - 1.0) <= 1e-14
 
 
 def _reflection_kernel(factors, m: int):
@@ -160,13 +155,11 @@ def _reflection_kernel(factors, m: int):
     |-> up to phase is X, and otherwise the factors left are contracted."""
     fixed, rest = [], []
     for q, s in factors:
-        v = s.vec()
-        if v[1] == 0 and _unit(v[0]):
-            fixed.append((q, 0))
-        elif v[0] == 0 and _unit(v[1]):
-            fixed.append((q, 1))
+        value = basis_value(s)
+        if value is None:
+            rest.append((q, s.vec()))
         else:
-            rest.append((q, v))
+            fixed.append((q, value))
 
     if not rest:
 
@@ -210,21 +203,13 @@ def _slab_kernel(g: Gate, m: int):
             lo[...], hi[...] = u[0, 0] * lo + u[0, 1] * hi, u[1, 0] * lo + u[1, 1] * hi
 
         return kernel
-    if isinstance(g, Toffoli):
-        return _reflection_kernel([*((c, KET1) for c in g.controls), (g.target, MINUS)], m)
-    if isinstance(g, Or):
-        # b ^ OR(x) = NOT b, undone where every control is 0
-        flip = _reflection_kernel([(g.target, MINUS)], m)
-        unflip = _reflection_kernel([*((c, KET0) for c in g.controls), (g.target, MINUS)], m)
+    kernels = [_reflection_kernel(factors, m) for factors in reflections(g)]
 
-        def kernel(psi):
-            flip(psi)
-            unflip(psi)
+    def kernel(psi):
+        for reflect in kernels:
+            reflect(psi)
 
-        return kernel
-    if isinstance(g, RTensor):
-        return _reflection_kernel(g.factors, m)
-    raise TypeError(f"unknown gate {type(g)!r}")
+    return kernel
 
 
 def _usable_cpus() -> int:

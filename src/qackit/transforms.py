@@ -23,7 +23,7 @@ from .ir import (
     circuit,
     cz,
     h_gate,
-    is_multi_qubit,
+    reflections,
     rtensor,
     support,
     x_gate,
@@ -85,10 +85,8 @@ def dagger(c: Circuit) -> Circuit:
 def _remap_gate(g: Gate, pos: dict[int, int]) -> Gate:
     if isinstance(g, OneQubit):
         return OneQubit(pos[g.qubit], g.matrix)
-    if isinstance(g, Toffoli):
-        return Toffoli(tuple(pos[q] for q in g.controls), pos[g.target])
-    if isinstance(g, Or):
-        return Or(tuple(pos[q] for q in g.controls), pos[g.target])
+    if isinstance(g, (Toffoli, Or)):
+        return type(g)(tuple(pos[q] for q in g.controls), pos[g.target])
     return RTensor(tuple((pos[q], s) for q, s in g.factors))
 
 
@@ -178,59 +176,40 @@ def to_rtensor_normal_form(c: Circuit) -> Circuit:
     reflections only, preserving the unitary and the topology.
 
     Scanning layers from last to first, pending one-qubit gates are commuted
-    toward the input; each multi-qubit gate ``G`` with local pending layer
-    ``L`` is replaced by the reflection ``L G L^dagger`` about ``L``'s image
-    of the gate's fixed product state.
-    """
-    c = expand_or(c)
+    toward the input.  Of each gate's ``ir.reflections``, one on a single
+    wire is folded into that wire's pending gate ``L``, and any other ``R``
+    becomes ``L R L^dagger``, the reflection about ``L``'s image of its state.
+
+    Some circuits have no valid layering in this form: a wire that gates of
+    one layer share must stay at |0> or |1> in all of them, and a later
+    one-qubit gate on it, such as an H, rotates it away.  ``ir.validate``
+    rejects such a result."""
     pending: list[np.ndarray] = [np.eye(2, dtype=np.complex128) for _ in range(c.num_qubits)]
     reversed_layers: list[Layer] = []
     for lay in reversed(c.layers):
-        multis: list[Gate] = []
+        new_gates: list[RTensor] = []
         for g in lay.gates:
             if isinstance(g, OneQubit):
                 pending[g.qubit] = pending[g.qubit] @ g.matrix
-            elif is_multi_qubit(g):
-                multis.append(g)
-            else:
-                # single-wire Toffoli/RTensor degenerate cases fold into pending
-                mat = _degenerate_matrix(g)
-                q = support(g)[0]
-                pending[q] = pending[q] @ mat
-        if multis:
-            new_gates = tuple(_conjugated_reflection(g, pending) for g in multis)
-            reversed_layers.append(Layer(new_gates))
+                continue
+            for factors in reflections(g):
+                if len(factors) > 1:
+                    images = [(q, pending[q] @ st.vec()) for q, st in factors]
+                    new_gates.append(RTensor(tuple((q, LocalState(*v)) for q, v in images)))
+                    continue
+                ((q, st),) = factors
+                v = st.vec()
+                # dividing by <v|v> makes the reflection about |-> exactly X
+                pending[q] = pending[q] @ (np.eye(2) - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v))
+        if new_gates:
+            reversed_layers.append(Layer(tuple(new_gates)))
     first = tuple(
         OneQubit(q, pending[q])
         for q in range(c.num_qubits)
         if np.max(np.abs(pending[q] - np.eye(2))) > 1e-15
     )
-    layers: list[Layer] = []
-    if first:
-        layers.append(Layer(first))
-    layers.extend(reversed(reversed_layers))
+    layers = ([Layer(first)] if first else []) + reversed_layers[::-1]
     return Circuit(c.num_qubits, tuple(layers), c.targets)
-
-
-def _degenerate_matrix(g: Gate) -> np.ndarray:
-    if isinstance(g, RTensor) and len(g.factors) == 1:
-        v = g.states[0].vec()
-        return np.eye(2, dtype=np.complex128) - 2.0 * np.outer(v, v.conj())
-    raise TypeError(f"unexpected single-wire gate {type(g)!r}")
-
-
-def _conjugated_reflection(g: Gate, pending: list[np.ndarray]) -> RTensor:
-    if isinstance(g, Toffoli):
-        pairs = [(q, KET1) for q in g.controls] + [(g.target, MINUS)]
-    elif isinstance(g, RTensor):
-        pairs = list(g.factors)
-    else:
-        raise TypeError(f"cannot put {type(g)!r} into reflection form")
-    out = []
-    for q, st in pairs:
-        v = pending[q] @ st.vec()
-        out.append((q, LocalState(v[0], v[1])))
-    return RTensor(tuple(out))
 
 
 def conjugate_by_hadamards(c: Circuit, n: int) -> Circuit:

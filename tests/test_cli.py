@@ -503,3 +503,43 @@ def test_samples_csv_matches_csv_writer(shape):
     for t, row in enumerate(samples):
         writer.writerow([t, "".join("1" if b else "0" for b in row), int(row.sum())])
     assert _samples_csv(samples) == buf.getvalue()
+
+
+def test_normal_form_of_a_cat_with_shared_controls_simulates(tmp_path, capsys):
+    cat, nf = tmp_path / "cat9.json", tmp_path / "cat9-nf.json"
+    assert run_cli("build", "cat", "--n", "9", "--m", "3", "--out", str(cat)) == 0
+    assert run_cli("transform", "normal-form", "--circuit", str(cat), "--out", str(nf)) == 0
+    capsys.readouterr()
+    assert run_cli("simulate", "--circuit", str(nf)) == 0
+    out = capsys.readouterr().out
+    assert "  000000000: 0.5\n" in out and "  111111111: 0.5\n" in out
+
+
+def test_transform_refuses_to_write_an_invalid_circuit(tmp_path, capsys):
+    tree, conj, nf = (tmp_path / f for f in ("tree.json", "conj.json", "nf.json"))
+    assert run_cli("build", "fanout-tree", "--n", "9", "--m", "3", "--out", str(tree)) == 0
+    assert run_cli("transform", "hadamard-conjugate", "--circuit", str(tree), "--out", str(conj)) == 0
+    capsys.readouterr()
+    # the H after the fanout stage rotates the control its reflections share
+    assert run_cli("transform", "normal-form", "--circuit", str(conj), "--out", str(nf)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: normal-form gives an invalid circuit:\n")
+    assert "overlapping supports on qubits [0]" in err
+    assert not nf.exists() and not (tmp_path / "nf.json.manifest.json").exists()
+
+
+def test_main_runs_different_subcommands_in_one_process(tmp_path, capsys):
+    from qackit import cli
+
+    tree, nf = tmp_path / "tree.json", tmp_path / "nf.json"
+    assert run_cli("build", "fanout-tree", "--n", "4", "--out", str(tree)) == 0
+    assert run_cli("info", "--circuit", str(tree)) == 0
+    assert run_cli("verify", "--suite", "markov", "--seed", "2") == 0
+    assert run_cli("transform", "normal-form", "--circuit", str(tree), "--out", str(nf)) == 0
+    assert run_cli("info", "--circuit", str(nf)) == 0
+    assert run_cli("simulate", "--circuit", str(nf), "--compare", str(tree)) == 0
+    assert run_cli("info") == 2  # a usage error leaves the parser usable
+    assert run_cli("info", "--circuit", str(tree)) == 0
+    out = capsys.readouterr().out
+    assert out.count("depth=2") == 3 and "markov: pass" in out
+    assert cli._build_parser() is cli._build_parser()

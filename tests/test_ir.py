@@ -20,7 +20,7 @@ from qackit import (
     validate,
     x_gate,
 )
-from qackit.ir import PLUS, support, is_multi_qubit
+from qackit.ir import KET0, KET1, MINUS, PLUS, basis_value, is_multi_qubit, reflections, support
 
 from conftest import random_qac_circuit
 from qackit.rng import substream
@@ -164,9 +164,26 @@ def test_targets_validation():
     assert any("target qubit 7 out of range" in p for p in validate(c2))
 
 
+# RTensor factor states of the crowded layers: the first three are |0> or |1>
+# up to phase, the rest are not (the last is |1> with its norm off by 8e-13)
+BASIS_FACTORS = (KET0, KET1, LocalState(0.0, np.exp(0.3j)))
+OTHER_FACTORS = (PLUS, LocalState(1.0, 1.0), LocalState(0.0, 1.0 + 4e-13))
+
+
+def _held_at_basis(g) -> set[int]:
+    """Wires that ``g`` holds at |0> or |1>: Toffoli/Or controls and the
+    crowded layers' basis factors."""
+    if isinstance(g, (Toffoli, Or)):
+        return set(g.controls)
+    if isinstance(g, RTensor):
+        return {q for q, s in g.factors if s in BASIS_FACTORS}
+    return set()
+
+
 def _pairwise_validate(c):
     """All-pairs reference for ``validate``: per-gate problems of a layer, then
-    one line per gate pair whose shared wires are not all controls of both."""
+    one line per gate pair whose shared wires are not all held at a basis
+    state by both."""
     problems = []
     for k, lay in enumerate(c.layers):
         for j, g in enumerate(lay.gates):
@@ -182,8 +199,7 @@ def _pairwise_validate(c):
         for j1, g1 in enumerate(lay.gates):
             for g2 in lay.gates[j1 + 1:]:
                 shared = set(support(g1)) & set(support(g2))
-                ctl = [set(g.controls) if isinstance(g, (Toffoli, Or)) else set() for g in (g1, g2)]
-                if shared and not shared <= ctl[0] & ctl[1]:
+                if shared and not shared <= _held_at_basis(g1) & _held_at_basis(g2):
                     problems.append(f"layer {k}: overlapping supports on qubits {sorted(shared)}")
     if c.targets is not None:
         if len(set(c.targets)) != len(c.targets):
@@ -193,8 +209,9 @@ def _pairwise_validate(c):
 
 
 def _random_crowded_layer(rng, m: int):
-    """Gates on random, mostly overlapping wires: shared controls, partial
-    overlaps, and wires past ``m`` or negative."""
+    """Gates on random, mostly overlapping wires: shared controls, RTensors
+    with and without basis factors, partial overlaps, and wires past ``m``
+    or negative."""
     gates = []
     for _ in range(int(rng.integers(1, 9))):
         k = int(rng.integers(1, 5))
@@ -207,8 +224,8 @@ def _random_crowded_layer(rng, m: int):
         elif kind == 2:
             gates.append(Or(tuple(wires[:-1]), wires[-1]))
         else:
-            state = PLUS if rng.random() < 0.8 else LocalState(1.0, 1.0)
-            gates.append(RTensor(tuple((q, state) for q in wires)))
+            states = BASIS_FACTORS + OTHER_FACTORS
+            gates.append(RTensor(tuple((q, states[rng.integers(len(states))]) for q in wires)))
     if rng.random() < 0.5:  # a restricted-fanout stage: one control shared by many gates
         c0 = int(rng.integers(m))
         gates += [cnot(c0, t) for t in range(m) if t != c0 and rng.random() < 0.5]
@@ -240,3 +257,75 @@ def test_validate_calls_support_once_per_gate(monkeypatch):
     monkeypatch.setattr(ir, "support", counted)
     assert validate(c) == []
     assert len(calls) == sum(len(lay.gates) for lay in c.layers)
+
+
+def test_validate_lets_rtensors_share_wires_held_at_basis_states():
+    one = LocalState(0.0, np.exp(0.7j))  # e^{i phi}|1>
+    shared_one = [rtensor({0: one, 1: PLUS}), rtensor({0: KET1, 2: PLUS})]
+    shared_zero = [rtensor({0: KET0, 1: PLUS}), cnot(0, 2)]  # held at 1 by the CNOT
+    assert validate(circuit(3, [shared_one])) == []
+    assert validate(circuit(3, [shared_zero])) == []
+    assert validate(circuit(4, [[rtensor({0: KET0, 1: PLUS}), Or((0, 2), 3)]])) == []
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        rtensor({0: PLUS, 2: KET1}),  # |+> on the shared wire
+        Toffoli((2,), 0),  # the shared wire is a Toffoli target
+        Or((2,), 0),  # the shared wire is an Or target
+        h_gate(0),  # a one-qubit gate holds no wire
+    ],
+)
+def test_validate_rejects_a_shared_wire_not_held_at_a_basis_state(other):
+    c = circuit(3, [[rtensor({0: KET1, 1: PLUS}), other]])
+    assert validate(c) == ["layer 0: overlapping supports on qubits [0]"]
+
+
+def test_basis_value_up_to_phase_and_its_near_misses():
+    assert basis_value(KET0) == 0
+    assert basis_value(KET1) == 1
+    assert basis_value(LocalState(np.exp(2.1j), 0.0)) == 0
+    assert basis_value(LocalState(0.0, -1j)) == 1
+    assert basis_value(PLUS) is None and basis_value(MINUS) is None
+    # |-> with a 1e-6 relative phase, and |1> whose norm is off by 8e-13
+    assert basis_value(LocalState(2**-0.5, -np.exp(1e-6j) * 2**-0.5)) is None
+    assert basis_value(LocalState(0.0, 1.0 + 4e-13)) is None
+
+
+def test_reflections_multiply_to_the_gate():
+    from qackit.statevec import unitary
+
+    def dense(m, factors):
+        # I - 2|chi><chi| on m wires, identity off the factor wires
+        by_wire = dict(factors)
+        proj = np.ones((1, 1), dtype=complex)
+        for q in range(m):
+            v = by_wire[q].vec() if q in by_wire else None
+            proj = np.kron(proj, np.outer(v, v.conj()) if v is not None else np.eye(2))
+        return np.eye(1 << m) - 2 * proj
+
+    assert reflections(Toffoli((2, 0), 1)) == (((2, KET1), (0, KET1), (1, MINUS)),)
+    assert reflections(Or((0, 2), 1)) == (((1, MINUS),), ((0, KET0), (2, KET0), (1, MINUS)))
+    r = rtensor({1: PLUS, 0: KET1})
+    assert reflections(r) == (r.factors,)
+    for g in (Toffoli((2, 0), 1), Or((0, 2), 1), Or((1,), 0), r):
+        product = np.eye(8)
+        for factors in reflections(g):
+            product = dense(3, factors) @ product
+        assert np.max(np.abs(product - unitary(circuit(3, [[g]])))) < 1e-12
+    with pytest.raises(TypeError, match="OneQubit is not a product of reflections"):
+        reflections(x_gate(0))
+
+
+def test_toffoli_and_or_stay_apart():
+    t, o = Toffoli((0, 1), 2), Or((0, 1), 2)
+    assert t != o and o != t
+    assert t == Toffoli([0, 1], 2) and hash(t) == hash(Toffoli((0, 1), 2))
+    assert len({t, o, Toffoli((0, 1), 2), Or((0, 1), 2)}) == 2
+    assert repr(o) == "Or(controls=(0, 1), target=2)"
+    for cls in (Toffoli, Or):
+        with pytest.raises(ValueError, match=f"{cls.__name__} needs at least one control"):
+            cls((), 1)
+        with pytest.raises(ValueError, match=f"{cls.__name__} target must not be a control"):
+            cls((1,), 1)

@@ -358,12 +358,44 @@ def test_dagger_inverts():
 
 def test_normal_form_on_control_sharing_fanout_stages():
     # fanout stages put CNOTs sharing a control in one layer; the emitted
-    # reflections share a wire and must keep their within-layer order
+    # reflections hold that wire at |1>, so they commute and their order in
+    # the layer does not matter, and the layer stays valid
     c = fanout_tree(9, 3)
     nf = to_rtensor_normal_form(c)
+    assert validate(nf) == []
     assert topology(nf) == topology(c)
     dev = np.max(np.abs(unitary(nf, max_qubits=9) - unitary(c, max_qubits=9)))
     assert dev < 1e-9
+
+
+def test_normal_form_of_a_toffoli_and_an_or_sharing_a_control():
+    c = circuit(3, [[Toffoli((0,), 1), Or((0,), 2)]])
+    assert validate(c) == []
+    nf = to_rtensor_normal_form(c)
+    assert validate(nf) == []
+    assert topology(nf) == topology(c)
+    assert np.max(np.abs(unitary(nf) - unitary(c))) < 1e-12
+
+
+def test_normal_form_folds_an_or_target_into_an_exact_x():
+    from qackit import build_depth2_nekomata, solve_bias
+    from qackit.ir import X_MATRIX
+    from qackit.statevec import max_unitary_difference
+
+    nf = to_rtensor_normal_form(circuit(3, [[Or((0, 1), 2)]]))
+    (x,) = nf.layers[0].gates
+    assert x.qubit == 2 and np.array_equal(x.matrix, X_MATRIX)
+    # so the dense-check parity circuit and its normal form agree exactly
+    par = parity_from_nekomata(build_depth2_nekomata(2, 3, solve_bias(2, 3)), 2)
+    assert max_unitary_difference(to_rtensor_normal_form(par), par) == 0.0
+
+
+def test_normal_form_can_have_no_valid_layering():
+    # H on every wire after the fanout stage rotates the shared control
+    c = conjugate_by_hadamards(fanout_tree(9, 3), 9)
+    nf = to_rtensor_normal_form(c)
+    assert np.max(np.abs(unitary(nf, max_qubits=9) - unitary(c, max_qubits=9))) < 1e-9
+    assert "layer 1: overlapping supports on qubits [0]" in validate(nf)
 
 
 def test_expand_or_with_shared_control_ors():
