@@ -76,6 +76,7 @@ from .nekomata import (
     core_targets,
     grid_law,
     impurity_bound,
+    parity_error,
     solve_bias,
 )
 from .sampling import (

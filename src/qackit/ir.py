@@ -330,22 +330,27 @@ def validate(c: Circuit) -> list[str]:
     Runs in time linear in the total support size plus the size of the
     overlaps it reports."""
     problems: list[str] = []
+    # each state's norm is checked once, cached by identity: equal factors
+    # loaded from a file share one LocalState
+    normalized: dict[int, bool] = {}
     for k, lay in enumerate(c.layers):
         supports = [support(g) for g in lay.gates]
         holders: dict[int, list[int]] = {}
         for j, (g, sup) in enumerate(zip(lay.gates, supports)):
-            where = f"layer {k}, gate {j}"
             for q in sup:
                 holders.setdefault(q, []).append(j)
                 if not 0 <= q < c.num_qubits:
-                    problems.append(f"{where}: qubit {q} out of range")
+                    problems.append(f"layer {k}, gate {j}: qubit {q} out of range")
             # written as not (err <= ATOL) so that NaN errors fail too
             if isinstance(g, OneQubit) and not _unitarity_error(g.matrix) <= ATOL:
-                problems.append(f"{where}: non-unitary matrix")
+                problems.append(f"layer {k}, gate {j}: non-unitary matrix")
             if isinstance(g, RTensor):
                 for q, s in g.factors:
-                    if not s.norm_error() <= ATOL:
-                        problems.append(f"{where}: non-normalized local state on qubit {q}")
+                    ok = normalized.get(id(s))
+                    if ok is None:
+                        ok = normalized[id(s)] = s.norm_error() <= ATOL
+                    if not ok:
+                        problems.append(f"layer {k}, gate {j}: non-normalized local state on qubit {q}")
         for j1, j2 in _overlaps(lay.gates, holders):
             # every shared wire is listed, shared basis wires included
             shared = set(supports[j1]) & set(supports[j2])

@@ -63,6 +63,14 @@ def solve_bias(n: int, columns: int) -> float:
     return 0.5 * (lo + hi) if lo < 0.5 * (lo + hi) < hi else lo
 
 
+def _inside_rows(n: int, b) -> list:
+    """``F(s)`` for s = 0..n, the probability that a grid column's ones lie
+    inside a given set of s rows, for the bias ``b`` as a ``decimal.Decimal``
+    and in the caller's ``decimal`` context."""
+    bn = b**n
+    return [(1 - 2 * bn) ** 2 + 4 * bn * (b ** (n - s) - bn) for s in range(n + 1)]
+
+
 def grid_law(n: int, columns: int, bias: float) -> tuple[float, float, float]:
     """Exact target law of the depth-2 grid: ``(p, q, fidelity)``.
 
@@ -73,19 +81,44 @@ def grid_law(n: int, columns: int, bias: float) -> tuple[float, float, float]:
     ``F(s) = (1 - 2 b^n)^2 + 4 b^n (b^(n-s) - b^n)``, so ``p = F(0)^M`` and
     inclusion-exclusion gives ``q = sum_s (-1)^(n-s) C(n, s) F(s)^M``.  The
     alternating sum cancels badly, so it runs in ``decimal`` at 120 digits."""
-    import decimal
+    import decimal  # imported here: the CLI loads this module for every command
 
     if n < 1 or columns < 1:
         raise ValueError("need n >= 1 and columns >= 1")
     with decimal.localcontext() as ctx:
         ctx.prec = 120
-        b = decimal.Decimal(bias)
-        bn = b**n
-        F = [(1 - 2 * bn) ** 2 + 4 * bn * (b ** (n - s) - bn) for s in range(n + 1)]
+        F = _inside_rows(n, decimal.Decimal(bias))
         p = F[0] ** columns
         q = sum((-1) ** (n - s) * math.comb(n, s) * F[s] ** columns for s in range(n + 1))
         fidelity = (p.sqrt() + q.sqrt()) ** 2 / 2
     return float(p), float(q), float(fidelity)
+
+
+def parity_error(n: int, columns: int, bias: float) -> tuple[float, float]:
+    """Exact error of ``parity_from_nekomata`` on the depth-2 grid with
+    clean ancillae: ``(basis_worst, worst)``, the largest ``||(U - P) psi||^2``
+    over basis inputs and over all inputs.
+
+    For input x of weight w the circuit acts on the parity wire through
+    ``alpha_w = E_T[(-1)^(x.T)] = sum_u C(w, u) 2^u (-1)^(w-u) F(n-u)^M``,
+    T the grid's target string and F as in ``grid_law``.  ``P^dagger U``
+    splits into one 2x2 block per x, with eigenvalue 1 on the parity wire's
+    |+> and ``(-1)^w (2 alpha_w^2 - 1)`` on its |->, so
+    ``worst = 4 max(max_{w even} (1 - alpha_w^2), max_{w odd} alpha_w^2)``,
+    and a basis input, half |+> and half |->, sees half of it.  The sum
+    cancels badly, so it runs in ``decimal`` at 120 digits."""
+    import decimal  # imported here: the CLI loads this module for every command
+
+    if n < 1 or columns < 1:
+        raise ValueError("need n >= 1 and columns >= 1")
+    with decimal.localcontext() as ctx:
+        ctx.prec = 120
+        F = _inside_rows(n, decimal.Decimal(bias))
+        worst = decimal.Decimal(0)
+        for w in range(n + 1):
+            alpha = sum((-1) ** (w - u) * math.comb(w, u) * 2**u * F[n - u] ** columns for u in range(w + 1))
+            worst = max(worst, 4 * (alpha**2 if w % 2 else 1 - alpha**2))
+    return float(worst / 2), float(worst)
 
 
 def core_targets(n: int, d: int) -> int:

@@ -256,9 +256,15 @@ def _first_layer_groups(lay: Layer) -> dict[GateLaw | float, np.ndarray]:
     (gates, k) wires its gates' draws are written to, in layer order, as
     int32 (the cap check keeps every wire below 2^28)."""
     groups: dict[GateLaw | float, list[int]] = {}
+    # gate_law runs once per distinct tuple of states, keyed by identity as
+    # in ir.validate: a grid loaded from a file shares one LocalState
+    laws: dict[tuple[int, ...], tuple[tuple[int, ...], GateLaw]] = {}
     for g in lay.gates:
         if isinstance(g, RTensor):
-            kept, law = gate_law(g)
+            key = tuple(map(id, g.states))
+            if key not in laws:
+                laws[key] = gate_law(g)
+            kept, law = laws[key]
             if kept:
                 groups.setdefault(law, []).extend(g.factors[j][0] for j in kept)
         elif isinstance(g, OneQubit):

@@ -5,11 +5,18 @@ Circuit files are JSON objects with fields ``num_qubits``, ``targets``
 objects carry ``kind`` in {"u1", "toffoli", "or", "rtensor"} plus
 kind-specific fields; complex numbers are [re, im] pairs.  Floats are printed
 as Python's shortest round-trip repr, so round-trips are bit-exact.
+
+``deserialize`` gives rtensor factors with equal ``amp0``/``amp1`` pairs one
+shared ``LocalState`` (a grid repeats one state on every column factor), so
+``validate`` and the samplers, which cache by state identity, read each
+distinct state once.  Fields are checked by exact type, and error locations
+are formatted only when a check fails.
 """
 from __future__ import annotations
 
 import json
 import operator
+from math import copysign
 from typing import Any
 
 import numpy as np
@@ -58,72 +65,90 @@ def serialize(c: Circuit) -> str:
     )
 
 
-def _want(obj: dict, key: str, where: str) -> Any:
-    if not isinstance(obj, dict) or key not in obj:
-        raise CircuitFormatError(f"{where}: missing field {key!r}")
+def _where(at: str | tuple) -> str:
+    """Error-location text.  A tuple alternates names and numbers, so
+    ``("layer", 0, "gate", 2)`` reads 'layer 0, gate 2'; it is formatted
+    only when a check fails."""
+    if type(at) is str:
+        return at
+    return ", ".join(f"{at[m]} {at[m + 1]}" for m in range(0, len(at), 2))
+
+
+# json.loads returns only dict, list, str, int, float, bool and None, so the
+# checks below test exact types: ``type(v) is int`` rejects bool as
+# ``isinstance`` with a bool exclusion would.
+_REAL = (int, float)
+
+
+def _want(obj: Any, key: str, at: str | tuple) -> Any:
+    if type(obj) is not dict or key not in obj:
+        raise CircuitFormatError(f"{_where(at)}: missing field {key!r}")
     return obj[key]
 
 
-def _as_complex(val: Any, where: str) -> complex:
-    if (
-        not isinstance(val, (list, tuple))
-        or len(val) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in val)
-    ):
-        raise CircuitFormatError(f"{where}: expected [re, im] pair")
+def _as_complex(val: Any, at: str | tuple) -> complex:
+    if type(val) is not list or len(val) != 2 or type(val[0]) not in _REAL or type(val[1]) not in _REAL:
+        raise CircuitFormatError(f"{_where(at)}: expected [re, im] pair")
     try:
         return complex(val[0], val[1])
     except OverflowError as exc:  # json reads integers of any size
-        raise CircuitFormatError(f"{where}: {exc}") from exc
+        raise CircuitFormatError(f"{_where(at)}: {exc}") from exc
 
 
-def _wire(val: Any, field: str, where: str) -> int:
+def _wire(val: Any, field: str, at: str | tuple) -> int:
     """``val`` as a wire id; floats and booleans are rejected, not coerced."""
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise CircuitFormatError(f"{where}: {field}: expected an integer wire id, got {val!r}")
+    if type(val) is not int:
+        raise CircuitFormatError(f"{_where(at)}: {field}: expected an integer wire id, got {val!r}")
     return val
 
 
-def _parse_gate(obj: Any, where: str) -> Gate:
-    if not isinstance(obj, dict):
-        raise CircuitFormatError(f"{where}: gate must be an object")
-    kind = _want(obj, "kind", where)
+def _factor(f: Any, at: tuple, states: dict[tuple, LocalState]) -> tuple[int, LocalState]:
+    """One rtensor factor as ``(qubit, state)``.  Equal ``amp0``/``amp1``
+    pairs get the one ``LocalState`` kept in ``states``, looked up only after
+    the type checks.  The key holds the sign of each part, so -0.0 never
+    shares with 0.0, and a NaN part equals no key, so it is never shared."""
+    q = _wire(_want(f, "qubit", at), "qubit", at)
+    a0 = _as_complex(_want(f, "amp0", at), at)
+    a1 = _as_complex(_want(f, "amp1", at), at)
+    key = (a0, a1, copysign(1.0, a0.real), copysign(1.0, a0.imag), copysign(1.0, a1.real), copysign(1.0, a1.imag))
+    s = states.get(key)
+    if s is None:
+        s = states[key] = LocalState(a0, a1)
+    return q, s
+
+
+def _parse_gate(obj: Any, at: tuple, states: dict[tuple, LocalState]) -> Gate:
+    if type(obj) is not dict:
+        raise CircuitFormatError(f"{_where(at)}: gate must be an object")
+    kind = _want(obj, "kind", at)
     if kind == "u1":
-        mat = _want(obj, "matrix", where)
-        if not isinstance(mat, list) or len(mat) != 4:
-            raise CircuitFormatError(f"{where}: u1 matrix must have 4 entries")
-        entries = [_as_complex(e, where) for e in mat]
-        qubit = _wire(_want(obj, "qubit", where), "qubit", where)
+        mat = _want(obj, "matrix", at)
+        if type(mat) is not list or len(mat) != 4:
+            raise CircuitFormatError(f"{_where(at)}: u1 matrix must have 4 entries")
+        entries = [_as_complex(e, at) for e in mat]
+        qubit = _wire(_want(obj, "qubit", at), "qubit", at)
         return OneQubit(qubit, np.array(entries).reshape(2, 2))
     if kind in ("toffoli", "or"):
-        controls = _want(obj, "controls", where)
-        if not isinstance(controls, list):
-            raise CircuitFormatError(f"{where}: controls must be an array")
+        controls = _want(obj, "controls", at)
+        if type(controls) is not list:
+            raise CircuitFormatError(f"{_where(at)}: controls must be an array")
         cls = Toffoli if kind == "toffoli" else Or
-        wires = tuple(_wire(q, "controls", where) for q in controls)
-        target = _wire(_want(obj, "target", where), "target", where)
+        wires = tuple(_wire(q, "controls", at) for q in controls)
+        target = _wire(_want(obj, "target", at), "target", at)
         try:
             return cls(wires, target)
         except ValueError as exc:
-            raise CircuitFormatError(f"{where}: {exc}") from exc
+            raise CircuitFormatError(f"{_where(at)}: {exc}") from exc
     if kind == "rtensor":
-        factors = _want(obj, "factors", where)
-        if not isinstance(factors, list):
-            raise CircuitFormatError(f"{where}: factors must be an array")
-        pairs = []
-        for i, f in enumerate(factors):
-            fw = f"{where}, factor {i}"
-            pairs.append(
-                (
-                    _wire(_want(f, "qubit", fw), "qubit", fw),
-                    LocalState(_as_complex(_want(f, "amp0", fw), fw), _as_complex(_want(f, "amp1", fw), fw)),
-                )
-            )
+        factors = _want(obj, "factors", at)
+        if type(factors) is not list:
+            raise CircuitFormatError(f"{_where(at)}: factors must be an array")
+        pairs = tuple(_factor(f, at + ("factor", i), states) for i, f in enumerate(factors))
         try:
-            return RTensor(tuple(pairs))
+            return RTensor(pairs)
         except ValueError as exc:
-            raise CircuitFormatError(f"{where}: {exc}") from exc
-    raise CircuitFormatError(f"{where}: unknown gate kind {kind!r}")
+            raise CircuitFormatError(f"{_where(at)}: {exc}") from exc
+    raise CircuitFormatError(f"{_where(at)}: unknown gate kind {kind!r}")
 
 
 def _load_object(text: str) -> dict:
@@ -143,7 +168,7 @@ def _load_object(text: str) -> dict:
 def _num_qubits(doc: dict, cap: int | None = None) -> int:
     """``doc["num_qubits"]`` as an int in [1, cap]; booleans are rejected."""
     n = _want(doc, "num_qubits", "top level")
-    if isinstance(n, bool) or not isinstance(n, int) or n <= 0:
+    if type(n) is not int or n <= 0:
         raise CircuitFormatError(f"top level: num_qubits must be a positive integer, got {n!r}")
     if cap is not None and n > cap:
         raise CircuitFormatError(f"top level: num_qubits must be at most {cap}, got {n}")
@@ -155,17 +180,18 @@ def deserialize(text: str) -> Circuit:
     num_qubits = _num_qubits(doc)
     targets = _want(doc, "targets", "top level")
     if targets is not None:
-        if not isinstance(targets, list):
+        if type(targets) is not list:
             raise CircuitFormatError("top level: targets must be an array or null")
         targets = tuple(_wire(q, "targets", "top level") for q in targets)
     layers_doc = _want(doc, "layers", "top level")
-    if not isinstance(layers_doc, list):
+    if type(layers_doc) is not list:
         raise CircuitFormatError("top level: layers must be an array")
     layers = []
+    states: dict[tuple, LocalState] = {}
     for k, lay in enumerate(layers_doc):
-        if not isinstance(lay, list):
+        if type(lay) is not list:
             raise CircuitFormatError(f"layer {k}: expected an array of gates")
-        layers.append(Layer(tuple(_parse_gate(g, f"layer {k}, gate {j}") for j, g in enumerate(lay))))
+        layers.append(Layer(tuple(_parse_gate(g, ("layer", k, "gate", j), states) for j, g in enumerate(lay))))
     return Circuit(num_qubits, tuple(layers), targets)
 
 
@@ -180,7 +206,7 @@ def state_from_json(text: str) -> tuple[int, np.ndarray]:
     doc = _load_object(text)
     num_qubits = _num_qubits(doc, MAX_QUBITS)
     pairs = _want(doc, "amplitudes", "top level")
-    if not isinstance(pairs, list) or len(pairs) != 1 << num_qubits:
+    if type(pairs) is not list or len(pairs) != 1 << num_qubits:
         raise CircuitFormatError("top level: amplitudes must have 2**num_qubits entries")
-    amps = np.array([_as_complex(p, f"amplitude {i}") for i, p in enumerate(pairs)])
+    amps = np.array([_as_complex(p, ("amplitude", i)) for i, p in enumerate(pairs)])
     return num_qubits, amps

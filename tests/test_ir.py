@@ -96,6 +96,18 @@ def test_validate_unnormalized_local_state():
     assert any("non-normalized local state" in p for p in validate(c))
 
 
+def test_validate_names_every_factor_of_a_shared_unnormalized_state():
+    # the norm is checked once per state object, and every factor holding it is reported
+    bad = LocalState(1.0, 1.0)
+    c = circuit(4, [[RTensor(((0, bad), (1, KET1))), RTensor(((2, bad), (3, bad)))], [RTensor(((1, bad),))]])
+    assert validate(c) == [
+        "layer 0, gate 0: non-normalized local state on qubit 0",
+        "layer 0, gate 1: non-normalized local state on qubit 2",
+        "layer 0, gate 1: non-normalized local state on qubit 3",
+        "layer 1, gate 0: non-normalized local state on qubit 1",
+    ]
+
+
 def test_validate_non_unitary_matrix():
     c = circuit(1, [[OneQubit(0, np.array([[1, 1], [0, 1]]))]])
     assert any("non-unitary" in p for p in validate(c))

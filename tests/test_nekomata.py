@@ -23,10 +23,13 @@ from qackit import (
     h_gate,
     impurity_bound,
     measurement_distribution,
+    parity_error,
+    parity_from_nekomata,
     rtensor,
     run,
     size,
     solve_bias,
+    unitary,
     validate,
     x_gate,
     zero_state,
@@ -280,3 +283,32 @@ def test_grid_law_rejects_empty_grids():
     for n, columns in ((0, 3), (2, 0)):
         with pytest.raises(ValueError, match="n >= 1"):
             grid_law(n, columns, 0.5)
+
+
+@pytest.mark.parametrize("n, columns", [(2, 1), (2, 2), (2, 3), (3, 1)])
+def test_parity_error_matches_the_oracle(n, columns):
+    # A = P^dagger U on the clean columns |x, 0, b>: the rows are the ideal
+    # images |x, 0, b ^ parity(x)>, wire 0 the most significant bit
+    bias = solve_bias(n, columns)
+    grid = build_depthd_nekomata(n, 2, 0.25, columns=columns, bias=bias)
+    a = grid.num_qubits
+    x = np.repeat(np.arange(1 << n), 2)
+    b = np.tile([0, 1], 1 << n)
+    odd = np.array([bin(v).count("1") & 1 for v in x])
+    clean = (x << (a + 1)) | b
+    A = unitary(parity_from_nekomata(grid, n))[np.ix_(clean ^ odd, clean)]
+    worst = 2.0 - 2.0 * np.linalg.eigvalsh((A + A.conj().T) / 2)[0]
+    basis_worst = np.max(2.0 - 2.0 * A.diagonal().real)
+    assert parity_error(n, columns, bias) == pytest.approx((basis_worst, worst), abs=1e-12)
+
+
+def test_parity_error_is_twice_the_basis_error_at_n2_m3():
+    basis_worst, worst = parity_error(2, 3, solve_bias(2, 3))
+    assert basis_worst == pytest.approx(1.0479342252424368, abs=1e-13)
+    assert worst == 2 * basis_worst
+
+
+def test_parity_error_rejects_empty_grids():
+    for n, columns in ((0, 3), (2, 0)):
+        with pytest.raises(ValueError, match="n >= 1"):
+            parity_error(n, columns, 0.5)

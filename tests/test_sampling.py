@@ -670,6 +670,35 @@ def test_grid_column_gates_share_one_gate_law():
     assert sum(rows for _, rows in seen) == columns * trials
 
 
+def test_loaded_grid_reads_each_distinct_state_once(monkeypatch):
+    # the file repeats one pair on all 12,000 column factors, and the loader
+    # shares it, so validate and the first-layer grouping each read it once
+    from qackit import deserialize, serialize, sampling, validate
+
+    n, columns = 6, 2000
+    c = deserialize(serialize(build_depth2_nekomata(n, columns, solve_bias(n, columns))))
+    assert c.num_qubits == 12_006
+    states = {id(s) for g in c.layers[0].gates for s in g.states}
+    tuples = {tuple(map(id, g.states)) for g in c.layers[0].gates}
+    assert len(states) == len(tuples) == 1
+    calls = {"norm_error": 0, "gate_law": 0}
+    norm_error, law = LocalState.norm_error, sampling.gate_law
+
+    def counted_norm_error(self):
+        calls["norm_error"] += 1
+        return norm_error(self)
+
+    def counted_gate_law(g):
+        calls["gate_law"] += 1
+        return law(g)
+
+    monkeypatch.setattr(LocalState, "norm_error", counted_norm_error)
+    monkeypatch.setattr(sampling, "gate_law", counted_gate_law)
+    assert validate(c) == []
+    sample_mostly_classical_batch(c, 64, substream(78), direct_sample_batch)
+    assert calls == {"norm_error": len(states), "gate_law": len(tuples)}
+
+
 @pytest.mark.parametrize("bad", [0.0, 1.0 + 1e-12, float("nan")])
 def test_gate_law_rejects_probabilities_outside_the_half_open_unit_interval(bad):
     with pytest.raises(ValueError, match=r"\(0, 1\]"):

@@ -355,3 +355,71 @@ def test_boolean_rtensor_amplitude_is_rejected():
 def test_boolean_state_amplitude_is_rejected():
     with pytest.raises(CircuitFormatError, match=r"^amplitude 1: expected \[re, im\] pair"):
         state_from_json('{"num_qubits": 1, "amplitudes": [[1.0, 0.0], [0, false]]}')
+
+
+# ---------------------------------------------------------------------------
+# equal factor pairs share one LocalState; the field checks stay as they were
+
+
+def _rtensor_doc(*gates) -> str:
+    import json
+
+    layer = [
+        {"kind": "rtensor", "factors": [{"qubit": q, "amp0": a0, "amp1": a1} for q, a0, a1 in factors]}
+        for factors in gates
+    ]
+    return json.dumps({"num_qubits": 6, "targets": None, "layers": [layer]})
+
+
+def test_equal_factor_pairs_share_one_local_state():
+    h = [2**-0.5, 0.0]
+    c = deserialize(_rtensor_doc([(0, h, h), (1, [1, 0], [0, 0])], [(2, h, h), (3, [1.0, 0.0], [0.0, 0.0])],
+                                 [(4, h, [-(2**-0.5), 0.0])]))
+    (s0, s1), (s2, s3), (s4,) = (g.states for g in c.layers[0].gates)
+    assert s0 is s2  # the same pair in two gates
+    assert s1 is s3  # [1, 0] and [1.0, 0.0] read as the same complex numbers
+    assert s0 is not s1 and s4 is not s0 and s4 != s0
+
+
+def test_signed_zero_factors_round_trip_byte_for_byte():
+    zeros = [complex(-0.0, 0.0), complex(0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    one = LocalState(0.0, 1.0)
+    c = circuit(8, [[rtensor({2 * i: LocalState(z, 1.0), 2 * i + 1: one}) for i, z in enumerate(zeros)]])
+    text = serialize(c)
+    assert "[-0.0, 0.0]" in text and "[0.0, -0.0]" in text
+    back = deserialize(text)
+    assert serialize(back) == text
+    amp0s = [g.states[0].amp0 for g in back.layers[0].gates]
+    assert [(math.copysign(1, z.real), math.copysign(1, z.imag)) for z in amp0s] == [
+        (-1, 1), (1, 1), (1, -1), (-1, -1)
+    ]
+    assert len({id(g.states[1]) for g in back.layers[0].gates}) == 1
+
+
+def test_boolean_amplitude_is_rejected_after_an_equal_number_pair():
+    text = _rtensor_doc([(0, [1, 0], [0, 0])], [(1, [True, 0], [0, 0])])
+    with pytest.raises(CircuitFormatError, match=r"^layer 0, gate 1, factor 0: expected \[re, im\] pair$"):
+        deserialize(text)
+
+
+def test_oversized_integer_factor_amplitude_is_a_format_error():
+    big = "1" + "0" * 400
+    text = '{"num_qubits": 2, "targets": null, "layers": [[{"kind": "rtensor", "factors": [' \
+        '{"qubit": 0, "amp0": [1, 0], "amp1": [0, 0]}, {"qubit": 1, "amp0": [0, %s], "amp1": [0, 0]}]}]]}' % big
+    with pytest.raises(CircuitFormatError, match=r"^layer 0, gate 0, factor 1: int too large"):
+        deserialize(text)
+
+
+@pytest.mark.parametrize("field", ["qubit", "amp0", "amp1"])
+def test_missing_factor_field_names_layer_gate_and_factor(field):
+    import json
+
+    factors = [{"qubit": q, "amp0": [1.0, 0.0], "amp1": [0.0, 0.0]} for q in range(4)]
+    good = {"kind": "rtensor", "factors": factors[:3]}
+    del factors[3][field]
+    cnot_obj = {"kind": "toffoli", "controls": [0], "target": 1}
+    bad = {"kind": "rtensor", "factors": factors}
+    doc = {"num_qubits": 4, "targets": None, "layers": [[good], [cnot_obj, cnot_obj, bad]]}
+    with pytest.raises(CircuitFormatError) as info:
+        deserialize(json.dumps(doc))
+    assert str(info.value) == f"layer 1, gate 2, factor 3: missing field {field!r}"
