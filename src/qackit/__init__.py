@@ -1,10 +1,11 @@
 """qackit: a gate-level toolkit for low-depth QAC circuits.
 
 Circuit IR and structural metrics, compiler-style rewrites (reflection
-normal form, OR expansion, Hadamard conjugation), fanout trees and
-parity/cat/nekomata constructions, an exact dense state-vector oracle,
-classical samplers for mostly-classical circuits, and numerical checks of
-the quantitative facts behind the constructions.
+normal form, lowering to one-qubit gates and Toffolis, Hadamard
+conjugation), fanout trees and parity/cat/nekomata constructions, an exact
+dense state-vector oracle, classical samplers for mostly-classical
+circuits, and numerical checks of the quantitative facts behind the
+constructions.
 """
 from .ir import (
     Circuit,
@@ -43,9 +44,7 @@ from .statevec import (
     best_nekomata_fidelity,
     fidelity,
     max_unitary_difference,
-    measure_in_basis,
     measurement_distribution,
-    phase_dependent_fidelity,
     product_state,
     run,
     unitary,
@@ -55,14 +54,13 @@ from .transforms import (
     cat_from_restricted_fanout,
     conjugate_by_hadamards,
     dagger,
-    expand_or,
     fanout_tree,
     fanout_unitary,
+    lower,
     or_cz_collapse_check,
     parity_from_nekomata,
     parity_unitary,
     permute_qubits,
-    synthesize_rtensor,
     to_rtensor_normal_form,
 )
 from .nekomata import (

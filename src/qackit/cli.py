@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: ``build {nekomata|fanout-tree|parity-from-nekomata|cat}``,
-``transform {normal-form|expand-or|hadamard-conjugate}``, ``simulate``,
+``transform {normal-form|lower|hadamard-conjugate}``, ``simulate``,
 ``sample``, ``verify``, ``info``.  Exit codes: 0 success, 1 validation or
 runtime error, 2 usage error.  Every run that writes files also writes a
 ``<out>.manifest.json`` recording the command line, seed, version, input and
@@ -139,8 +139,8 @@ def _cmd_transform(args, manifest: Manifest) -> int:
     circ = _load_circuit(manifest, args.circuit)
     if args.what == "normal-form":
         out = transforms.to_rtensor_normal_form(circ)
-    elif args.what == "expand-or":
-        out = transforms.expand_or(circ)
+    elif args.what == "lower":
+        out = transforms.lower(circ)
     else:
         out = transforms.conjugate_by_hadamards(circ, args.n if args.n is not None else circ.num_qubits)
     problems = validate(out)
@@ -461,7 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_tr = sub.add_parser("transform", help="rewrite circuits")
     st = p_tr.add_subparsers(dest="what", required=True)
-    for name in ("normal-form", "expand-or", "hadamard-conjugate"):
+    for name in ("normal-form", "lower", "hadamard-conjugate"):
         t = st.add_parser(name)
         t.add_argument("--circuit", required=True)
         t.add_argument("--out", required=True)

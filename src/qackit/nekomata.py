@@ -106,7 +106,14 @@ def parity_error(n: int, columns: int, bias: float) -> tuple[float, float]:
     |+> and ``(-1)^w (2 alpha_w^2 - 1)`` on its |->, so
     ``worst = 4 max(max_{w even} (1 - alpha_w^2), max_{w odd} alpha_w^2)``,
     and a basis input, half |+> and half |->, sees half of it.  The sum
-    cancels badly, so it runs in ``decimal`` at 120 digits."""
+    cancels badly, so it runs in ``decimal`` at 120 digits.
+
+    It is also the exact error of the depth-d builder's parity circuit:
+    ``parity_error(core_targets(n, d), M, bias)`` is that of
+    ``parity_from_nekomata(build_depthd_nekomata(n, d, eps, columns=M,
+    bias=bias), n)``.  The fanout stages copy each core target over its
+    block, so ``x.T`` is ``x'.T_core`` with x' the block parities of x, and
+    ``|x|`` and ``|x'|`` have the same parity."""
     import decimal  # imported here: the CLI loads this module for every command
 
     if n < 1 or columns < 1:

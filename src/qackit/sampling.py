@@ -250,6 +250,14 @@ def run_classical(c: Circuit, x: str) -> str:
     return "".join("1" if b else "0" for b in out[:, 0])
 
 
+def _require_mostly_classical(c: Circuit) -> None:
+    """Raise unless every gate after the first layer is classical: the part
+    of ``classify`` that sampling needs, without the per-factor read of the
+    first layer that only its ``nice`` field makes."""
+    if not all(is_classical_gate(g) for lay in c.layers[1:] for g in lay.gates):
+        raise ValueError("circuit is not mostly classical")
+
+
 def _first_layer_groups(lay: Layer) -> dict[GateLaw | float, np.ndarray]:
     """The first-layer gates that can output a 1, grouped by law: each
     reflection's ``GateLaw``, or a one-qubit gate's one-rate, maps to the
@@ -323,8 +331,7 @@ def sample_mostly_classical_batch(
         raise ValueError(
             f"{trials} trials on {c.num_qubits} wires need {need} bytes, over the {MAX_SAMPLE_BYTES}-byte cap"
         )
-    if not classify(c).mostly_classical:
-        raise ValueError("circuit is not mostly classical")
+    _require_mostly_classical(c)
     targets = list(c.targets) if c.targets is not None else list(range(c.num_qubits))
     groups = _first_layer_groups(c.layers[0]) if c.layers else {}
     per_wire = max(1, _CHUNK_BYTES // max(c.num_qubits, 1))
@@ -431,8 +438,7 @@ def classical_read_bound(c: Circuit) -> int:
     bound is never below the true read.  The masks hold at most
     ``num_qubits * targets`` bits, which is checked against
     ``8 * MAX_SAMPLE_BYTES`` first."""
-    if not classify(c).mostly_classical:
-        raise ValueError("circuit is not mostly classical")
+    _require_mostly_classical(c)
     targets = c.targets if c.targets is not None else range(c.num_qubits)
     bits = c.num_qubits * len(targets)
     if bits > 8 * MAX_SAMPLE_BYTES:

@@ -347,13 +347,6 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
-def phase_dependent_fidelity(a: StateVector, b: StateVector) -> float:
-    """1 - ||a - b||^2.  Never exceeds fidelity, and is phase sensitive."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("dimension mismatch")
-    return float(1.0 - np.linalg.norm(a.amplitudes - b.amplitudes) ** 2)
-
-
 @dataclass(frozen=True)
 class MeasurementDistribution:
     qubits: tuple[int, ...]
@@ -384,35 +377,6 @@ def measurement_distribution(state: StateVector, qubits) -> MeasurementDistribut
     nonzero = np.flatnonzero(probs > 0.0)
     table = {format(i, f"0{k}b"): p for i, p in zip(nonzero.tolist(), probs[nonzero].tolist())}
     return MeasurementDistribution(qubits, table)
-
-
-def measure_in_basis(
-    state: StateVector, qubit: int, basis_state_: LocalState
-) -> list[tuple[float, StateVector | None]]:
-    """Project onto ``basis_state_`` and its canonical orthogonal complement.
-
-    Returns the two branches as (probability, collapsed state); a branch of
-    probability ~0 carries ``None`` instead of a state.
-    """
-    m = state.num_qubits
-    if not 0 <= qubit < m:
-        raise ValueError(f"qubit {qubit} out of range")
-    branches: list[tuple[float, StateVector | None]] = []
-    lo, hi = _halves(state.amplitudes.reshape((2,) * m), m, qubit)
-    for vec in (basis_state_, basis_state_.complement()):
-        v = vec.vec()
-        coeff = v[0].conjugate() * lo + v[1].conjugate() * hi
-        p = float(np.linalg.norm(coeff) ** 2)
-        if p < 1e-15:
-            branches.append((0.0, None))
-            continue
-        out = np.zeros((2,) * m, dtype=np.complex128)
-        out_lo, out_hi = _halves(out, m, qubit)
-        scale = 1.0 / np.sqrt(p)
-        out_lo[...] = v[0] * coeff * scale
-        out_hi[...] = v[1] * coeff * scale
-        branches.append((p, StateVector._adopt(m, out)))
-    return branches
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ count toward depth or the (support, layer) topology entries.
 """
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from .ir import (
@@ -20,12 +22,13 @@ from .ir import (
     Or,
     RTensor,
     Toffoli,
+    X_MATRIX,
+    basis_value,
     circuit,
     cz,
     h_gate,
     reflections,
     rtensor,
-    support,
     x_gate,
 )
 from . import statevec
@@ -103,32 +106,6 @@ def permute_qubits(c: Circuit, perm: dict[int, int], num_qubits: int | None = No
     return Circuit(n, layers, targets)
 
 
-def expand_or(c: Circuit) -> Circuit:
-    """Replace every OR gate by X-conjugated controls around a Toffoli plus an
-    X on the target.  The X layers are one-qubit-only, so topology and depth
-    are unchanged."""
-    out_layers: list[Layer] = []
-    for lay in c.layers:
-        ors = [g for g in lay.gates if isinstance(g, Or)]
-        if not ors:
-            out_layers.append(lay)
-            continue
-        pre = sorted({q for g in ors for q in g.controls})
-        post = sorted(set(pre) | {g.target for g in ors})
-        touched = set(pre) | {g.target for g in ors}
-        for g in lay.gates:
-            if not isinstance(g, Or) and touched & set(support(g)):
-                raise ValueError("expand_or: OR gate shares wires with a non-OR gate in its layer")
-        out_layers.append(Layer(tuple(x_gate(q) for q in pre)))
-        out_layers.append(
-            Layer(
-                tuple(Toffoli(g.controls, g.target) if isinstance(g, Or) else g for g in lay.gates)
-            )
-        )
-        out_layers.append(Layer(tuple(x_gate(q) for q in post)))
-    return Circuit(c.num_qubits, tuple(out_layers), c.targets)
-
-
 def _canonical_map_to(target: LocalState, source: LocalState) -> np.ndarray:
     """One-qubit unitary sending ``source`` to ``target``, phase-normalized so
     the first nonzero entry of the first column is real nonnegative."""
@@ -143,32 +120,75 @@ def _canonical_map_to(target: LocalState, source: LocalState) -> np.ndarray:
     return u
 
 
-def synthesize_rtensor(factors) -> tuple[list[OneQubit], Gate]:
-    """Write a reflection about a product state as ``L . T . L^dagger``.
+def _reflection_matrix(st: LocalState) -> np.ndarray:
+    """``I - 2|v><v|/<v|v>``; dividing by <v|v> makes the reflection about
+    |-> exactly X."""
+    v = st.vec()
+    return np.eye(2) - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v)
 
-    ``L`` maps ``|1..1,->`` to the product of the factors, and ``T`` is the
-    Toffoli targeting the last factor wire.  As a circuit the operator reads
-    right to left: apply ``L^dagger``, then ``T``, then ``L``.  A single
-    factor degenerates to the zero-control case: ``T`` is a plain X, the
-    reflection about ``|->``.
-    """
-    if isinstance(factors, RTensor):
-        pairs = factors.factors
-    elif isinstance(factors, dict):
-        pairs = tuple(sorted(factors.items()))
-    else:
-        pairs = tuple(factors)
-    if not pairs:
-        raise ValueError("need at least one factor")
-    lay: list[OneQubit] = []
-    for q, st in pairs[:-1]:
-        lay.append(OneQubit(q, _canonical_map_to(st, KET1)))
-    q_last, st_last = pairs[-1]
-    lay.append(OneQubit(q_last, _canonical_map_to(st_last, MINUS)))
-    if len(pairs) == 1:
-        return lay, x_gate(q_last)
-    middle = Toffoli(tuple(q for q, _ in pairs[:-1]), q_last)
-    return lay, middle
+
+def _is_identity(m: np.ndarray) -> bool:
+    return bool(np.max(np.abs(m - np.eye(2))) <= 1e-15)
+
+
+def lower(c: Circuit) -> Circuit:
+    """Rewrite a valid circuit into the paper's gate set, one-qubit gates and
+    Toffolis, preserving the unitary.
+
+    Each gate is read as its ``ir.reflections``.  A one-wire reflection
+    becomes a one-qubit gate in a layer after its layer.  Every other
+    reflection ``R`` becomes ``L T L^dagger``: ``T`` is a Toffoli whose
+    target is ``R``'s last wire not at |0> or |1>, or, when it has none, the
+    wire of ``R`` that the fewest reflections of the layer hold; ``L`` maps
+    |-> to the target factor and |1> to each control factor, and is I or X
+    on a control at |1> or |0>.  Reflections that hold a shared wire at
+    different basis values need different ``L`` there, so first-fit places
+    them in extra multi-qubit layers; every other layer keeps its size and
+    multi-qubit depth."""
+    out: list[Layer] = []
+    for lay in c.layers:
+        after: dict[int, np.ndarray] = {}
+        multi = []
+        for g in lay.gates:
+            if isinstance(g, OneQubit):
+                after[g.qubit] = g.matrix
+                continue
+            for factors in reflections(g):
+                if len(factors) > 1:
+                    multi.append(factors)
+                    continue
+                ((q, st),) = factors
+                after[q] = _reflection_matrix(st) @ after.get(q, np.eye(2))
+        holders = Counter(q for factors in multi for q, _ in factors)
+        # per sub-layer: each wire's basis value, None where one reflection
+        # holds it alone; the Toffolis; and the nontrivial L of each wire
+        subs: list[tuple[dict[int, int | None], list[Toffoli], dict[int, np.ndarray]]] = []
+        for factors in multi:
+            values = {q: basis_value(st) for q, st in factors}
+            moved = [q for q, v in values.items() if v is None]
+            target = moved[-1] if moved else min(values, key=holders.__getitem__)
+            values[target] = None
+            for held, toffolis, maps in subs:
+                if all(q not in held or (v is not None and held[q] == v) for q, v in values.items()):
+                    break
+            else:
+                held, toffolis, maps = {}, [], {}
+                subs.append((held, toffolis, maps))
+            held.update(values)
+            toffolis.append(Toffoli(tuple(q for q, _ in factors if q != target), target))
+            for q, st in factors:
+                if values[q] is not None:
+                    m = X_MATRIX if values[q] == 0 else np.eye(2)
+                else:
+                    m = _canonical_map_to(st, MINUS if q == target else KET1)
+                if not _is_identity(m):
+                    maps[q] = m
+        for _, toffolis, maps in subs:
+            out.append(Layer(tuple(OneQubit(q, m.conj().T) for q, m in maps.items())))
+            out.append(Layer(tuple(toffolis)))
+            out.append(Layer(tuple(OneQubit(q, m) for q, m in maps.items())))
+        out.append(Layer(tuple(OneQubit(q, m) for q, m in after.items())))
+    return Circuit(c.num_qubits, tuple(lay for lay in out if lay.gates), c.targets)
 
 
 def to_rtensor_normal_form(c: Circuit) -> Circuit:
@@ -198,15 +218,13 @@ def to_rtensor_normal_form(c: Circuit) -> Circuit:
                     new_gates.append(RTensor(tuple((q, LocalState(*v)) for q, v in images)))
                     continue
                 ((q, st),) = factors
-                v = st.vec()
-                # dividing by <v|v> makes the reflection about |-> exactly X
-                pending[q] = pending[q] @ (np.eye(2) - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v))
+                pending[q] = pending[q] @ _reflection_matrix(st)
         if new_gates:
             reversed_layers.append(Layer(tuple(new_gates)))
     first = tuple(
         OneQubit(q, pending[q])
         for q in range(c.num_qubits)
-        if np.max(np.abs(pending[q] - np.eye(2))) > 1e-15
+        if not _is_identity(pending[q])
     )
     layers = ([Layer(first)] if first else []) + reversed_layers[::-1]
     return Circuit(c.num_qubits, tuple(layers), c.targets)

@@ -25,7 +25,6 @@ from qackit import (
     cnot,
     depth,
     exact_rtensor_distribution,
-    expand_or,
     factorized_sample_batch,
     fanout_tree,
     gate_law,

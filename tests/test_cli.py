@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -119,6 +120,22 @@ def test_sample_summary_tails_come_from_rows(tmp_path, sampler):
         assert tail["bound"] == pytest.approx(np.exp(-2.0 * eps * eps * n / doc["read_r"]))
         assert tail["upper_tail"] == np.mean(weights >= mean + eps * n)
         assert tail["lower_tail"] == np.mean(weights <= mean - eps * n)
+
+
+def test_sample_summary_runs_no_classify(tmp_path, monkeypatch):
+    # classify reads every first-layer factor for its ``nice`` field, which
+    # sampling does not use: the sample path checks only mostly-classical
+    from qackit import nekomata, sampling
+
+    calls = []
+    monkeypatch.setattr(sampling, "classify", lambda c: calls.append(c) or nekomata.classify(c))
+    nek = tmp_path / "nek.json"
+    run_cli("build", "nekomata", "--n", "2", "--columns", "3", "--out", str(nek))
+    code = run_cli(
+        "sample", "--circuit", str(nek), "--trials", "100", "--seed", "7",
+        "--out", str(tmp_path / "s.csv"), "--summary", str(tmp_path / "summary.json"),
+    )
+    assert code == 0 and calls == []
 
 
 def test_simulate_basis_input_and_state_export(tmp_path, capsys):
@@ -419,18 +436,55 @@ def test_build_nekomata_rejects_depth_below_two(depth, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_transform_expand_or_cli(tmp_path):
-    from qackit import Or
+def test_transform_lower_cli(tmp_path):
+    from qackit import Or, Toffoli, validate
+    from qackit.statevec import max_unitary_difference
 
-    src = tmp_path / "or.json"
-    c = circuit(3, [[Or((0, 1), 2)]])
+    # a Toffoli and an Or holding their shared control at |1> and at |0>
+    src = tmp_path / "mixed.json"
+    c = circuit(3, [[Toffoli((0,), 1), Or((0,), 2)]])
     src.write_text(serialize(c))
-    dst = tmp_path / "expanded.json"
-    assert run_cli("transform", "expand-or", "--circuit", str(src), "--out", str(dst)) == 0
-    from qackit.statevec import unitary
+    dst = tmp_path / "lowered.json"
+    assert run_cli("transform", "lower", "--circuit", str(src), "--out", str(dst)) == 0
+    lowered = deserialize(dst.read_text())
+    assert validate(lowered) == []
+    assert max_unitary_difference(c, lowered) < 1e-12
 
-    expanded = deserialize(dst.read_text())
-    assert np.max(np.abs(unitary(expanded) - unitary(c))) < 1e-12
+
+def test_transform_retired_subcommand_is_a_usage_error(tmp_path, capsys):
+    src = tmp_path / "c.json"
+    src.write_text(serialize(circuit(2, [[cnot(0, 1)]])))
+    assert run_cli("transform", "expand-or", "--circuit", str(src), "--out", str(tmp_path / "o.json")) == 2
+    assert "invalid choice: 'expand-or'" in capsys.readouterr().err
+
+
+def _subcommands(parser) -> dict:
+    """Subcommand name -> parser; empty when ``parser`` has none."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def test_docs_name_exactly_the_registered_subcommands():
+    import pathlib
+    import re
+
+    from qackit import cli
+
+    registered = {name: set(_subcommands(p)) for name, p in _subcommands(cli._build_parser()).items()}
+    # the module docstring's "Subcommands:" sentence: ``name`` or ``name {a|b}``
+    sentence = cli.__doc__.split("Subcommands:")[1].split(".")[0]
+    documented = {
+        name: set(subs.split("|")) if subs else set()
+        for name, subs in re.findall(r"``([\w-]+)(?: \{([^}]*)\})?``", sentence)
+    }
+    assert documented == registered
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    for command in ("build", "transform"):
+        listed = readme.split(f"`{command}` subcommands:")[1].split(".")[0]
+        names = {w for w in re.findall(r"`([^`]+)`", listed) if not w.startswith("-")}
+        assert names == registered[command], command
 
 
 def test_build_fanout_tree_shared_controls(tmp_path, capsys):

@@ -16,7 +16,6 @@ from qackit import (
     parity_from_nekomata,
     parity_unitary,
     permute_qubits,
-    phase_dependent_fidelity,
     run,
     size,
     solve_bias,

@@ -15,6 +15,7 @@ from qackit import (
     build_depth2_nekomata,
     build_depthd_nekomata,
     choose_columns,
+    core_targets,
     circuit,
     classify,
     cnot,
@@ -285,21 +286,35 @@ def test_grid_law_rejects_empty_grids():
             grid_law(n, columns, 0.5)
 
 
-@pytest.mark.parametrize("n, columns", [(2, 1), (2, 2), (2, 3), (3, 1)])
-def test_parity_error_matches_the_oracle(n, columns):
+def oracle_parity_error(constructor, n: int) -> tuple[float, float]:
+    """``(basis_worst, worst)`` of ``parity_from_nekomata(constructor, n)``
+    from the clean-ancilla block of its dense unitary."""
     # A = P^dagger U on the clean columns |x, 0, b>: the rows are the ideal
     # images |x, 0, b ^ parity(x)>, wire 0 the most significant bit
-    bias = solve_bias(n, columns)
-    grid = build_depthd_nekomata(n, 2, 0.25, columns=columns, bias=bias)
-    a = grid.num_qubits
+    a = constructor.num_qubits
     x = np.repeat(np.arange(1 << n), 2)
     b = np.tile([0, 1], 1 << n)
     odd = np.array([bin(v).count("1") & 1 for v in x])
     clean = (x << (a + 1)) | b
-    A = unitary(parity_from_nekomata(grid, n))[np.ix_(clean ^ odd, clean)]
+    A = unitary(parity_from_nekomata(constructor, n))[np.ix_(clean ^ odd, clean)]
     worst = 2.0 - 2.0 * np.linalg.eigvalsh((A + A.conj().T) / 2)[0]
-    basis_worst = np.max(2.0 - 2.0 * A.diagonal().real)
-    assert parity_error(n, columns, bias) == pytest.approx((basis_worst, worst), abs=1e-12)
+    return np.max(2.0 - 2.0 * A.diagonal().real), worst
+
+
+@pytest.mark.parametrize("n, columns", [(2, 1), (2, 2), (2, 3), (3, 1)])
+def test_parity_error_matches_the_oracle(n, columns):
+    bias = solve_bias(n, columns)
+    grid = build_depthd_nekomata(n, 2, 0.25, columns=columns, bias=bias)
+    assert parity_error(n, columns, bias) == pytest.approx(oracle_parity_error(grid, n), abs=1e-12)
+
+
+@pytest.mark.parametrize("n, d, columns", [(3, 3, 1), (3, 3, 2), (4, 3, 1)])
+def test_depthd_parity_error_is_its_cores(n, d, columns):
+    # 9 to 11 wires; (3, 3) has uneven fanout blocks
+    core = core_targets(n, d)
+    bias = solve_bias(core, columns)
+    builder = build_depthd_nekomata(n, d, 0.25, columns=columns, bias=bias)
+    assert parity_error(core, columns, bias) == pytest.approx(oracle_parity_error(builder, n), abs=1e-12)
 
 
 def test_parity_error_is_twice_the_basis_error_at_n2_m3():

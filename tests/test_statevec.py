@@ -31,10 +31,8 @@ from qackit import (
     fanout_tree,
     fidelity,
     h_gate,
-    measure_in_basis,
     measurement_distribution,
     parity_from_nekomata,
-    phase_dependent_fidelity,
     product_state,
     rtensor,
     run,
@@ -91,24 +89,6 @@ def test_fidelity_examples():
     assert fidelity(cat(2), cat(2)) == pytest.approx(1.0)
     assert fidelity(basis_state(2, "00"), basis_state(2, "11")) == 0.0
     assert fidelity(basis_state(2, "00"), cat(2)) == pytest.approx(0.5)
-
-
-def test_phase_dependent_fidelity_examples():
-    psi = StateVector(2, haar_state(4, substream(1)))
-    assert phase_dependent_fidelity(psi, psi) == pytest.approx(1.0)
-    neg = StateVector(2, -psi.amplitudes)
-    assert phase_dependent_fidelity(psi, neg) == pytest.approx(-3.0)
-    assert fidelity(psi, neg) == pytest.approx(1.0)
-    plus = product_state([PLUS])
-    assert phase_dependent_fidelity(basis_state(1, "0"), plus) == pytest.approx(2**0.5 - 1)
-
-
-def test_phase_dependent_never_exceeds_fidelity():
-    rng = substream(2)
-    for _ in range(200):
-        a = StateVector(3, haar_state(8, rng))
-        b = StateVector(3, haar_state(8, rng))
-        assert phase_dependent_fidelity(a, b) <= fidelity(a, b) + 1e-12
 
 
 def test_measurement_distribution_cat3():
@@ -168,39 +148,6 @@ def test_measurement_distribution_matches_reference_loop():
         assert list(got.items()) == list(ref.items())
         assert len(got) == (~banned).sum()
         assert all(type(p) is float for p in got.values())
-
-
-def test_measure_in_basis_examples():
-    branches = measure_in_basis(basis_state(1, "0"), 0, KET0)
-    assert branches[0][0] == pytest.approx(1.0)
-    assert branches[1][0] == 0.0 and branches[1][1] is None
-    branches = measure_in_basis(product_state([PLUS]), 0, KET0)
-    assert branches[0][0] == pytest.approx(0.5)
-    assert branches[1][0] == pytest.approx(0.5)
-
-
-def test_measurement_commutes_with_trailing_reflection():
-    # measuring one wire of R_{delta x chi} psi in the delta basis matches
-    # measuring psi first, then applying R_chi on the delta branch
-    rng = substream(3)
-    for _ in range(25):
-        m = int(rng.integers(3, 5))
-        wire = int(rng.integers(0, m))
-        delta = haar_local(rng)
-        others = [q for q in range(m) if q != wire]
-        chi = {q: haar_local(rng) for q in rng.choice(others, size=int(rng.integers(1, m - 1)), replace=False)}
-        psi = StateVector(m, haar_state(1 << m, rng))
-        after = apply_gate(psi, rtensor({wire: delta, **chi}))
-        got = measure_in_basis(after, wire, delta)
-        base = measure_in_basis(psi, wire, delta)
-        expect = [
-            (base[0][0], apply_gate(base[0][1], rtensor(chi)) if base[0][1] else None),
-            base[1],
-        ]
-        for (pa, sa), (pb, sb) in zip(got, expect):
-            assert pa == pytest.approx(pb, abs=1e-10)
-            if sa is not None:
-                assert np.max(np.abs(sa.amplitudes - sb.amplitudes)) < 1e-10
 
 
 def test_best_nekomata_fidelity_examples():

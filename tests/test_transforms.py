@@ -12,17 +12,20 @@ from qackit import (
     RTensor,
     Toffoli,
     basis_state,
+    build_depth2_nekomata,
+    build_depthd_nekomata,
     cat_from_restricted_fanout,
     circuit,
     cnot,
     conjugate_by_hadamards,
+    cz,
     dagger,
     depth,
-    expand_or,
     fanout_tree,
     fanout_unitary,
     fidelity,
     h_gate,
+    lower,
     or_cz_collapse_check,
     parity_from_nekomata,
     parity_unitary,
@@ -30,14 +33,14 @@ from qackit import (
     run,
     run_classical,
     size,
-    synthesize_rtensor,
+    solve_bias,
     to_rtensor_normal_form,
     topology,
     validate,
     x_gate,
     zero_state,
 )
-from qackit.statevec import unitary
+from qackit.statevec import max_unitary_difference, unitary
 
 from conftest import haar_local, random_qac_circuit
 from qackit.rng import substream
@@ -49,36 +52,40 @@ def parity_circuit(n: int):
 
 
 # ---------------------------------------------------------------------------
-# expand_or
+# lower
 
 
-def test_expand_or_action_on_basis_states():
+def assert_lowered(c, lowered, atol=1e-12):
+    """``lowered`` holds only one-qubit gates and Toffolis, passes
+    ``validate`` and has ``c``'s unitary."""
+    assert all(isinstance(g, (OneQubit, Toffoli)) for g in lowered.gates())
+    assert validate(lowered) == []
+    assert max_unitary_difference(c, lowered) <= atol
+
+
+def test_lower_or_action_on_basis_states():
     c = circuit(4, [[Or((0, 1, 2), 3)]])
-    expanded = expand_or(c)
-    assert all(not isinstance(g, Or) for g in expanded.gates())
+    lowered = lower(c)
+    assert all(not isinstance(g, Or) for g in lowered.gates())
     for bits, expect in [("0000", "0000"), ("0100", "0101"), ("1110", "1111")]:
-        out = run(expanded, basis_state(4, bits))
+        out = run(lowered, basis_state(4, bits))
         assert np.argmax(np.abs(out.amplitudes)) == int(expect, 2)
 
 
-def test_expand_or_unitary_and_topology():
+def test_lower_or_unitary_and_topology():
     c = circuit(4, [[Or((0, 1, 2), 3)]])
-    expanded = expand_or(c)
-    assert np.max(np.abs(unitary(expanded) - unitary(c))) < 1e-12
-    assert topology(expanded) == topology(c)
+    lowered = lower(c)
+    assert_lowered(c, lowered)
+    assert topology(lowered) == topology(c)
 
 
-def test_expand_or_random_layers():
+def test_lower_random_layers():
     rng = substream(21)
     for _ in range(20):
         c = random_qac_circuit(rng, max_qubits=6, max_depth=3)
-        expanded = expand_or(c)
-        assert topology(expanded) == topology(c)
-        assert np.max(np.abs(unitary(expanded) - unitary(c))) < 1e-10
-
-
-# ---------------------------------------------------------------------------
-# synthesize_rtensor
+        lowered = lower(c)
+        assert topology(lowered) == topology(c)
+        assert_lowered(c, lowered, atol=1e-10)
 
 
 def reflection_matrix(factors: dict) -> np.ndarray:
@@ -89,30 +96,26 @@ def reflection_matrix(factors: dict) -> np.ndarray:
     return np.eye(dim) - 2.0 * np.outer(vec, vec.conj())
 
 
-def conjugation_matrix(lay, middle, n: int) -> np.ndarray:
-    # operator L . T . L^dagger: the circuit applies L^dagger, then T, then L
-    c = circuit(n, [[OneQubit(g.qubit, g.matrix.conj().T) for g in lay], [middle], lay])
-    return unitary(c)
+def lowered_reflection_matrix(factors: dict) -> np.ndarray:
+    lowered = lower(circuit(len(factors), [[rtensor(factors)]]))
+    assert all(isinstance(g, (OneQubit, Toffoli)) for g in lowered.gates())
+    return unitary(lowered)
 
 
 def test_synthesize_identity_layer_for_toffoli_state():
-    lay, middle = synthesize_rtensor({0: KET1, 1: KET1, 2: MINUS})
-    assert isinstance(middle, Toffoli)
-    for g in lay:
-        assert np.max(np.abs(g.matrix - np.eye(2))) < 1e-12
+    lowered = lower(circuit(3, [[rtensor({0: KET1, 1: KET1, 2: MINUS})]]))
+    assert [lay.gates for lay in lowered.layers] == [(Toffoli((0, 1), 2),)]
 
 
 def test_synthesize_single_factor_reflection():
-    lay, middle = synthesize_rtensor({0: PLUS})
-    got = conjugation_matrix(lay, middle, 1)
-    assert np.max(np.abs(got - reflection_matrix({0: PLUS}))) < 1e-10
+    lowered = lower(circuit(1, [[rtensor({0: PLUS})]]))
+    assert [type(g) for g in lowered.gates()] == [OneQubit]
+    assert np.max(np.abs(unitary(lowered) - reflection_matrix({0: PLUS}))) < 1e-10
 
 
 def test_synthesize_two_factor():
     factors = {0: KET1, 1: PLUS}
-    lay, middle = synthesize_rtensor(factors)
-    got = conjugation_matrix(lay, middle, 2)
-    assert np.max(np.abs(got - reflection_matrix(factors))) < 1e-10
+    assert np.max(np.abs(lowered_reflection_matrix(factors) - reflection_matrix(factors))) < 1e-10
 
 
 def test_synthesize_random_factors():
@@ -120,9 +123,32 @@ def test_synthesize_random_factors():
     for _ in range(25):
         k = int(rng.integers(1, 5))
         factors = {q: haar_local(rng) for q in range(k)}
-        lay, middle = synthesize_rtensor(factors)
-        got = conjugation_matrix(lay, middle, k)
-        assert np.max(np.abs(got - reflection_matrix(factors))) < 1e-10
+        assert np.max(np.abs(lowered_reflection_matrix(factors) - reflection_matrix(factors))) < 1e-10
+
+
+def _lowering_cases():
+    grid = build_depth2_nekomata(2, 3, solve_bias(2, 3))
+    # on 9 wires: the 11-wire parity circuit of ``grid`` takes seconds to compare
+    par = parity_from_nekomata(build_depth2_nekomata(2, 2, solve_bias(2, 2)), 2)
+    cat = cat_from_restricted_fanout(fanout_tree(8, 2), 8)
+    return {
+        "grid": grid,
+        "depth-3 builder": build_depthd_nekomata(4, 3, 0.25, columns=2),
+        "fanout tree": fanout_tree(9, 3),
+        "cat": cat,
+        "parity": par,
+        "parity normal form": to_rtensor_normal_form(par),
+        "cat normal form": to_rtensor_normal_form(cat),
+        "fanout tree normal form": to_rtensor_normal_form(fanout_tree(9, 3)),
+    }
+
+
+def test_lower_keeps_size_and_depth_of_builders_and_normal_forms():
+    # no builder or normal form shares a wire at two basis values in a layer
+    for name, c in _lowering_cases().items():
+        lowered = lower(c)
+        assert_lowered(c, lowered)
+        assert (size(lowered), depth(lowered)) == (size(c), depth(c)), name
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +185,7 @@ def test_rewrites_preserve_unitary_at_ten_qubits():
         c = random_qac_circuit(rng, max_qubits=10, max_depth=3)
     base = unitary(c, max_qubits=10)
     assert np.max(np.abs(unitary(to_rtensor_normal_form(c), max_qubits=10) - base)) < 1e-9
-    assert np.max(np.abs(unitary(expand_or(c), max_qubits=10) - base)) < 1e-9
+    assert np.max(np.abs(unitary(lower(c), max_qubits=10) - base)) < 1e-9
 
 
 def test_normal_form_shape_and_topology_random():
@@ -398,15 +424,43 @@ def test_normal_form_can_have_no_valid_layering():
     assert "layer 1: overlapping supports on qubits [0]" in validate(nf)
 
 
-def test_expand_or_with_shared_control_ors():
+def test_lower_or_with_shared_control_ors():
     c = circuit(5, [[Or((0, 1), 2), Or((0, 3), 4)]])
     assert validate(c) == []
-    e = expand_or(c)
-    assert np.max(np.abs(unitary(e) - unitary(c))) < 1e-12
-    assert topology(e) == topology(c)
+    lowered = lower(c)
+    assert_lowered(c, lowered)
+    assert topology(lowered) == topology(c)
 
 
-def test_expand_or_rejects_or_sharing_with_non_or():
-    c = circuit(4, [[Or((0, 1), 2), Toffoli((0,), 3)]])
-    with pytest.raises(ValueError, match="shares wires"):
-        expand_or(c)
+@pytest.mark.parametrize(
+    "gates",
+    [
+        [Or((0, 1), 2), Toffoli((0,), 3)],
+        [Toffoli((0,), 1), Or((0,), 2)],
+        [Toffoli((0, 3), 1), Or((0, 4), 2)],
+    ],
+    ids=["or-toffoli", "toffoli-or", "toffoli-or-wider"],
+)
+def test_lower_splits_a_layer_sharing_a_wire_at_two_values(gates):
+    # wire 0 is a control at |1> in the Toffoli and at |0> in the Or: one
+    # conjugation cannot map |1> to both, so the layer takes two
+    c = circuit(5, [gates])
+    assert validate(c) == []
+    lowered = lower(c)
+    assert_lowered(c, lowered)
+    assert (size(lowered), depth(lowered)) == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "gates, lowered_depth",
+    [([cz(0, 1), cz(0, 2), cz(0, 3)], 1), ([cz(0, 1), cz(1, 2), cz(0, 2)], 2)],
+    ids=["star", "triangle"],
+)
+def test_lower_targets_the_least_shared_wire_of_a_basis_reflection(gates, lowered_depth):
+    # a Toffoli target must be free in its layer: the star's gates each have
+    # one, and in the triangle every wire is shared, so one gate moves
+    c = circuit(4, [gates])
+    assert validate(c) == []
+    lowered = lower(c)
+    assert_lowered(c, lowered)
+    assert (size(lowered), depth(lowered)) == (3, lowered_depth)
