@@ -10,10 +10,12 @@ as Python's shortest round-trip repr, so round-trips are bit-exact.
 shared ``LocalState`` (a grid repeats one state on every column factor), so
 ``validate`` and the samplers, which cache by state identity, read each
 distinct state once.  Fields are checked by exact type, and error locations
-are formatted only when a check fails.
+are formatted only when a check fails.  The cyclic garbage collector is
+paused while ``deserialize`` runs.
 """
 from __future__ import annotations
 
+import gc
 import json
 import operator
 from math import copysign
@@ -176,7 +178,18 @@ def _num_qubits(doc: dict, cap: int | None = None) -> int:
 
 
 def deserialize(text: str) -> Circuit:
-    doc = _load_object(text)
+    # else the cyclic collector walks the containers json.loads has built,
+    # again each time the load allocates enough new ones
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _circuit(_load_object(text))
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _circuit(doc: dict) -> Circuit:
     num_qubits = _num_qubits(doc)
     targets = _want(doc, "targets", "top level")
     if targets is not None:

@@ -19,19 +19,26 @@ axes of the buffer form a batch axis that every gate acts on alike, so
 written into the one result matrix, and ``max_unitary_difference`` runs two
 circuits on the same block and keeps only the largest entry of the
 difference, so it stores neither matrix; each gate's kernel is built once
-for all the blocks.  Public functions
-never modify their arguments: ``run`` and ``apply_gate`` copy the input
-amplitudes once, apply gates in place, and hand that buffer to the result
-read-only, without a second copy.  The practical cap is 24 qubits
-(2^24 complex doubles), checked before any allocation.
+for all the blocks.  A one-qubit gate with a zero diagonal, such as X, is a
+swap of the two slices and a phase on each.
+
+Public functions never modify their arguments.  ``apply_gate``, and ``run``
+on an input that is not a basis state up to phase, copy the input amplitudes
+once, apply gates in place, and hand that buffer to the result read-only,
+without a second copy.  ``run`` on a basis state widens its buffer wire by
+wire instead: the buffer starts with no wire axes, a wire joins it at its
+basis value just before the first gate that touches it, and the wires no
+gate touches join at the end.  So the grid's first layer and a fanout
+tree's early gates run on a fraction of the state.  The practical cap is 24
+qubits (2^24 complex doubles), checked before any allocation.
 
 Up to two threads: when the process may run on two or more CPUs, a gate on
-a buffer of at least ``_SPLIT_AMPS`` amplitudes that leaves some wire free
-is applied to the two halves of the buffer along the first such wire at
-once, one half on the caller's thread and the other on one helper thread,
-started by the first such gate and kept for the life of the process.  The
-halves are disjoint views, and the same kernel runs on each.  numpy
-releases the interpreter lock inside these kernels, but BLAS runs one
+a buffer of at least ``_SPLIT_AMPS`` amplitudes that leaves some axis of the
+buffer free is applied to the two halves of the buffer along the first such
+axis at once, one half on the caller's thread and the other on one helper
+thread, started by the first such gate and kept for the life of the
+process.  The halves are disjoint views, and the same kernel runs on each.
+numpy releases the interpreter lock inside these kernels, but BLAS runs one
 caller at a time, so the reflection's overlap ``<chi|psi>`` is computed by
 ``np.einsum``'s own loop (``optimize=False``), never by ``tensordot``.
 ``taskset -c 0`` keeps the oracle on one thread.
@@ -190,20 +197,34 @@ def _reflection_kernel(factors, m: int):
     return kernel
 
 
-def _slab_kernel(g: Gate, m: int):
-    """``g``'s in-place action on a slab: a view of the buffer with one axis
-    per wire, in wire order, then the batch axes.  A wire outside ``g`` may
-    have length 1 in the slab.  The kernel calls no public function, so it
-    may run on the helper thread."""
+def _slab_kernel(g: Gate, wires):
+    """``g``'s in-place action on a slab: a view of a buffer with one axis
+    per wire of ``wires``, in that order, then the batch axes.  An axis
+    outside ``g`` may have length 1 in the slab.  The kernel calls no public
+    function, so it may run on the helper thread."""
+    m, axis = len(wires), wires.index
     if isinstance(g, OneQubit):
-        u = g.matrix
+        q, u = axis(g.qubit), g.matrix
+        if u[0, 0] == 0 and u[1, 1] == 0:
+            # |0> takes u01 times the old |1> slice, and |1> takes u10 times the old |0>
+            phases = [((q, v), z) for v, z in ((0, u[0, 1]), (1, u[1, 0])) if z != 1]
+
+            def kernel(psi):
+                _controlled_x(psi, m, (), q)
+                for fixed, z in phases:
+                    part = _select(psi, m, (fixed,))
+                    part *= z
+
+            return kernel
 
         def kernel(psi):
-            lo, hi = _halves(psi, m, g.qubit)
+            lo, hi = _halves(psi, m, q)
             lo[...], hi[...] = u[0, 0] * lo + u[0, 1] * hi, u[1, 0] * lo + u[1, 1] * hi
 
         return kernel
-    kernels = [_reflection_kernel(factors, m) for factors in reflections(g)]
+    kernels = [
+        _reflection_kernel([(axis(q), s) for q, s in factors], m) for factors in reflections(g)
+    ]
 
     def kernel(psi):
         for reflect in kernels:
@@ -243,14 +264,16 @@ def _forget_helper() -> None:
 os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _gate_step(g: Gate, m: int):
-    """``g``'s slab kernel and the first wire ``g`` leaves free (None if it
-    covers all ``m``), after checking its support."""
-    wires = support(g)
-    for q in wires:
+def _gate_step(g: Gate, m: int, wires=None):
+    """``g``'s slab kernel on a buffer with one axis per wire of ``wires``
+    (all ``m`` wires by default), and the first of those axes that ``g``
+    leaves free (None if none), after checking its support."""
+    touched = support(g)
+    for q in touched:
         if not 0 <= q < m:
-            raise ValueError(f"gate support {wires} out of range for {m} qubits")
-    return _slab_kernel(g, m), next((q for q in range(m) if q not in wires), None)
+            raise ValueError(f"gate support {touched} out of range for {m} qubits")
+    wires = range(m) if wires is None else wires
+    return _slab_kernel(g, wires), next((a for a, q in enumerate(wires) if q not in touched), None)
 
 
 def _steps(c: Circuit):
@@ -263,7 +286,7 @@ def _apply_in_place(buf: np.ndarray, m: int, step) -> None:
     """Apply a gate step to every column of ``buf``, whose first axis holds
     2**m amplitudes.
 
-    A large buffer is cut in two at the first wire the gate leaves free, and
+    A large buffer is cut in two at the first axis the gate leaves free, and
     the helper thread works on one half while the caller works on the other."""
     kernel, free = step
     psi = buf.reshape((2,) * m + buf.shape[1:])
@@ -291,9 +314,41 @@ def apply_gate(state: StateVector, g: Gate) -> StateVector:
     return StateVector._adopt(state.num_qubits, amps)
 
 
+def _widen(buf: np.ndarray, held: list, wires, bits: list) -> np.ndarray:
+    """``buf``, a buffer over the sorted wires ``held``, as a buffer over the
+    sorted wires ``wires``, which include them; each wire new to it holds its
+    value in ``bits``."""
+    if len(wires) == len(held):
+        return buf
+    k = len(wires)
+    out = np.zeros(1 << k, dtype=np.complex128)
+    fixed = [(a, bits[q]) for a, q in enumerate(wires) if q not in held]
+    _select(out.reshape((2,) * k), k, fixed)[...] = buf.reshape((2,) * len(held))
+    return out
+
+
+def _run_from_basis(c: Circuit, amps: np.ndarray) -> np.ndarray:
+    """``c`` applied to ``amps``, a basis state up to phase, on a buffer that
+    holds only the wires some gate has touched so far."""
+    m = c.num_qubits
+    index = int(np.flatnonzero(amps)[0])
+    bits = [(index >> (m - 1 - q)) & 1 for q in range(m)]
+    buf, held = amps[index : index + 1].copy(), []
+    for lay in c.layers:
+        for g in lay.gates:
+            wires = sorted({*held, *support(g)})
+            step = _gate_step(g, m, wires)
+            buf, held = _widen(buf, held, wires, bits), wires
+            _apply_in_place(buf, len(held), step)
+    return _widen(buf, held, range(m), bits)
+
+
 def run(c: Circuit, state: StateVector) -> StateVector:
     if c.num_qubits != state.num_qubits:
         raise ValueError("circuit and state qubit counts differ")
+    # counted first, so that a dense input allocates no index array
+    if np.count_nonzero(state.amplitudes) == 1:
+        return StateVector._adopt(c.num_qubits, _run_from_basis(c, state.amplitudes))
     amps = state.amplitudes.copy()
     _run_in_place(amps, c.num_qubits, _steps(c))
     return StateVector._adopt(c.num_qubits, amps)

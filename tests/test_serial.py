@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import cmath
+import gc
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from qackit import (
     serialize,
 )
 from qackit.ir import Circuit, Layer, OneQubit, Or, RTensor, Toffoli, validate
+from qackit import serial
 from qackit.serial import state_from_json, state_to_json
 
 from conftest import haar_local, haar_unitary, random_qac_circuit
@@ -423,3 +425,24 @@ def test_missing_factor_field_names_layer_gate_and_factor(field):
     with pytest.raises(CircuitFormatError) as info:
         deserialize(json.dumps(doc))
     assert str(info.value) == f"layer 1, gate 2, factor 3: missing field {field!r}"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_deserialize_pauses_the_collector_and_restores_its_state(monkeypatch, enabled):
+    seen = []
+    build = serial._circuit
+    monkeypatch.setattr(serial, "_circuit", lambda doc: seen.append(gc.isenabled()) or build(doc))
+    c = circuit(3, [[h_gate(0)], [cnot(0, 1), rtensor({2: LocalState(0.6, 0.8j)})]])
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert deserialize(serialize(c)) == c
+        assert gc.isenabled() is enabled
+        with pytest.raises(CircuitFormatError):
+            deserialize('{"num_qubits": 3, "targets": null, "layers": [[{"kind": "swap"}]]}')
+        assert gc.isenabled() is enabled
+        with pytest.raises(CircuitFormatError):
+            deserialize("{")
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == [False, False]

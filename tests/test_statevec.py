@@ -366,6 +366,13 @@ def full_cover_circuits():
     # not |-> up to phase, and not |1> up to rounding (its norm is off by 8e-13)
     near_minus = LocalState(2**-0.5, -np.exp(1e-6j) * 2**-0.5)
     near_one = LocalState(0.0, 1.0 + 4e-13)
+    # a zero diagonal: a swap of the two slices, then a phase on each that is not 1
+    x, y = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]])
+    anti = np.array([[0, np.exp(0.4j)], [np.exp(-2.1j), 0]])
+    half = np.array([[0, 1], [-1j, 0]])
+    for m in (2, 3):
+        last = m - 1
+        yield circuit(m, [[OneQubit(0, x)], [OneQubit(last, y)], [OneQubit(0, anti), OneQubit(1, half)]])
     for m in (3, 4):
         last = m - 1
         # no factor left: -1 on the slice, on every wire a 0-d slice
@@ -409,6 +416,63 @@ def check_kernels_against_kron_reference(monkeypatch):
         amps = haar_state(1 << c.num_qubits, rng)
         out = run(c, StateVector(c.num_qubits, amps))
         assert np.max(np.abs(out.amplitudes - ref @ amps)) < 1e-12
+
+
+def test_run_from_a_basis_state_matches_the_unitary_column():
+    rng = substream(99)
+    for _ in range(40):
+        c = random_qac_circuit(rng, max_qubits=9, max_depth=4)
+        m = c.num_qubits
+        u = unitary(c)
+        for j in {0, 5 % (1 << m), (1 << m) - 1, int(rng.integers(1 << m))}:
+            out = run(c, basis_state(m, j))
+            assert np.max(np.abs(out.amplitudes - u[:, j])) < 1e-12
+
+
+def test_run_from_a_basis_state_keeps_untouched_wires_and_the_phase():
+    m = 5
+    # wires 0, 2 and 4 are touched by no gate, wire 3 first by the second layer
+    c = circuit(m, [[h_gate(1)], [cnot(1, 3)], [rtensor({1: KET1, 3: PLUS})]])
+    ref = reference_unitary(c)
+    for j in (0, 0b10101, 0b01010, 0b11111):
+        amps = 1j * basis_state(m, j).amplitudes
+        for c_run, expected in ((c, ref @ amps), (circuit(m, []), amps)):
+            out = run(c_run, StateVector(m, amps))
+            assert np.max(np.abs(out.amplitudes - expected)) < 1e-15
+            assert not out.amplitudes.flags.writeable
+            assert not np.shares_memory(out.amplitudes, amps)
+
+
+def test_run_checks_the_width_and_every_gate_support_on_any_input():
+    bad = circuit(3, [[h_gate(0)], [cnot(1, 5)]])
+    for state in (zero_state(3), StateVector(3, haar_state(8, substream(100)))):
+        with pytest.raises(ValueError, match=r"gate support \(1, 5\) out of range for 3 qubits"):
+            run(bad, state)
+        with pytest.raises(ValueError, match="circuit and state qubit counts differ"):
+            run(circuit(4, [[h_gate(0)]]), state)
+    with pytest.raises(ValueError, match="out of range for 3 qubits"):
+        apply_gate(zero_state(3), cnot(1, 5))
+
+
+# The last widening adds one wire, so it holds a half and a whole.  On the
+# grid, the last Or's X then swaps the two halves of the whole buffer: a half
+# for the swap and a half that numpy copies, as the two views' bounds overlap.
+@pytest.mark.parametrize("which, bound", [("grid", 2.05), ("cat", 1.55)])
+def test_run_from_zero_widens_without_a_second_full_buffer(which, bound):
+    if which == "grid":
+        c = build_depth2_nekomata(3, 6, solve_bias(3, 6))
+    else:
+        c = cat_from_restricted_fanout(fanout_tree(20, 2), 20)
+    state = zero_state(c.num_qubits)
+    assert c.num_qubits == (21 if which == "grid" else 20)
+    tracemalloc.start()
+    try:
+        out = run(c, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * state.amplitudes.nbytes
+    assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
 
 def test_normal_form_of_the_cat_circuit_matches_its_toffolis():
@@ -505,8 +569,10 @@ def test_reflection_kernel_calls_no_public_function(monkeypatch):
     splits = count_splits(monkeypatch)
     rng = substream(93)
     g = RTensor(((0, haar_local(rng)), (2, haar_local(rng))))
-    out = run(circuit(3, [[g]]), zero_state(3))
-    ref = reference_gate_matrix(3, g)[:, 0]
+    # a dense input, so that the buffer holds wire 1, which the gate leaves free
+    amps = haar_state(8, rng)
+    out = run(circuit(3, [[g]]), StateVector(3, amps))
+    ref = reference_gate_matrix(3, g) @ amps
     assert splits and np.max(np.abs(out.amplitudes - ref)) < 1e-12
 
 
