@@ -88,7 +88,6 @@ from .sampling import (
     gate_law,
     hamming_stats,
     hamming_stats_of_samples,
-    run_classical,
     sample_mostly_classical_batch,
 )
 from .analysis import (

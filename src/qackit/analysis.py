@@ -17,13 +17,17 @@ from .statevec import StateVector, product_state, run
 PROJ_ATOL = 1e-10
 
 
-def angular_distance(a: StateVector | np.ndarray, b: StateVector | np.ndarray) -> float:
-    """arccos |<a|b>|, a metric on states up to phase; values in [0, pi/2]."""
+def angular_distance(a: StateVector | np.ndarray, b: StateVector | np.ndarray) -> float | np.ndarray:
+    """arccos |<a|b>|, a metric on states up to phase; values in [0, pi/2].
+
+    The inner product runs over the last axis: two states give a float, and
+    two stacks of states of one shape give an array with one value per pair."""
     va = a.amplitudes if isinstance(a, StateVector) else np.asarray(a)
     vb = b.amplitudes if isinstance(b, StateVector) else np.asarray(b)
     if va.shape != vb.shape:
         raise ValueError("dimension mismatch")
-    return float(np.arccos(np.clip(abs(np.vdot(va, vb)), 0.0, 1.0)))
+    value = np.arccos(np.clip(np.abs(np.sum(va.conj() * vb, axis=-1)), 0.0, 1.0))
+    return value if va.ndim > 1 else float(value)
 
 
 @dataclass(frozen=True)
@@ -136,11 +140,7 @@ def angular_triangle_check(trials: int, dim: int, rng: np.random.Generator, atol
     states = parts[..., 0, :] + 1j * parts[..., 1, :]
     states /= np.linalg.norm(states, axis=-1, keepdims=True)
     a, b, c = np.moveaxis(states, 1, 0)
-
-    def dist(x, y):
-        return np.arccos(np.clip(np.abs(np.sum(x.conj() * y, axis=-1)), 0.0, 1.0))
-
-    return bool(np.all(dist(a, c) <= dist(a, b) + dist(b, c) + atol))
+    return bool(np.all(angular_distance(a, c) <= angular_distance(a, b) + angular_distance(b, c) + atol))
 
 
 def generalized_markov_threshold(law: list[tuple[float, float]], a: float, delta: float) -> float:
@@ -306,15 +306,13 @@ def _target_projection_mass(state: StateVector, targets: tuple[int, ...], goal: 
     return float(np.linalg.norm(proj) ** 2)
 
 
-def _project_qubits(state: StateVector, bras: dict[int, np.ndarray]) -> tuple[float, np.ndarray]:
-    """Apply <bra| on each listed wire; returns (probability, reduced amps)."""
+def _project_qubits(state: StateVector, bras: dict[int, np.ndarray]) -> float:
+    """Probability of the outcome ``<bra|`` on each listed wire."""
     m = state.num_qubits
     amps = state.amplitudes.reshape([2] * m)
     for q in sorted(bras, reverse=True):
         amps = np.tensordot(bras[q].conj(), amps, axes=(0, q))
-    amps = amps.reshape(-1)
-    p = float(np.linalg.norm(amps) ** 2)
-    return p, amps
+    return float(np.linalg.norm(amps) ** 2)
 
 
 @dataclass(frozen=True)
@@ -325,24 +323,7 @@ class ReductionResult:
 
 
 def _gate_on(gates: tuple[RTensor, ...], q: int) -> RTensor | None:
-    for g in gates:
-        if q in g.qubits:
-            return g
-    return None
-
-
-def _shrink(gates: tuple[RTensor, ...], gate: RTensor, drop: set[int], keep: bool) -> tuple[RTensor, ...]:
-    out = []
-    for g in gates:
-        if g is not gate:
-            out.append(g)
-            continue
-        if not keep:
-            continue
-        remaining = tuple((q, s) for q, s in g.factors if q not in drop)
-        if remaining:
-            out.append(RTensor(remaining))
-    return tuple(out)
+    return next((g for g in gates if q in g.qubits), None)
 
 
 def _relabel(cons: Depth2Construction, removed: set[int]) -> Depth2Construction:
@@ -361,63 +342,41 @@ def _relabel(cons: Depth2Construction, removed: set[int]) -> Depth2Construction:
     )
 
 
-def _measurement_branches(
-    cons: Depth2Construction,
-    measured: dict[int, LocalState],
-    owners_second: dict[int, RTensor],
-    owner_first: tuple[RTensor, int] | None,
-    goal: StateVector,
-):
-    """Enumerate outcome combinations for measuring ``measured`` wires of the
-    output state in the given bases.  Yields (prob, success, construction).
+def _measurement_branches(cons: Depth2Construction, owners: dict[int, RTensor], goal: StateVector):
+    """Measure each wire of ``owners`` in the basis of its owner's factor on
+    it, one outcome combination at a time.  Yields (prob, success,
+    construction) for each outcome with probability at least 1e-15.
 
-    Wires owned by a second-layer gate use that gate's factor as the basis;
-    on a matching outcome the gate keeps its remaining factors, otherwise it
-    drops.  A first-layer owner is measured in its own factor basis (legal
-    only when no second-layer gate touches the wire); a first-layer gate
-    fully covered by the measurement drops in every branch.
+    Every gate of either layer follows one rule: a gate that the measured
+    wires cover drops in every branch; any other gate they touch keeps its
+    unmeasured factors when each of its measured wires matched, and drops
+    otherwise.  Outcomes run in lexicographic order, all matches first.
     """
+    def measure(gates, match):
+        kept = []
+        for g in gates:
+            touched = [q for q in g.qubits if q in match]
+            rest = tuple((q, s) for q, s in g.factors if q not in match)
+            if not touched:
+                kept.append(g)
+            elif rest and all(match[q] for q in touched):
+                kept.append(RTensor(rest))
+        return tuple(kept)
+
     state = cons.state()
-    wires = sorted(measured)
+    wires = sorted(owners)
+    bases = {q: dict(owners[q].factors)[q] for q in wires}
     for combo in range(1 << len(wires)):
-        bras: dict[int, np.ndarray] = {}
-        outcome: dict[int, bool] = {}
-        for i, q in enumerate(wires):
-            match = ((combo >> (len(wires) - 1 - i)) & 1) == 0
-            outcome[q] = match
-            basis = measured[q]
-            bras[q] = basis.vec() if match else basis.complement().vec()
-        prob, _ = _project_qubits(state, bras)
+        match = {q: (combo >> (len(wires) - 1 - i)) & 1 == 0 for i, q in enumerate(wires)}
+        bras = {q: (bases[q] if match[q] else bases[q].complement()).vec() for q in wires}
+        prob = _project_qubits(state, bras)
         if prob < 1e-15:
             continue
-        first = cons.first_layer
-        second = cons.second_layer
-        if owner_first is not None:
-            gate, q = owner_first
-            first = _shrink(first, gate, {q}, keep=outcome[q])
-        else:
-            fully = [g for g in first if set(g.qubits) <= set(wires)]
-            for g in fully:
-                first = tuple(x for x in first if x is not g)
-        for gate in set(owners_second.values()):
-            touched = {q for q in wires if owners_second.get(q) is gate}
-            keep = all(outcome[q] for q in touched)
-            second = _shrink(second, gate, touched, keep=keep)
+        first, second = measure(cons.first_layer, match), measure(cons.second_layer, match)
         reduced = _relabel(
-            Depth2Construction(
-                cons.num_qubits, first, second, cons.input_factors, cons.targets
-            ),
-            set(wires),
+            Depth2Construction(cons.num_qubits, first, second, cons.input_factors, cons.targets), set(wires)
         )
         yield prob, construction_success(reduced, goal), reduced
-
-
-def _best_branch(branches) -> tuple[float, Depth2Construction] | None:
-    best = None
-    for prob, success, reduced in branches:
-        if best is None or success > best[0] + 1e-12:
-            best = (success, reduced)
-    return best
 
 
 def reduce_depth2_construction(cons: Depth2Construction, goal: StateVector) -> ReductionResult:
@@ -426,11 +385,14 @@ def reduce_depth2_construction(cons: Depth2Construction, goal: StateVector) -> R
     targets measure to ``goal``.
 
     Each step either deletes an untouched ancilla, deletes a second-layer
-    gate without targets, or measures ancilla wires in the basis given by the
-    outermost gate's factors, keeping the best branch; averaging over
-    branches reproduces the pre-measurement probability, so the best branch
-    can not be worse.  Branch ties break toward the lexicographically first
-    outcome.
+    gate without targets, or measures wires by the rule of
+    ``_measurement_branches`` and keeps the best branch.  The measured wires
+    are an ancilla held only by the first layer, in that gate's basis; an
+    ancilla held only by the second layer, in that gate's basis; or, once no
+    such ancilla is left, the wires of a target-free first-layer gate, in the
+    bases of the second-layer gates on them.  Averaging over branches
+    reproduces the pre-measurement probability, so the best branch can not
+    be worse.  Branch ties break toward the lexicographically first outcome.
     """
     if goal.num_qubits != len(cons.targets):
         raise ValueError("goal must live on the target wires")
@@ -444,66 +406,44 @@ def reduce_depth2_construction(cons: Depth2Construction, goal: StateVector) -> R
         anc = current.ancillae()
         acted_first = {q for g in current.first_layer for q in g.qubits}
         acted_second = {q for g in current.second_layer for q in g.qubits}
-
         untouched = [q for q in anc if q not in acted_first and q not in acted_second]
-        if untouched:
-            q = untouched[0]
-            current = _relabel(current, {q})
-            steps.append(f"dropped untouched ancilla {q}")
-            continue
-
         only_first = [q for q in anc if q in acted_first and q not in acted_second]
+        only_second = [q for q in anc if q in acted_second and q not in acted_first]
+        idle_second = [g for g in current.second_layer if not set(g.qubits) & targets]
+        idle_first = [g for g in current.first_layer if not set(g.qubits) & targets]
+        if untouched:
+            current = _relabel(current, {untouched[0]})
+            steps.append(f"dropped untouched ancilla {untouched[0]}")
+            continue
         if only_first:
             q = only_first[0]
-            gate = _gate_on(current.first_layer, q)
-            basis = dict(gate.factors)[q]
-            best = _best_branch(
-                _measurement_branches(current, {q: basis}, {}, (gate, q), goal)
-            )
-            current = best[1]
-            steps.append(f"measured ancilla {q} in its first-layer basis")
-            continue
-
-        only_second = [q for q in anc if q in acted_second and q not in acted_first]
-        if only_second:
+            owners = {q: _gate_on(current.first_layer, q)}
+            step = f"measured ancilla {q} in its first-layer basis"
+        elif only_second:
             q = only_second[0]
-            gate = _gate_on(current.second_layer, q)
-            basis = dict(gate.factors)[q]
-            best = _best_branch(
-                _measurement_branches(current, {q: basis}, {q: gate}, None, goal)
-            )
-            current = best[1]
-            steps.append(f"measured ancilla {q} in its second-layer basis")
-            continue
-
-        idle_second = [g for g in current.second_layer if not set(g.qubits) & targets]
-        if idle_second:
-            g = idle_second[0]
+            owners = {q: _gate_on(current.second_layer, q)}
+            step = f"measured ancilla {q} in its second-layer basis"
+        elif idle_second:
             current = Depth2Construction(
                 current.num_qubits,
                 current.first_layer,
-                tuple(x for x in current.second_layer if x is not g),
+                tuple(g for g in current.second_layer if g is not idle_second[0]),
                 current.input_factors,
                 current.targets,
             )
             steps.append("removed a second-layer gate without targets")
             continue
-
-        idle_first = [g for g in current.first_layer if not set(g.qubits) & targets]
-        if idle_first:
-            g = idle_first[0]
-            measured: dict[int, LocalState] = {}
-            owners: dict[int, RTensor] = {}
-            for q in g.qubits:
-                owner = _gate_on(current.second_layer, q)
-                measured[q] = dict(owner.factors)[q]
-                owners[q] = owner
-            best = _best_branch(_measurement_branches(current, measured, owners, None, goal))
-            current = best[1]
-            steps.append(f"measured the {len(measured)} wires of a target-free first-layer gate")
-            continue
-
-        break
+        elif idle_first:
+            owners = {q: _gate_on(current.second_layer, q) for q in idle_first[0].qubits}
+            step = f"measured the {len(owners)} wires of a target-free first-layer gate"
+        else:
+            break
+        best = None
+        for _, success, reduced in _measurement_branches(current, owners, goal):
+            if best is None or success > best[0] + 1e-12:
+                best = (success, reduced)
+        current = best[1]
+        steps.append(step)
     final = construction_success(current, goal)
     if final < baseline - 1e-9:
         raise ValueError("reduction decreased the construction's success probability")

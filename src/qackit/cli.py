@@ -105,7 +105,7 @@ def _cmd_build(args, manifest: Manifest) -> int:
         )
         manifest.write_output(args.out, serial.serialize(circ))
         if args.report:
-            params = nekomata.GridParams(core_n, columns, bias, args.epsilon)
+            params = nekomata.GridParams(core_n, columns, bias)
             bound = nekomata.impurity_bound(core_n, columns, bias)
             report = {
                 "n": n,
@@ -304,7 +304,8 @@ def _suite_markov(seed: int) -> dict:
         a = float(rng.random() * 2 + 0.05)
         delta = float(rng.random() * 0.9 + 0.1)
         t = analysis.generalized_markov_threshold(law, a, delta)
-        if not a <= t <= a * np.exp(1.0 / delta - 1.0) * (1 + 1e-12):
+        tail = sum(p for v, p in law if v >= t)
+        if not a <= t <= a * np.exp(1.0 / delta - 1.0) * (1 + 1e-12) or tail * t > delta * mean + 1e-12:
             violations += 1
             if first_failing is None:
                 first_failing = instance

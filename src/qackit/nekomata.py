@@ -144,7 +144,6 @@ class GridParams:
     n: int
     columns: int
     bias: float
-    epsilon: float | None = None
 
     def residual(self) -> float:
         return abs(_zeros_prob(self.bias, self.n, self.columns) - 0.5)

@@ -31,7 +31,7 @@ rows into the target, flip the row for X), and only the target rows are
 unpacked.  The trials run in chunks of whole bytes whose packed buffer holds
 at most 32 MiB (one byte per wire at least); the (trials, targets) result and
 one chunk are checked against ``MAX_SAMPLE_BYTES`` before anything is
-allocated.  ``run_classical`` uses the same evaluator.
+allocated.
 
 ``factorized_sample_batch`` draws the same per-gate law through a
 factorization.  A Bernoulli coin B is 1 with probability ``1 - all_zeros``;
@@ -61,7 +61,6 @@ from typing import Callable
 import numpy as np
 
 from .ir import Circuit, Layer, OneQubit, Or, RTensor, Toffoli, is_classical_gate, support
-from .nekomata import classify
 
 ENUMERATION_CAP = 20
 FACTORIZED_ARITY_CAP = 12
@@ -239,21 +238,10 @@ def _eval_classical(layers, bits: np.ndarray) -> np.ndarray:
     return bits
 
 
-def run_classical(c: Circuit, x: str) -> str:
-    """Evaluate a purely classical circuit on a bitstring."""
-    if len(x) != c.num_qubits:
-        raise ValueError("input length must equal num_qubits")
-    if not classify(c).purely_classical:
-        raise ValueError("circuit is not purely classical")
-    bits = np.packbits(np.array([[ch == "1"] for ch in x]), axis=1)
-    out = np.unpackbits(_eval_classical(c.layers, bits), axis=1, count=1)
-    return "".join("1" if b else "0" for b in out[:, 0])
-
-
 def _require_mostly_classical(c: Circuit) -> None:
     """Raise unless every gate after the first layer is classical: the part
-    of ``classify`` that sampling needs, without the per-factor read of the
-    first layer that only its ``nice`` field makes."""
+    of ``nekomata.classify`` that sampling needs, without the per-factor read
+    of the first layer that only its ``nice`` field makes."""
     if not all(is_classical_gate(g) for lay in c.layers[1:] for g in lay.gates):
         raise ValueError("circuit is not mostly classical")
 

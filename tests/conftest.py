@@ -26,6 +26,22 @@ def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def reference_classical(c: Circuit, x: str) -> str:
+    """Bit-by-bit evaluation of a Toffoli/Or/X circuit in Python, independent
+    of the packed evaluator that the samplers use."""
+    bits = [ch == "1" for ch in x]
+    for lay in c.layers:
+        for g in lay.gates:
+            if isinstance(g, Toffoli):
+                bits[g.target] ^= all(bits[q] for q in g.controls)
+            elif isinstance(g, Or):
+                bits[g.target] ^= any(bits[q] for q in g.controls)
+            else:
+                assert isinstance(g, OneQubit) and np.allclose(g.matrix, [[0, 1], [1, 0]]), g
+                bits[g.qubit] = not bits[g.qubit]
+    return "".join("1" if b else "0" for b in bits)
+
+
 def random_multi_gate(wires: list[int], rng: np.random.Generator):
     kind = rng.choice(["toffoli", "or", "rtensor"])
     if kind == "toffoli":

@@ -48,6 +48,21 @@ def test_angular_distance_examples():
     assert angular_distance(e0, e1) == pytest.approx(np.pi / 2)
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     assert angular_distance(e0, plus) == pytest.approx(np.pi / 4)
+    assert isinstance(angular_distance(e0, plus), float)
+    # stacks of states: one distance per pair along the leading axes
+    stacked = angular_distance(np.stack([e0, e0, e1]), np.stack([e1, plus, e1 * 1j]))
+    assert stacked.shape == (3,)
+    assert stacked == pytest.approx([np.pi / 2, np.pi / 4, 0.0], abs=1e-7)
+    rng = substream(63)
+    left = np.array([[haar_state(4, rng) for _ in range(3)] for _ in range(2)])
+    right = np.array([[haar_state(4, rng) for _ in range(3)] for _ in range(2)])
+    grid = angular_distance(left, right)
+    assert grid.shape == (2, 3)
+    for i in range(2):
+        for j in range(3):
+            assert grid[i, j] == pytest.approx(angular_distance(left[i, j], right[i, j]))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        angular_distance(left, right[0])
 
 
 def test_triangle_degenerate_cases():
@@ -394,9 +409,7 @@ def test_reduction_branch_average_identity():
     rng = substream(78)
     cons = make_construction(rng, 4, [(0, 1)], [(0, 1, 3)])  # ancilla 3 in layer 2 only
     goal = random_goal(rng)
-    gate = _gate_on(cons.second_layer, 3)
-    basis = dict(gate.factors)[3]
-    branches = list(_measurement_branches(cons, {3: basis}, {3: gate}, None, goal))
+    branches = list(_measurement_branches(cons, {3: _gate_on(cons.second_layer, 3)}, goal))
     total_p = sum(p for p, _, _ in branches)
     avg = sum(p * s for p, s, _ in branches)
     assert total_p == pytest.approx(1.0, abs=1e-10)
@@ -411,9 +424,7 @@ def test_reduction_branch_average_identity_first_layer_case():
     rng = substream(79)
     cons = make_construction(rng, 4, [(0, 1, 3)], [(0, 1, 2)])  # wire 3 layer-1 only
     goal = random_goal(rng)
-    gate = _gate_on(cons.first_layer, 3)
-    basis = dict(gate.factors)[3]
-    branches = list(_measurement_branches(cons, {3: basis}, {}, (gate, 3), goal))
+    branches = list(_measurement_branches(cons, {3: _gate_on(cons.first_layer, 3)}, goal))
     assert sum(p for p, _, _ in branches) == pytest.approx(1.0, abs=1e-10)
     avg = sum(p * s for p, s, _ in branches)
     assert avg == pytest.approx(construction_success(cons, goal), abs=1e-10)
@@ -429,13 +440,75 @@ def test_reduction_branch_average_identity_target_free_gate_case():
     goal = random_goal(rng)
     gate = cons.first_layer[1]  # acts on wires 2, 3: both ancillae
     assert not set(gate.qubits) & set(cons.targets)
-    measured = {}
-    owners = {}
-    for q in gate.qubits:
-        owner = _gate_on(cons.second_layer, q)
-        measured[q] = dict(owner.factors)[q]
-        owners[q] = owner
-    branches = list(_measurement_branches(cons, measured, owners, None, goal))
+    owners = {q: _gate_on(cons.second_layer, q) for q in gate.qubits}
+    branches = list(_measurement_branches(cons, owners, goal))
     assert sum(p for p, _, _ in branches) == pytest.approx(1.0, abs=1e-10)
     avg = sum(p * s for p, s, _ in branches)
     assert avg == pytest.approx(construction_success(cons, goal), abs=1e-10)
+
+
+def test_reduction_branch_average_identity_one_owner_on_two_measured_wires():
+    # both wires of the target-free first-layer gate sit in one second-layer
+    # gate, which keeps its target factor only when both outcomes matched
+    from qackit.analysis import _measurement_branches, _gate_on
+
+    rng = substream(81)
+    cons = make_construction(rng, 4, [(0, 1), (2, 3)], [(0, 2, 3), (1,)], targets=(0, 1))
+    goal = random_goal(rng)
+    owners = {q: _gate_on(cons.second_layer, q) for q in (2, 3)}
+    branches = list(_measurement_branches(cons, owners, goal))
+    assert sum(p for p, _, _ in branches) == pytest.approx(1.0, abs=1e-10)
+    avg = sum(p * s for p, s, _ in branches)
+    assert avg == pytest.approx(construction_success(cons, goal), abs=1e-10)
+    kept = [len(reduced.second_layer) for _, _, reduced in branches]
+    assert kept == [2, 1, 1, 1]
+
+# The depth2-reduce suite's 20 instances at seed 0: the reduction's steps and
+# final success probability.  Step codes: R removes a target-free
+# second-layer gate, Dq drops untouched ancilla q, Fq / Sq measure ancilla q
+# in its first- / second-layer basis, Tk measures the k wires of a target-free
+# first-layer gate.
+_SEED0_REDUCTIONS = [
+    ("R F4 F4 S2 S2", 0.5059796373031572),
+    ("R F2 F2 T1", 0.3201788042895699),
+    ("R F2 F2 S2", 0.8854237800624639),
+    ("F2 D2 F2", 0.30083030594844695),
+    ("S2 S3", 0.33317593480916424),
+    ("D4 S2 S2 S2", 0.3183955596904919),
+    ("F2 F2 F2", 0.21370989583796826),
+    ("", 0.2154826146273929),
+    ("F2", 0.2602841259494201),
+    ("F2 F2", 0.47206255400827923),
+    ("D2 D2 D3 F2", 0.1417587540773177),
+    ("R F2 F3", 0.45806995448105986),
+    ("", 0.24092437889464352),
+    ("R F3 F3", 0.17958483536908285),
+    ("D3", 0.1740754060937272),
+    ("F3", 0.264403990978748),
+    ("S2 S2 S2", 0.271599033933718),
+    ("R F2 F2 T1", 0.6593292628619075),
+    ("S2 S3 T2", 0.6053949011785343),
+    ("S2 S2 S2", 0.6733373413917288),
+]
+
+
+def _step_text(code: str) -> str:
+    kind, arg = code[0], code[1:]
+    return {
+        "R": "removed a second-layer gate without targets",
+        "D": f"dropped untouched ancilla {arg}",
+        "F": f"measured ancilla {arg} in its first-layer basis",
+        "S": f"measured ancilla {arg} in its second-layer basis",
+        "T": f"measured the {arg} wires of a target-free first-layer gate",
+    }[kind]
+
+
+def test_reduction_steps_on_the_seed0_suite_instances():
+    from qackit import cli
+
+    rng = substream(0, 14)
+    for codes, success in _SEED0_REDUCTIONS:
+        cons, goal = cli._random_construction(rng)
+        result = reduce_depth2_construction(cons, goal)
+        assert result.steps == tuple(_step_text(c) for c in codes.split())
+        assert result.success_probability == pytest.approx(success, abs=1e-12)

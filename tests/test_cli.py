@@ -125,10 +125,11 @@ def test_sample_summary_tails_come_from_rows(tmp_path, sampler):
 def test_sample_summary_runs_no_classify(tmp_path, monkeypatch):
     # classify reads every first-layer factor for its ``nice`` field, which
     # sampling does not use: the sample path checks only mostly-classical
-    from qackit import nekomata, sampling
+    from qackit import nekomata
 
     calls = []
-    monkeypatch.setattr(sampling, "classify", lambda c: calls.append(c) or nekomata.classify(c))
+    classify = nekomata.classify
+    monkeypatch.setattr(nekomata, "classify", lambda c: calls.append(c) or classify(c))
     nek = tmp_path / "nek.json"
     run_cli("build", "nekomata", "--n", "2", "--columns", "3", "--out", str(nek))
     code = run_cli(
@@ -242,6 +243,19 @@ def test_verify_markov_can_fail(tmp_path, monkeypatch, capsys):
     assert doc["passed"] is False and doc["violations"] == doc["instances"] > 0
     assert doc["seed"] == 4
     assert f"first failing instance {doc['first_failing_instance']} (seed 4)" in out
+
+
+def test_verify_markov_checks_the_tail_bound(tmp_path, monkeypatch, capsys):
+    # t = a always lies in [a, a e^{1/delta - 1}], so only the tail bound
+    # P(X >= t) t <= delta E[X] can reject this stand-in
+    from qackit import analysis
+
+    monkeypatch.setattr(analysis, "generalized_markov_threshold", lambda law, a, delta: a)
+    report = tmp_path / "verify.json"
+    assert run_cli("verify", "--suite", "markov", "--seed", "4", "--report", str(report)) == 1
+    assert "markov: FAIL" in capsys.readouterr().out
+    doc = json.loads(report.read_text())["suites"]["markov"]
+    assert doc["passed"] is False and doc["violations"] == 32 and doc["instances"] == 200
 
 
 # suite -> (the analysis check it relies on, a failing stand-in built from the

@@ -20,3 +20,16 @@ def test_no_module_imports_a_private_name_of_a_sibling(path):
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_sampling_imports_only_the_ir():
+    # the samplers read circuits and nothing else of qackit: no oracle, no
+    # rewrite pass and no nekomata constructor is loaded with them
+    path = next(p for p in SOURCES if p.name == "sampling.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    relative = sorted(
+        f"{'.' * node.level}{node.module or ''}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    )
+    assert relative == [".ir"]

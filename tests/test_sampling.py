@@ -28,7 +28,6 @@ from qackit import (
     hamming_stats,
     measurement_distribution,
     run,
-    run_classical,
     rtensor,
     sample_mostly_classical_batch,
     solve_bias,
@@ -43,6 +42,7 @@ from conftest import (
     densify,
     haar_local,
     random_mostly_classical_circuit,
+    reference_classical,
     tv_distance,
 )
 
@@ -131,29 +131,6 @@ def test_sample_rtensor_nice_boundary():
     zeros_freq = counts.get("00", 0) / trials
     sigma = np.sqrt(exact["00"] * (1 - exact["00"]) / trials)
     assert abs(zeros_freq - exact["00"]) <= 3 * sigma + 1e-9
-
-
-# ---------------------------------------------------------------------------
-# classical evaluation
-
-
-def test_run_classical_examples():
-    assert run_classical(circuit(3, [[Toffoli((0, 1), 2)]]), "110") == "111"
-    assert run_classical(circuit(3, [[Or((0, 1), 2)]]), "010") == "011"
-    assert run_classical(fanout_tree(8, 2), "10000000") == "11111111"
-
-
-def test_run_classical_matches_statevector():
-    c = fanout_tree(8, 2)
-    out = run(c, zero_state(8))  # all-zeros basis input stays put
-    assert np.argmax(np.abs(out.amplitudes)) == 0
-    out = run(c, __import__("qackit").basis_state(8, "10000000"))
-    assert np.argmax(np.abs(out.amplitudes)) == (1 << 8) - 1
-
-
-def test_run_classical_rejects_quantum_gates():
-    with pytest.raises(ValueError, match="not purely classical"):
-        run_classical(circuit(1, [[h_gate(0)]]), "0")
 
 
 # ---------------------------------------------------------------------------
@@ -383,22 +360,8 @@ def _random_classical_circuit(rng, m: int):
     return circuit(m, layers)
 
 
-def _reference_classical(c, x: str) -> str:
-    """Bit-by-bit evaluation in Python, independent of the packed evaluator."""
-    bits = [ch == "1" for ch in x]
-    for lay in c.layers:
-        for g in lay.gates:
-            if isinstance(g, Toffoli):
-                bits[g.target] ^= all(bits[q] for q in g.controls)
-            elif isinstance(g, Or):
-                bits[g.target] ^= any(bits[q] for q in g.controls)
-            else:
-                bits[g.qubit] = not bits[g.qubit]
-    return "".join("1" if b else "0" for b in bits)
-
-
 @pytest.mark.parametrize("trials", [1, 7, 8, 9, 1001])
-def test_packed_evaluator_matches_run_classical(trials):
+def test_packed_evaluator_matches_reference_classical(trials):
     from qackit.sampling import _eval_classical
 
     rng = substream(60, trials)
@@ -413,7 +376,7 @@ def test_packed_evaluator_matches_run_classical(trials):
         for x_row, y_row in zip(inputs, rows):
             x = "".join(map(str, x_row))
             y = "".join(map(str, y_row))
-            assert y == run_classical(c, x) == _reference_classical(c, x)
+            assert y == reference_classical(c, x)
 
 
 def test_packed_evaluator_padding_stays_out_of_results():
@@ -434,7 +397,7 @@ def test_packed_evaluator_padding_stays_out_of_results():
 def _exact_read(c) -> int:
     """Most targets that change when one first-layer gate's bits change, by
     brute force over every assignment of the first-layer wires (the other
-    wires start at 0) with ``_reference_classical``.  Two assignments that
+    wires start at 0) with ``reference_classical``.  Two assignments that
     differ only on a gate's wires differ on a target only if one of them
     differs there from the assignment with those wires at 0."""
     gates = [g for g in c.layers[0].gates if not is_classical_gate(g)]
@@ -446,7 +409,7 @@ def _exact_read(c) -> int:
         x = ["0"] * c.num_qubits
         for i, q in enumerate(wires):
             x[q] = "01"[(a >> i) & 1]
-        y = _reference_classical(rest, "".join(x))
+        y = reference_classical(rest, "".join(x))
         outs[a] = [y[t] for t in targets]
     read = 0
     for g in gates:

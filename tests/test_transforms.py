@@ -31,7 +31,6 @@ from qackit import (
     parity_unitary,
     rtensor,
     run,
-    run_classical,
     size,
     solve_bias,
     to_rtensor_normal_form,
@@ -42,7 +41,7 @@ from qackit import (
 )
 from qackit.statevec import max_unitary_difference, unitary
 
-from conftest import haar_local, random_qac_circuit
+from conftest import haar_local, random_qac_circuit, reference_classical
 from qackit.rng import substream
 
 
@@ -272,8 +271,8 @@ def test_fanout_tree_4_2():
 def test_fanout_tree_9_3():
     c = fanout_tree(9, 3)
     assert depth(c) == 2 and size(c) <= 8
-    assert run_classical(c, "100000000") == "1" * 9
-    assert run_classical(c, "0" * 9) == "0" * 9
+    assert reference_classical(c, "100000000") == "1" * 9
+    assert reference_classical(c, "0" * 9) == "0" * 9
 
 
 def test_fanout_tree_bounds_sweep():
@@ -289,8 +288,8 @@ def test_fanout_tree_bounds_sweep():
             assert size(c) <= max(n - 1, 0), (n, m)
             assert c.num_qubits == n
             assert validate(c) == []
-            assert run_classical(c, "1" + "0" * (n - 1)) == "1" * n
-            assert run_classical(c, "0" * n) == "0" * n
+            assert reference_classical(c, "1" + "0" * (n - 1)) == "1" * n
+            assert reference_classical(c, "0" * n) == "0" * n
 
 
 # ---------------------------------------------------------------------------
