@@ -29,7 +29,6 @@ from .ir import (
     rtensor,
     size,
     support,
-    toffoli,
     topology,
     validate,
     x_gate,
@@ -39,10 +38,8 @@ from .statevec import (
     MeasurementDistribution,
     NekomataReport,
     StateVector,
-    apply_gate,
     basis_state,
     best_nekomata_fidelity,
-    fidelity,
     max_unitary_difference,
     measurement_distribution,
     product_state,
@@ -64,13 +61,11 @@ from .transforms import (
     to_rtensor_normal_form,
 )
 from .nekomata import (
-    ClassificationResult,
     GridParams,
     ImpurityBound,
     build_depth2_nekomata,
     build_depthd_nekomata,
     choose_columns,
-    classify,
     core_targets,
     grid_law,
     impurity_bound,
@@ -105,7 +100,6 @@ from .analysis import (
     check_projection_chain_bound,
     construction_success,
     generalized_markov_threshold,
-    half_plus_min_bound_holds,
     is_independent,
     optimal_interpolation,
     permutation_independent_set,

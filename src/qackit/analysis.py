@@ -449,24 +449,3 @@ def reduce_depth2_construction(cons: Depth2Construction, goal: StateVector) -> R
         raise ValueError("reduction decreased the construction's success probability")
     return ReductionResult(current, final, tuple(steps))
 
-
-# ---------------------------------------------------------------------------
-# half-plus-min overlap bound
-
-
-def half_plus_min_bound_holds(
-    alpha: np.ndarray,
-    delta: np.ndarray,
-    q_proj: np.ndarray,
-    q_perp_proj: np.ndarray,
-    atol: float = 1e-10,
-) -> bool:
-    """For orthogonal projections with ``Q Q' = 0`` and a state ``delta``
-    measuring to each of them with probability 1/2:
-    ``|<delta|alpha>|^2 <= 1/2 + min(||Q alpha||, ||Q' alpha||)``."""
-    alpha = np.asarray(alpha).reshape(-1)
-    delta = np.asarray(delta).reshape(-1)
-    lhs = abs(np.vdot(delta, alpha)) ** 2
-    qa = float(np.linalg.norm(np.asarray(q_proj) @ alpha))
-    qpa = float(np.linalg.norm(np.asarray(q_perp_proj) @ alpha))
-    return bool(lhs <= 0.5 + min(qa, qpa) + atol)

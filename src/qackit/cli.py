@@ -422,6 +422,17 @@ def _cmd_info(args, manifest: Manifest) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value; numpy's generators take only non-negative seeds."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: ``parse_args`` leaves it unchanged."""
@@ -478,14 +489,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sam = sub.add_parser("sample", help="classical sampling of mostly-classical circuits")
     p_sam.add_argument("--circuit", required=True)
     p_sam.add_argument("--trials", type=int, required=True)
-    p_sam.add_argument("--seed", type=int, required=True)
+    p_sam.add_argument("--seed", type=_seed, required=True)
     p_sam.add_argument("--sampler", choices=("direct", "factorized"), default="direct")
     p_sam.add_argument("--out", required=True)
     p_sam.add_argument("--summary", default=None)
 
     p_ver = sub.add_parser("verify", help="randomized verification suites")
     p_ver.add_argument("--suite", choices=tuple(SUITES) + ("all",), default="all")
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=_seed, default=0)
     p_ver.add_argument("--report", default=None)
 
     p_info = sub.add_parser("info", help="print structural metrics")

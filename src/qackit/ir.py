@@ -151,14 +151,6 @@ def h_gate(q: QubitId) -> OneQubit:
     return OneQubit(q, H_MATRIX)
 
 
-def toffoli(controls: Sequence[QubitId], target: QubitId) -> Gate:
-    """Toffoli with degenerate zero-control case normalized to a OneQubit X."""
-    controls = tuple(controls)
-    if not controls:
-        return x_gate(target)
-    return Toffoli(controls, target)
-
-
 def cnot(control: QubitId, target: QubitId) -> Toffoli:
     return Toffoli((control,), target)
 

@@ -1,5 +1,5 @@
 """Builders for depth-2 and depth-d approximate-nekomata circuits, their
-parameter equations, and the purely/mostly-classical/nice classification.
+parameter equations, and the exact laws of the depth-2 grid.
 
 The depth-2 construction is a grid of n rows by (columns + 1) columns, all
 wires |0>.  Layer 1 reflects each ancilla column about the product state
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ir import Circuit, Layer, LocalState, Or, RTensor, circuit, is_classical_gate, rtensor
+from .ir import Circuit, Layer, LocalState, Or, circuit, rtensor
 from .transforms import fanout_stage_layers
 
 
@@ -20,6 +20,9 @@ def choose_columns(n: int, epsilon: float) -> int:
     """Ancilla-column count guaranteeing nekomata fidelity >= 1 - epsilon.
 
     Evaluates ``ceil((ln 2 / 4) * (ln(2) n / eps')^n)`` with ``eps' = (2/3) epsilon``.
+    So epsilon bounds ``1 - fidelity`` of the grid's targets, not the error
+    of a parity circuit built on it: ``parity_error`` is 10 to 15 times
+    ``1 - fidelity`` at these column counts.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -97,7 +100,9 @@ def grid_law(n: int, columns: int, bias: float) -> tuple[float, float, float]:
 def parity_error(n: int, columns: int, bias: float) -> tuple[float, float]:
     """Exact error of ``parity_from_nekomata`` on the depth-2 grid with
     clean ancillae: ``(basis_worst, worst)``, the largest ``||(U - P) psi||^2``
-    over basis inputs and over all inputs.
+    over basis inputs and over all inputs.  This squared norm is not the
+    ``1 - fidelity`` that ``choose_columns``' epsilon bounds: at its column
+    counts ``worst`` is 10 to 15 times ``1 - fidelity``.
 
     For input x of weight w the circuit acts on the parity wire through
     ``alpha_w = E_T[(-1)^(x.T)] = sum_u C(w, u) 2^u (-1)^(w-u) F(n-u)^M``,
@@ -238,32 +243,3 @@ def build_depthd_nekomata(
     targets = tuple(q for block in blocks for q in block)
     return Circuit(total, tuple(layers), targets)
 
-
-@dataclass(frozen=True)
-class ClassificationResult:
-    purely_classical: bool
-    mostly_classical: bool
-    nice: bool
-
-
-def classify(c: Circuit) -> ClassificationResult:
-    """Purely classical: Toffoli/X/OR gates only.  Mostly classical: purely
-    classical after the first layer.  Nice: mostly classical with every
-    multi-qubit first-layer reflection satisfying ``prod |<0|chi_j>|^2 <= 1/4``."""
-    purely = all(is_classical_gate(g) for g in c.gates())
-    rest_classical = all(
-        is_classical_gate(g) for lay in c.layers[1:] for g in lay.gates
-    )
-    mostly = purely or rest_classical
-    nice = False
-    if mostly:
-        nice = True
-        if c.layers and not purely:
-            for g in c.layers[0].gates:
-                if isinstance(g, RTensor) and len(g.factors) >= 2:
-                    zero_weight = 1.0
-                    for _, st in g.factors:
-                        zero_weight *= abs(st.amp0) ** 2
-                    if zero_weight > 0.25 + 1e-12:
-                        nice = False
-    return ClassificationResult(purely, mostly, nice)

@@ -239,9 +239,8 @@ def _eval_classical(layers, bits: np.ndarray) -> np.ndarray:
 
 
 def _require_mostly_classical(c: Circuit) -> None:
-    """Raise unless every gate after the first layer is classical: the part
-    of ``nekomata.classify`` that sampling needs, without the per-factor read
-    of the first layer that only its ``nice`` field makes."""
+    """Raise unless every gate after the first layer is classical: qackit's
+    one statement of the paper's mostly-classical rule."""
     if not all(is_classical_gate(g) for lay in c.layers[1:] for g in lay.gates):
         raise ValueError("circuit is not mostly classical")
 

@@ -22,10 +22,10 @@ difference, so it stores neither matrix; each gate's kernel is built once
 for all the blocks.  A one-qubit gate with a zero diagonal, such as X, is a
 swap of the two slices and a phase on each.
 
-Public functions never modify their arguments.  ``apply_gate``, and ``run``
-on an input that is not a basis state up to phase, copy the input amplitudes
-once, apply gates in place, and hand that buffer to the result read-only,
-without a second copy.  ``run`` on a basis state widens its buffer wire by
+Public functions never modify their arguments.  ``run`` on an input that
+is not a basis state up to phase copies the input amplitudes once, applies
+gates in place, and hands that buffer to the result read-only, without a
+second copy.  ``run`` on a basis state widens its buffer wire by
 wire instead: the buffer starts with no wire axes, a wire joins it at its
 basis value just before the first gate that touches it, and the wires no
 gate touches join at the end.  So the grid's first layer and a fanout
@@ -308,12 +308,6 @@ def _run_in_place(buf: np.ndarray, m: int, steps) -> None:
         _apply_in_place(buf, m, step)
 
 
-def apply_gate(state: StateVector, g: Gate) -> StateVector:
-    amps = state.amplitudes.copy()
-    _apply_in_place(amps, state.num_qubits, _gate_step(g, state.num_qubits))
-    return StateVector._adopt(state.num_qubits, amps)
-
-
 def _widen(buf: np.ndarray, held: list, wires, bits: list) -> np.ndarray:
     """``buf``, a buffer over the sorted wires ``held``, as a buffer over the
     sorted wires ``wires``, which include them; each wire new to it holds its
@@ -396,22 +390,10 @@ def max_unitary_difference(a: Circuit, b: Circuit) -> float:
     return dev
 
 
-def fidelity(a: StateVector, b: StateVector) -> float:
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("dimension mismatch")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-
-
 @dataclass(frozen=True)
 class MeasurementDistribution:
     qubits: tuple[int, ...]
     probs: dict[str, float]
-
-    def total(self) -> float:
-        return float(sum(self.probs.values()))
-
-    def prob(self, bits: str) -> float:
-        return self.probs.get(bits, 0.0)
 
 
 def measurement_distribution(state: StateVector, qubits) -> MeasurementDistribution:

@@ -109,11 +109,8 @@ def permute_qubits(c: Circuit, perm: dict[int, int], num_qubits: int | None = No
 def _canonical_map_to(target: LocalState, source: LocalState) -> np.ndarray:
     """One-qubit unitary sending ``source`` to ``target``, phase-normalized so
     the first nonzero entry of the first column is real nonnegative."""
-    tv = target.vec()
-    comp = target.complement().vec()
-    sv = source.vec()
-    scomp = np.array([-sv[1].conjugate(), sv[0].conjugate()])
-    u = np.outer(tv, sv.conj()) + np.outer(comp, scomp.conj())
+    u = np.outer(target.vec(), source.vec().conj())
+    u += np.outer(target.complement().vec(), source.complement().vec().conj())
     anchor = u[0, 0] if abs(u[0, 0]) > 1e-12 else u[1, 0]
     if abs(anchor) > 1e-12:
         u = u * (abs(anchor) / anchor)

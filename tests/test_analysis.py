@@ -16,7 +16,6 @@ from qackit import (
     check_projection_chain_bound,
     construction_success,
     generalized_markov_threshold,
-    half_plus_min_bound_holds,
     is_independent,
     optimal_interpolation,
     permutation_independent_set,
@@ -295,35 +294,6 @@ def test_graph_validation():
         Graph(3, ((0, 1), (1, 0)))
     with pytest.raises(ValueError):
         Graph(2, ((0, 5),))
-
-
-# ---------------------------------------------------------------------------
-# half-plus-min overlap bound
-
-
-def test_half_plus_min_bound_random_instances():
-    rng = substream(73)
-    for _ in range(100):
-        n = int(rng.integers(1, 4))
-        extra = int(rng.integers(0, 3))
-        dims = [2] * n
-        locals_ = [haar_local(rng).vec() for _ in range(n)]
-        q = np.array([[1.0]], dtype=complex)
-        qp = np.array([[1.0]], dtype=complex)
-        for v in locals_:
-            q = np.kron(q, np.outer(v, v.conj()))
-            qp = np.kron(qp, np.eye(2) - np.outer(v, v.conj()))
-        dim_a = 1 << extra
-        q = np.kron(q, np.eye(dim_a))
-        qp = np.kron(qp, np.eye(dim_a))
-        dim = (1 << n) * dim_a
-        u = q @ haar_state(dim, rng)
-        v = qp @ haar_state(dim, rng)
-        if np.linalg.norm(u) < 1e-6 or np.linalg.norm(v) < 1e-6:
-            continue
-        delta = u / np.linalg.norm(u) / np.sqrt(2) + v / np.linalg.norm(v) / np.sqrt(2)
-        alpha = haar_state(dim, rng)
-        assert half_plus_min_bound_holds(alpha, delta, q, qp)
 
 
 # ---------------------------------------------------------------------------

@@ -122,23 +122,6 @@ def test_sample_summary_tails_come_from_rows(tmp_path, sampler):
         assert tail["lower_tail"] == np.mean(weights <= mean - eps * n)
 
 
-def test_sample_summary_runs_no_classify(tmp_path, monkeypatch):
-    # classify reads every first-layer factor for its ``nice`` field, which
-    # sampling does not use: the sample path checks only mostly-classical
-    from qackit import nekomata
-
-    calls = []
-    classify = nekomata.classify
-    monkeypatch.setattr(nekomata, "classify", lambda c: calls.append(c) or classify(c))
-    nek = tmp_path / "nek.json"
-    run_cli("build", "nekomata", "--n", "2", "--columns", "3", "--out", str(nek))
-    code = run_cli(
-        "sample", "--circuit", str(nek), "--trials", "100", "--seed", "7",
-        "--out", str(tmp_path / "s.csv"), "--summary", str(tmp_path / "summary.json"),
-    )
-    assert code == 0 and calls == []
-
-
 def test_simulate_basis_input_and_state_export(tmp_path, capsys):
     tree = tmp_path / "tree.json"
     run_cli("build", "fanout-tree", "--n", "3", "--m", "2", "--out", str(tree))
@@ -308,6 +291,23 @@ def test_verify_exits_cleanly_when_an_analysis_check_fires(monkeypatch, capsys):
 def test_usage_error_exit_code(capsys):
     assert run_cli("frobnicate") == 2
     capsys.readouterr()
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    # numpy rejects a negative seed without naming the option
+    assert run_cli("verify", "--suite", "metric", "--seed", "-1") == 2
+    assert "argument --seed: must be non-negative, got -1" in capsys.readouterr().err
+    nek = tmp_path / "nek.json"
+    assert run_cli("build", "nekomata", "--n", "2", "--columns", "3", "--out", str(nek)) == 0
+    out, summary = tmp_path / "s.csv", tmp_path / "summary.json"
+    capsys.readouterr()
+    code = run_cli(
+        "sample", "--circuit", str(nek), "--trials", "10", "--seed", "-1",
+        "--out", str(out), "--summary", str(summary),
+    )
+    assert code == 2
+    assert "argument --seed: must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists() and not summary.exists() and not (tmp_path / "s.csv.manifest.json").exists()
 
 
 def test_validation_error_exit_code(tmp_path, capsys):

@@ -15,7 +15,6 @@ from qackit import (
     h_gate,
     rtensor,
     size,
-    toffoli,
     topology,
     validate,
     x_gate,
@@ -124,12 +123,6 @@ def test_validate_rejects_nonfinite_amplitudes_and_matrices(bad):
 def test_validate_out_of_range():
     c = circuit(2, [[cnot(0, 1)], [x_gate(5)]])
     assert any("out of range" in p for p in validate(c))
-
-
-def test_toffoli_normalization_to_x():
-    g = toffoli((), 2)
-    assert isinstance(g, OneQubit)
-    assert np.array_equal(g.matrix, np.array([[0, 1], [1, 0]], dtype=complex))
 
 
 def test_gate_constructor_rejections():

@@ -1,4 +1,5 @@
-"""Module boundaries: no qackit module imports another module's private names."""
+"""Module boundaries: no qackit module imports another module's private names,
+and every public name has a caller in the product."""
 from __future__ import annotations
 
 import ast
@@ -33,3 +34,41 @@ def test_sampling_imports_only_the_ir():
         if isinstance(node, ast.ImportFrom) and node.level > 0
     )
     assert relative == [".ir"]
+
+
+# Public names no qackit module calls, each kept for a stated reason.  A new
+# public name either gets a caller in the product or a line here.
+NO_PRODUCT_CALLER = {
+    "unitary": "the dense reference that tests compare circuits against",
+    "parity_unitary": "the ideal parity map that tests compare against",
+    "fanout_unitary": "the ideal fanout map that tests compare against",
+    "exact_rtensor_distribution": "the enumerated reflection law that tests check samplers against",
+    "grid_law": "closed form the nekomata verify suite and build report are to call",
+    "parity_error": "closed form the nekomata verify suite and build report are to call",
+    "or_cz_collapse_check": "the rewrite the depth-7 parity builder is to use",
+    "hamming_stats": "perfbench times it until the benchmark maps it to hamming_stats_of_samples",
+    "cnot": "circuit vocabulary for callers building circuits by hand",
+    "PLUS": "circuit vocabulary for callers building circuits by hand",
+}
+
+
+def test_every_public_name_has_a_product_caller():
+    init = next(p for p in SOURCES if p.name == "__init__.py")
+    public = {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(init.read_text(), filename=str(init)))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+    }
+    called = set()
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                called.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                called.add(node.attr)
+    assert sorted(public - called - NO_PRODUCT_CALLER.keys()) == []
+    # an allowlisted name that gains a caller, or leaves the package, leaves the list
+    assert sorted(NO_PRODUCT_CALLER.keys() - (public - called)) == []

@@ -16,9 +16,6 @@ from qackit import (
     build_depthd_nekomata,
     choose_columns,
     core_targets,
-    circuit,
-    classify,
-    cnot,
     grid_law,
     depth,
     h_gate,
@@ -26,7 +23,6 @@ from qackit import (
     measurement_distribution,
     parity_error,
     parity_from_nekomata,
-    rtensor,
     run,
     size,
     solve_bias,
@@ -35,7 +31,6 @@ from qackit import (
     x_gate,
     zero_state,
 )
-from qackit.ir import KET0, KET1, LocalState, PLUS
 
 
 def decimal_column_count(n: int, epsilon: str) -> int:
@@ -153,44 +148,6 @@ def test_eg_eps_nek_chain():
         assert rep.fidelity >= 1 - 1.5 * (0.5 - rep.all_ones_prob) - 1e-12
 
 
-def test_classification_of_builders():
-    bias = solve_bias(2, 3)
-    result = classify(build_depth2_nekomata(2, 3, bias))
-    assert result.mostly_classical and result.nice and not result.purely_classical
-    result_d = classify(build_depthd_nekomata(4, 3, 0.3, columns=3))
-    assert result_d.mostly_classical and result_d.nice
-
-
-def test_classify_cnot_only():
-    result = classify(circuit(2, [[cnot(0, 1)]]))
-    assert result.purely_classical and result.mostly_classical and result.nice
-
-
-def test_classify_zero_heavy_reflection_not_nice():
-    heavy = LocalState(math.sqrt(0.9), math.sqrt(0.1))
-    c = circuit(3, [[rtensor({0: heavy, 1: heavy})], [cnot(0, 2)]])
-    result = classify(c)
-    assert result.mostly_classical and not result.nice
-
-
-def test_classify_late_reflection_not_mostly():
-    c = circuit(3, [[cnot(0, 1)], [rtensor({0: PLUS, 2: PLUS})]])
-    result = classify(c)
-    assert not result.mostly_classical and not result.nice
-
-
-def test_classify_witness():
-    # The first layer is the only non-classical one: dropping it leaves a
-    # purely classical circuit on the same wires.
-    bias = solve_bias(2, 2)
-    c = build_depth2_nekomata(2, 2, bias)
-    result = classify(c)
-    assert result.mostly_classical and result.nice and not result.purely_classical
-    assert any(isinstance(g, RTensor) for g in c.layers[0].gates)
-    rest = circuit(c.num_qubits, c.layers[1:])
-    assert classify(rest).purely_classical
-
-
 def test_impurity_bound_edges():
     b = impurity_bound(2, 3, 0.0)
     assert b.union_bound == 0.0 and b.relaxed_bound == 0.0
@@ -205,7 +162,7 @@ def test_impurity_bound_dominates_exact_column():
     state = run(c, zero_state(c.num_qubits))
     column0 = tuple(range(n))
     dist = measurement_distribution(state, column0)
-    impure = 1.0 - dist.prob("0" * n) - dist.prob("1" * n)
+    impure = 1.0 - dist.probs.get("0" * n, 0.0) - dist.probs.get("1" * n, 0.0)
     bound = impurity_bound(n, columns, bias)
     assert bound.per_column == pytest.approx(impure, abs=1e-10)
     assert bound.union_bound >= impure
@@ -320,6 +277,20 @@ def test_depthd_parity_error_is_its_cores(n, d, columns):
 def test_parity_error_is_twice_the_basis_error_at_n2_m3():
     basis_worst, worst = parity_error(2, 3, solve_bias(2, 3))
     assert basis_worst == pytest.approx(1.0479342252424368, abs=1e-13)
+    assert worst == 2 * basis_worst
+
+
+@pytest.mark.parametrize(
+    "n, epsilon, columns, ratio",
+    [(2, 0.15, 34, 7.52), (3, 0.2, 658, 5.02), (4, 0.25, 13_272, 6.66), (6, 0.25, 41_834_371, 6.62)],
+)
+def test_parity_error_curve_at_choose_columns(n, epsilon, columns, ratio):
+    # at the paper's column counts the basis-input parity error is 5 to 7.5
+    # times the constructor's 1 - fidelity, and the worst over all inputs twice that
+    assert choose_columns(n, epsilon) == columns
+    bias = solve_bias(n, columns)
+    basis_worst, worst = parity_error(n, columns, bias)
+    assert basis_worst / (1.0 - grid_law(n, columns, bias)[2]) == pytest.approx(ratio, abs=0.01)
     assert worst == 2 * basis_worst
 
 

@@ -13,7 +13,6 @@ from qackit import (
     Or,
     RTensor,
     Toffoli,
-    apply_gate,
     build_depth2_nekomata,
     circuit,
     classical_read_bound,
@@ -68,7 +67,7 @@ def test_exact_distribution_matches_oracle():
         k = int(rng.integers(1, 7))
         g = rtensor({q: haar_local(rng) for q in range(k)})
         dist = exact_rtensor_distribution(g)
-        oracle = measurement_distribution(apply_gate(zero_state(k), g), range(k))
+        oracle = measurement_distribution(run(circuit(k, [[g]]), zero_state(k)), range(k))
         keys = set(dist.probs) | set(oracle.probs)
         for y in keys:
             assert dist.probs.get(y, 0.0) == pytest.approx(oracle.probs.get(y, 0.0), abs=1e-10)
@@ -80,7 +79,7 @@ def test_exact_distribution_elides_zero_factors():
     dist = exact_rtensor_distribution(g)
     assert dist.kept == (1,)
     assert all(y[0] == "0" for y in dist.probs)
-    oracle = measurement_distribution(apply_gate(zero_state(2), g), (0, 1))
+    oracle = measurement_distribution(run(circuit(2, [[g]]), zero_state(2)), (0, 1))
     for y, p in oracle.probs.items():
         assert dist.probs.get(y, 0.0) == pytest.approx(p, abs=1e-12)
 

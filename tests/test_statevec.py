@@ -21,7 +21,6 @@ from qackit import (
     PLUS,
     RTensor,
     Toffoli,
-    apply_gate,
     basis_state,
     best_nekomata_fidelity,
     build_depth2_nekomata,
@@ -29,7 +28,6 @@ from qackit import (
     circuit,
     cnot,
     fanout_tree,
-    fidelity,
     h_gate,
     measurement_distribution,
     parity_from_nekomata,
@@ -54,21 +52,21 @@ def cat(n: int) -> StateVector:
 
 
 def test_toffoli_definition():
-    out = apply_gate(basis_state(3, "110"), Toffoli((0, 1), 2))
+    out = run(circuit(3, [[Toffoli((0, 1), 2)]]), basis_state(3, "110"))
     assert np.argmax(np.abs(out.amplitudes)) == int("111", 2)
 
 
 def test_reflection_about_one_is_z():
     g = rtensor({0: KET1})
-    s0 = apply_gate(basis_state(1, "0"), g)
-    s1 = apply_gate(basis_state(1, "1"), g)
+    s0 = run(circuit(1, [[g]]), basis_state(1, "0"))
+    s1 = run(circuit(1, [[g]]), basis_state(1, "1"))
     assert np.allclose(s0.amplitudes, [1, 0])
     assert np.allclose(s1.amplitudes, [0, -1])
 
 
 def test_reflection_about_plus_plus():
     g = rtensor({0: PLUS, 1: PLUS})
-    out = apply_gate(basis_state(2, "00"), g)
+    out = run(circuit(2, [[g]]), basis_state(2, "00"))
     assert np.allclose(out.amplitudes, [0.5, -0.5, -0.5, -0.5], atol=1e-12)
 
 
@@ -85,12 +83,6 @@ def test_run_empty_and_hh():
     assert np.max(np.abs(run(c, s).amplitudes - s.amplitudes)) < 1e-12
 
 
-def test_fidelity_examples():
-    assert fidelity(cat(2), cat(2)) == pytest.approx(1.0)
-    assert fidelity(basis_state(2, "00"), basis_state(2, "11")) == 0.0
-    assert fidelity(basis_state(2, "00"), cat(2)) == pytest.approx(0.5)
-
-
 def test_measurement_distribution_cat3():
     dist = measurement_distribution(cat(3), (0, 1, 2))
     assert set(dist.probs) == {"000", "111"}
@@ -101,7 +93,7 @@ def test_measurement_distribution_cat3():
 def test_measurement_distribution_plus_and_reflection():
     dist = measurement_distribution(product_state([PLUS]), (0,))
     assert dist.probs["0"] == pytest.approx(0.5)
-    out = apply_gate(basis_state(2, "00"), rtensor({0: PLUS, 1: PLUS}))
+    out = run(circuit(2, [[rtensor({0: PLUS, 1: PLUS})]]), basis_state(2, "00"))
     dist2 = measurement_distribution(out, (0, 1))
     for key in ("00", "01", "10", "11"):
         assert dist2.probs[key] == pytest.approx(0.25)
@@ -282,8 +274,6 @@ def test_unitary_peak_memory_stays_near_the_result_size():
 
 def test_dimension_mismatch_errors():
     with pytest.raises(ValueError):
-        fidelity(zero_state(2), zero_state(3))
-    with pytest.raises(ValueError):
         run(circuit(3, []), zero_state(2))
     with pytest.raises(ValueError):
         measurement_distribution(zero_state(2), (5,))
@@ -450,8 +440,6 @@ def test_run_checks_the_width_and_every_gate_support_on_any_input():
             run(bad, state)
         with pytest.raises(ValueError, match="circuit and state qubit counts differ"):
             run(circuit(4, [[h_gate(0)]]), state)
-    with pytest.raises(ValueError, match="out of range for 3 qubits"):
-        apply_gate(zero_state(3), cnot(1, 5))
 
 
 # The last widening adds one wire, so it holds a half and a whole.  On the
