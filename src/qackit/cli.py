@@ -26,8 +26,9 @@ from .ir import Circuit, LocalState, RTensor, depth, size, topology, validate
 from .rng import substream
 
 # widest circuit `build` emits, checked before anything is built.  At the cap,
-# build plus serialize peaks at 935 MiB RSS for the n=6 grid (1,048,572 wires,
-# a 108 MB file) and at 503 MiB for `cat` (2-core Xeon, Python 3.11)
+# build plus serialize peaks at 319 MiB RSS for the n=6 grid (1,048,572 wires,
+# a 28 MB file) and at 501 MiB for `cat` (a 72 MB file; ru_maxrss, 2-core
+# Xeon, Python 3.11)
 MAX_BUILD_WIRES = 1 << 20
 
 
@@ -35,19 +36,11 @@ class CliError(Exception):
     pass
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, data: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = os.path.join(directory, f".{os.path.basename(path)}.tmp{os.getpid()}")
-    with open(tmp, "w") as f:
-        f.write(text)
+    with open(tmp, "wb") as f:
+        f.write(data)
     os.replace(tmp, path)
 
 
@@ -60,14 +53,15 @@ class Manifest:
         self.started = time.monotonic()
 
     def read_input(self, path: str) -> str:
-        with open(path) as f:
-            text = f.read()
-        self.inputs[path] = _sha256(path)
-        return text
+        with open(path, "rb") as f:
+            data = f.read()
+        self.inputs[path] = hashlib.sha256(data).hexdigest()
+        return data.decode()
 
     def write_output(self, path: str, text: str) -> None:
-        _atomic_write(path, text)
-        self.outputs[path] = _sha256(path)
+        data = text.encode()
+        _atomic_write(path, data)
+        self.outputs[path] = hashlib.sha256(data).hexdigest()
 
     def finalize(self) -> None:
         if not self.outputs:
@@ -81,7 +75,7 @@ class Manifest:
             "wall_clock_seconds": round(time.monotonic() - self.started, 6),
         }
         first_out = next(iter(self.outputs))
-        _atomic_write(first_out + ".manifest.json", json.dumps(doc, indent=2) + "\n")
+        _atomic_write(first_out + ".manifest.json", (json.dumps(doc, indent=2) + "\n").encode())
 
 
 def _load_circuit(manifest: Manifest, path: str) -> Circuit:

@@ -24,6 +24,7 @@ pure and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -120,13 +121,14 @@ class RTensor:
     factors: tuple[tuple[QubitId, LocalState], ...]
 
     def __post_init__(self):
-        factors = tuple((int(q), s) for q, s in self.factors)
+        factors = tuple(self.factors)
         if not factors:
             raise ValueError("RTensor needs at least one factor")
-        qubits = [q for q, _ in factors]
-        if len(set(qubits)) != len(qubits):
+        if not all(type(q) is int for q, _ in factors):  # numpy wire ids
+            factors = tuple((int(q), s) for q, s in factors)
+        if len({q for q, _ in factors}) != len(factors):
             raise ValueError("RTensor factor qubits must be distinct")
-        object.__setattr__(self, "factors", tuple(sorted(factors, key=lambda f: f[0])))
+        object.__setattr__(self, "factors", tuple(sorted(factors, key=itemgetter(0))))
 
     @property
     def qubits(self) -> tuple[QubitId, ...]:

@@ -1,13 +1,31 @@
 """JSON serialization for circuits and state vectors.
 
 Circuit files are JSON objects with fields ``num_qubits``, ``targets``
-(array or null), and ``layers`` (array of arrays of gate objects).  Gate
-objects carry ``kind`` in {"u1", "toffoli", "or", "rtensor"} plus
-kind-specific fields; complex numbers are [re, im] pairs.  Floats are printed
-as Python's shortest round-trip repr, so round-trips are bit-exact.
+(array or null), ``states`` (the table of local states) and ``layers``
+(array of arrays of gate objects).  Gate objects carry ``kind`` in
+{"u1", "toffoli", "or", "rtensor"} plus kind-specific fields; complex
+numbers are [re, im] pairs.  Floats are printed as Python's shortest
+round-trip repr, so round-trips are bit-exact.  For example::
 
-``deserialize`` gives rtensor factors with equal ``amp0``/``amp1`` pairs one
-shared ``LocalState`` (a grid repeats one state on every column factor), so
+    {
+      "num_qubits": 3,
+      "targets": [2],
+      "states": [[[0.6, 0.0], [0.0, 0.8]], [[1.0, 0.0], [0.0, 0.0]]],
+      "layers": [
+        [{"kind": "rtensor", "qubits": [0, 1], "states": [0, 1]}],
+        [{"kind": "or", "controls": [0, 1], "target": 2}]
+      ]
+    }
+
+Each distinct ``[amp0, amp1]`` state is written once in ``states``, in order
+of first use, and an rtensor gate lists its wires in ``qubits`` and, at the
+same positions, the indices of their states in that table.  States are
+distinct by value, and the sign of a zero part counts, so ``-0.0`` stays
+``-0.0``.  Files from before the table existed, whose rtensor gates spell
+out each factor, no longer load and must be rebuilt.
+
+``deserialize`` builds one ``LocalState`` per table entry, so every factor
+of a state shares it (a grid repeats one state on every column factor), and
 ``validate`` and the samplers, which cache by state identity, read each
 distinct state once.  Fields are checked by exact type, and error locations
 are formatted only when a check fails.  The cyclic garbage collector is
@@ -18,8 +36,8 @@ from __future__ import annotations
 import gc
 import json
 import operator
-from math import copysign
-from typing import Any
+import struct
+from typing import Any, Callable
 
 import numpy as np
 
@@ -41,7 +59,7 @@ def _pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _gate_obj(g: Gate) -> dict:
+def _gate_obj(g: Gate, state_index: Callable[[LocalState], int]) -> dict:
     if isinstance(g, OneQubit):
         return {"kind": "u1", "qubit": g.qubit, "matrix": [_pair(z) for z in g.matrix.reshape(4)]}
     if isinstance(g, Toffoli):
@@ -49,21 +67,34 @@ def _gate_obj(g: Gate) -> dict:
     if isinstance(g, Or):
         return {"kind": "or", "controls": list(g.controls), "target": g.target}
     if isinstance(g, RTensor):
-        return {
-            "kind": "rtensor",
-            "factors": [
-                {"qubit": q, "amp0": _pair(s.amp0), "amp1": _pair(s.amp1)} for q, s in g.factors
-            ],
-        }
+        return {"kind": "rtensor", "qubits": list(g.qubits), "states": [state_index(s) for s in g.states]}
     raise TypeError(f"unknown gate {type(g)!r}")
 
 
+# a state's four parts as their bit patterns, so -0.0 and 0.0 differ
+_state_key = struct.Struct("4d").pack
+
+
 def serialize(c: Circuit) -> str:
-    """``c`` as JSON text: ``num_qubits``, then ``targets``, then one layer per line."""
+    """``c`` as JSON text: ``num_qubits``, ``targets``, the ``states`` table,
+    then one layer per line."""
+    table: list[list[list[float]]] = []
+    by_key: dict[bytes, int] = {}
+    by_id: dict[int, int] = {}  # c holds every state, so no id is reused
+
+    def state_index(s: LocalState) -> int:
+        i = by_id.get(id(s))
+        if i is None:
+            entry = [_pair(s.amp0), _pair(s.amp1)]
+            i = by_id[id(s)] = by_key.setdefault(_state_key(*entry[0], *entry[1]), len(table))
+            if i == len(table):
+                table.append(entry)
+        return i
+
     targets = list(c.targets) if c.targets is not None else None
-    layers = ",".join("\n    " + _encode([_gate_obj(g) for g in lay.gates]) for lay in c.layers)
-    return '{\n  "num_qubits": %s,\n  "targets": %s,\n  "layers": [%s\n  ]\n}\n' % (
-        _encode(c.num_qubits), _encode(targets), layers
+    layers = ",".join("\n    " + _encode([_gate_obj(g, state_index) for g in lay.gates]) for lay in c.layers)
+    return '{\n  "num_qubits": %s,\n  "targets": %s,\n  "states": %s,\n  "layers": [%s\n  ]\n}\n' % (
+        _encode(c.num_qubits), _encode(targets), _encode(table), layers
     )
 
 
@@ -104,22 +135,33 @@ def _wire(val: Any, field: str, at: str | tuple) -> int:
     return val
 
 
-def _factor(f: Any, at: tuple, states: dict[tuple, LocalState]) -> tuple[int, LocalState]:
-    """One rtensor factor as ``(qubit, state)``.  Equal ``amp0``/``amp1``
-    pairs get the one ``LocalState`` kept in ``states``, looked up only after
-    the type checks.  The key holds the sign of each part, so -0.0 never
-    shares with 0.0, and a NaN part equals no key, so it is never shared."""
-    q = _wire(_want(f, "qubit", at), "qubit", at)
-    a0 = _as_complex(_want(f, "amp0", at), at)
-    a1 = _as_complex(_want(f, "amp1", at), at)
-    key = (a0, a1, copysign(1.0, a0.real), copysign(1.0, a0.imag), copysign(1.0, a1.real), copysign(1.0, a1.imag))
-    s = states.get(key)
-    if s is None:
-        s = states[key] = LocalState(a0, a1)
-    return q, s
+def _state_table(doc: dict) -> list[LocalState]:
+    """``doc["states"]``, one ``LocalState`` per entry."""
+    entries = _want(doc, "states", "top level")
+    if type(entries) is not list:
+        raise CircuitFormatError("top level: states must be an array")
+    table = []
+    for i, e in enumerate(entries):
+        if type(e) is not list or len(e) != 2:
+            raise CircuitFormatError(f"state {i}: expected a pair of [re, im] pairs")
+        table.append(LocalState(_as_complex(e[0], ("state", i)), _as_complex(e[1], ("state", i))))
+    return table
 
 
-def _parse_gate(obj: Any, at: tuple, states: dict[tuple, LocalState]) -> Gate:
+def _factors(qubits: list, states: list, table: list[LocalState], at: tuple) -> tuple[tuple[int, LocalState], ...]:
+    """An rtensor gate's ``(qubit, table[s])`` pairs from arrays of equal
+    length.  An index that is a bool, a float or out of range is refused, so
+    a negative one never wraps."""
+    n = len(table)
+    for i, (q, s) in enumerate(zip(qubits, states)):
+        if type(q) is not int or type(s) is not int or not 0 <= s < n:
+            at += ("factor", i)
+            _wire(q, "qubit", at)
+            raise CircuitFormatError(f"{_where(at)}: state: expected an index in [0, {n}), got {s!r}")
+    return tuple(zip(qubits, [table[s] for s in states]))
+
+
+def _parse_gate(obj: Any, at: tuple, table: list[LocalState]) -> Gate:
     if type(obj) is not dict:
         raise CircuitFormatError(f"{_where(at)}: gate must be an object")
     kind = _want(obj, "kind", at)
@@ -142,12 +184,17 @@ def _parse_gate(obj: Any, at: tuple, states: dict[tuple, LocalState]) -> Gate:
         except ValueError as exc:
             raise CircuitFormatError(f"{_where(at)}: {exc}") from exc
     if kind == "rtensor":
-        factors = _want(obj, "factors", at)
-        if type(factors) is not list:
-            raise CircuitFormatError(f"{_where(at)}: factors must be an array")
-        pairs = tuple(_factor(f, at + ("factor", i), states) for i, f in enumerate(factors))
+        qubits = _want(obj, "qubits", at)
+        states = _want(obj, "states", at)
+        if type(qubits) is not list or type(states) is not list:
+            raise CircuitFormatError(f"{_where(at)}: qubits and states must be arrays")
+        if len(qubits) != len(states):
+            raise CircuitFormatError(
+                f"{_where(at)}: qubits and states differ in length ({len(qubits)} and {len(states)})"
+            )
+        factors = _factors(qubits, states, table, at)
         try:
-            return RTensor(pairs)
+            return RTensor(factors)
         except ValueError as exc:
             raise CircuitFormatError(f"{_where(at)}: {exc}") from exc
     raise CircuitFormatError(f"{_where(at)}: unknown gate kind {kind!r}")
@@ -196,15 +243,15 @@ def _circuit(doc: dict) -> Circuit:
         if type(targets) is not list:
             raise CircuitFormatError("top level: targets must be an array or null")
         targets = tuple(_wire(q, "targets", "top level") for q in targets)
+    table = _state_table(doc)
     layers_doc = _want(doc, "layers", "top level")
     if type(layers_doc) is not list:
         raise CircuitFormatError("top level: layers must be an array")
     layers = []
-    states: dict[tuple, LocalState] = {}
     for k, lay in enumerate(layers_doc):
         if type(lay) is not list:
             raise CircuitFormatError(f"layer {k}: expected an array of gates")
-        layers.append(Layer(tuple(_parse_gate(g, ("layer", k, "gate", j), states) for j, g in enumerate(lay))))
+        layers.append(Layer(tuple(_parse_gate(g, ("layer", k, "gate", j), table) for j, g in enumerate(lay))))
     return Circuit(num_qubits, tuple(layers), targets)
 
 

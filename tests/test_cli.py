@@ -312,15 +312,17 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys):
 
 def test_validation_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"num_qubits": 1, "targets": null, "layers": [[{"kind": "nope"}]]}')
+    bad.write_text('{"num_qubits": 1, "targets": null, "states": [], "layers": [[{"kind": "nope"}]]}')
     assert run_cli("info", "--circuit", str(bad)) == 1
     err = capsys.readouterr().err
     assert "error:" in err
 
 
-_NONFINITE_GATES = {
-    "rtensor": '{"kind": "rtensor", "factors": [{"qubit": 0, "amp0": [%s, 0], "amp1": [0, 0]}]}',
-    "u1": '{"kind": "u1", "qubit": 0, "matrix": [[%s, 0], [0, 0], [0, 0], [1, 0]]}',
+_NONFINITE_FILES = {
+    "rtensor": '{"num_qubits": 1, "targets": [0], "states": [[[%s, 0], [0, 0]]], '
+    '"layers": [[{"kind": "rtensor", "qubits": [0], "states": [0]}]]}',
+    "u1": '{"num_qubits": 1, "targets": [0], "states": [], '
+    '"layers": [[{"kind": "u1", "qubit": 0, "matrix": [[%s, 0], [0, 0], [0, 0], [1, 0]]}]]}',
 }
 
 
@@ -329,8 +331,7 @@ _NONFINITE_GATES = {
 def test_nonfinite_numbers_from_a_file_are_rejected(tmp_path, capsys, value, kind, message):
     # json accepts NaN and Infinity; validation must still reject them
     path = tmp_path / "bad.json"
-    gate = _NONFINITE_GATES[kind] % value
-    path.write_text('{"num_qubits": 1, "targets": [0], "layers": [[%s]]}' % gate)
+    path.write_text(_NONFINITE_FILES[kind] % value)
     out = tmp_path / "s.csv"
     assert run_cli("simulate", "--circuit", str(path)) == 1
     assert message in capsys.readouterr().err
@@ -611,3 +612,61 @@ def test_main_runs_different_subcommands_in_one_process(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("depth=2") == 3 and "markov: pass" in out
     assert cli._build_parser() is cli._build_parser()
+
+
+def test_manifest_digests_are_the_sha256_of_the_bytes_on_disk(tmp_path):
+    import hashlib
+
+    nek, out, summary = tmp_path / "nek.json", tmp_path / "s.csv", tmp_path / "s.json"
+    assert run_cli("build", "nekomata", "--n", "2", "--columns", "3", "--out", str(nek)) == 0
+    code = run_cli(
+        "sample", "--circuit", str(nek), "--trials", "50", "--seed", "1", "--out", str(out), "--summary", str(summary)
+    )
+    assert code == 0
+    built = json.loads((tmp_path / "nek.json.manifest.json").read_text())
+    sampled = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+    digest = {p: hashlib.sha256(p.read_bytes()).hexdigest() for p in (nek, out, summary)}
+    assert built["outputs"] == {str(nek): digest[nek]}
+    assert sampled["inputs"] == {str(nek): digest[nek]}
+    assert sampled["outputs"] == {str(out): digest[out], str(summary): digest[summary]}
+
+
+def test_a_file_in_the_per_factor_form_must_be_rebuilt(tmp_path, capsys):
+    old = tmp_path / "old.json"
+    old.write_text(
+        '{\n  "num_qubits": 2,\n  "targets": null,\n  "layers": [\n    [{"kind": "rtensor", "factors": '
+        '[{"qubit": 0, "amp0": [1.0, 0.0], "amp1": [0.0, 0.0]}, {"qubit": 1, "amp0": [0.0, 0.0], '
+        '"amp1": [1.0, 0.0]}]}]\n  ]\n}\n'
+    )
+    out = tmp_path / "s.csv"
+    for argv in (
+        ("info", "--circuit", str(old)),
+        ("simulate", "--circuit", str(old)),
+        ("sample", "--circuit", str(old), "--trials", "5", "--seed", "1", "--out", str(out)),
+    ):
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == "error: top level: missing field 'states'\n"
+    assert not out.exists()
+
+
+def test_every_file_build_and_transform_write_round_trips_exactly(tmp_path):
+    written = []
+
+    def write(*argv) -> str:
+        out = tmp_path / f"{len(written)}.json"
+        assert run_cli(*argv, "--out", str(out)) == 0, argv
+        written.append(out)
+        return str(out)
+
+    nek = write("build", "nekomata", "--n", "2", "--columns", "3")
+    write("build", "nekomata", "--n", "8", "--depth", "3", "--columns", "3")
+    tree = write("build", "fanout-tree", "--n", "9", "--m", "3")
+    cat = write("build", "cat", "--n", "5", "--m", "2")
+    parity = write("build", "parity-from-nekomata", "--constructor", nek, "--n", "2")
+    for src in (nek, tree, cat, parity):
+        for how in ("normal-form", "lower", "hadamard-conjugate"):
+            write("transform", how, "--circuit", src)
+    texts = [p.read_text() for p in written]
+    assert any("-0.0" in t for t in texts)  # signed zeros are written, and must survive
+    for text in texts:
+        assert serialize(deserialize(text)) == text

@@ -143,6 +143,15 @@ def test_rtensor_factors_sorted():
     assert g.qubits == (0, 2)
 
 
+def test_rtensor_numpy_wire_ids_become_ints_and_repeated_wires_are_refused():
+    g = RTensor(((np.int64(2), PLUS), (np.int32(0), MINUS), (1, KET1)))
+    assert g.factors == ((0, MINUS), (1, KET1), (2, PLUS))
+    assert [type(q) for q in g.qubits] == [int, int, int]
+    for factors in (((1, PLUS), (1, MINUS)), ((np.int64(1), PLUS), (1, MINUS))):
+        with pytest.raises(ValueError, match="^RTensor factor qubits must be distinct$"):
+            RTensor(factors)
+
+
 def test_support_and_multiqubit():
     assert support(Toffoli((2, 0), 1)) == (0, 1, 2)
     assert not is_multi_qubit(x_gate(0))

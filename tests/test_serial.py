@@ -85,8 +85,10 @@ def _valid_circuits(draw) -> Circuit:
 @given(_valid_circuits())
 def test_round_trip_generated_circuits(c):
     assert validate(c) == []
-    again = deserialize(serialize(c))
+    text = serialize(c)
+    again = deserialize(text)
     assert again == c
+    assert serialize(again) == text
 
 
 def test_serialized_layout_is_one_layer_per_line():
@@ -103,17 +105,19 @@ def test_serialized_layout_is_one_layer_per_line():
         '{\n'
         '  "num_qubits": 3,\n'
         '  "targets": [2, 0],\n'
+        '  "states": [[[0.6, 0.0], [0.0, 0.8]], [[1.0, 0.0], [0.0, 0.0]]],\n'
         '  "layers": [\n'
         '    [{"kind": "u1", "qubit": 0, "matrix": [[0.7071067811865475, 0.0], [0.7071067811865475, 0.0], '
-        '[0.7071067811865475, 0.0], [-0.7071067811865475, 0.0]]}, {"kind": "rtensor", "factors": '
-        '[{"qubit": 1, "amp0": [0.6, 0.0], "amp1": [0.0, 0.8]}, {"qubit": 2, "amp0": [1.0, 0.0], '
-        '"amp1": [0.0, 0.0]}]}],\n'
+        '[0.7071067811865475, 0.0], [-0.7071067811865475, 0.0]]}, {"kind": "rtensor", "qubits": [1, 2], '
+        '"states": [0, 1]}],\n'
         '    [{"kind": "toffoli", "controls": [0, 1], "target": 2}],\n'
         '    [{"kind": "or", "controls": [0, 2], "target": 1}]\n'
         '  ]\n'
         '}\n'
     )
-    assert serialize(circuit(2, [])) == '{\n  "num_qubits": 2,\n  "targets": null,\n  "layers": [\n  ]\n}\n'
+    assert serialize(circuit(2, [])) == (
+        '{\n  "num_qubits": 2,\n  "targets": null,\n  "states": [],\n  "layers": [\n  ]\n}\n'
+    )
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -142,7 +146,7 @@ def test_numpy_integer_wire_ids_serialize_as_plain_ints(int_type):
 
 
 def test_unknown_gate_kind_is_parse_error():
-    text = '{"num_qubits": 1, "targets": null, "layers": [[{"kind": "blorp"}]]}'
+    text = '{"num_qubits": 1, "targets": null, "states": [], "layers": [[{"kind": "blorp"}]]}'
     with pytest.raises(CircuitFormatError, match="unknown gate kind"):
         deserialize(text)
 
@@ -163,8 +167,9 @@ def test_seventeen_digit_amplitudes():
     assert float("0.70710678118654752") == 2**-0.5
     # a file written with 17 significant digits loads to the identical circuit
     old = (
-        '{\n  "num_qubits": 1,\n  "targets": null,\n  "layers": [\n    [{"kind": "rtensor", "factors": '
-        '[{"qubit": 0, "amp0": [0.70710678118654757, 0.0], "amp1": [0.70710678118654757, 0.0]}]}]\n  ]\n}\n'
+        '{\n  "num_qubits": 1,\n  "targets": null,\n  "states": [[[0.70710678118654757, 0.0], '
+        '[0.70710678118654757, 0.0]]],\n  "layers": [\n    [{"kind": "rtensor", "qubits": [0], "states": [0]}]\n'
+        '  ]\n}\n'
     )
     assert deserialize(old) == deserialize(text) == c
 
@@ -206,7 +211,6 @@ def test_missing_fields():
 
 
 _X = [[0, 0], [1, 0], [1, 0], [0, 0]]
-_AMP = {"amp0": [1.0, 0.0], "amp1": [0.0, 0.0]}
 
 
 @pytest.mark.parametrize("bad", [0.9, 1.0, True, False, "1", None])
@@ -218,17 +222,18 @@ _AMP = {"amp0": [1.0, 0.0], "amp1": [0.0, 0.0]}
         ("target", lambda w: {"kind": "toffoli", "controls": [0], "target": w}, None),
         ("controls", lambda w: {"kind": "or", "controls": [w], "target": 2}, None),
         ("target", lambda w: {"kind": "or", "controls": [0, 2], "target": w}, None),
-        ("qubit", lambda w: {"kind": "rtensor", "factors": [{"qubit": w, **_AMP}]}, None),
+        ("qubit", lambda w: {"kind": "rtensor", "qubits": [w], "states": [0]}, None),
         ("targets", lambda w: {"kind": "u1", "qubit": 0, "matrix": _X}, lambda w: [0, w]),
     ],
 )
 def test_wire_ids_must_be_integers(field, gate, targets, bad):
     import json
 
-    doc = {"num_qubits": 3, "targets": targets(bad) if targets else None, "layers": [[gate(bad)]]}
+    table = [[[1.0, 0.0], [0.0, 0.0]]]
+    doc = {"num_qubits": 3, "targets": targets(bad) if targets else None, "states": table, "layers": [[gate(bad)]]}
     with pytest.raises(CircuitFormatError, match=f"{field}: expected an integer wire id, got {bad!r}"):
         deserialize(json.dumps(doc))
-    ok = {"num_qubits": 3, "targets": targets(1) if targets else None, "layers": [[gate(1)]]}
+    ok = {"num_qubits": 3, "targets": targets(1) if targets else None, "states": table, "layers": [[gate(1)]]}
     deserialize(json.dumps(ok))
 
 
@@ -274,16 +279,16 @@ def test_state_num_qubits_is_bounded_before_the_shift(extra):
 @pytest.mark.parametrize("load", [deserialize, state_from_json])
 def test_oversized_integers_and_deep_nesting_are_format_errors(load):
     big = "1" + "0" * 400
-    text = '{"num_qubits": 1, "targets": null, "amplitudes": [[%s, 0], [0, 0]], "layers": [[{"kind": "u1", ' \
-        '"qubit": 0, "matrix": [[%s, 0], [0, 0], [0, 0], [1, 0]]}]]}' % (big, big)
+    text = '{"num_qubits": 1, "targets": null, "amplitudes": [[%s, 0], [0, 0]], "states": [], ' \
+        '"layers": [[{"kind": "u1", "qubit": 0, "matrix": [[%s, 0], [0, 0], [0, 0], [1, 0]]}]]}' % (big, big)
     with pytest.raises(CircuitFormatError, match="too large"):
         load(text)
     with pytest.raises(CircuitFormatError, match="nested too deeply"):
         load("[" * 100_000 + "]" * 100_000)
 
 
-_KEYS = ("num_qubits", "targets", "layers", "amplitudes", "kind", "qubit", "matrix", "controls", "target",
-         "factors", "amp0", "amp1")
+_KEYS = ("num_qubits", "targets", "states", "layers", "amplitudes", "kind", "qubit", "qubits", "matrix", "controls",
+         "target")
 _numbers = st.integers() | st.floats() | st.sampled_from([10**400, -(10**400)])  # json reads 10**400
 _json_leaves = st.none() | st.booleans() | _numbers | st.sampled_from(["u1", "toffoli", "or", "rtensor"])
 _json_values = st.recursive(
@@ -294,6 +299,7 @@ _json_values = st.recursive(
 # the top level is valid and each field deeper down is near-valid or
 # arbitrary, so the checks inside gates and amplitudes are reached too
 _wires = st.integers(0, 2) | _json_leaves
+_indices = st.integers(-2, 2) | _json_leaves
 _pairs = st.lists(_numbers, min_size=2, max_size=2) | _json_values
 _gates = st.fixed_dictionaries(
     {
@@ -302,9 +308,15 @@ _gates = st.fixed_dictionaries(
         "matrix": st.lists(_pairs, min_size=4, max_size=4) | _json_values,
         "controls": st.lists(_wires, max_size=3) | _json_values,
         "target": _wires,
-        "factors": st.lists(st.fixed_dictionaries({"qubit": _wires, "amp0": _pairs, "amp1": _pairs}), max_size=3)
-        | _json_values,
+        "qubits": st.lists(_wires, max_size=2) | _json_values,
+        "states": st.lists(_indices, max_size=2) | _json_values,
     }
+)
+# well-formed tables and rtensor gates as well, so that the index checks are reached
+_tables = st.lists(st.lists(st.lists(st.integers() | st.floats(), min_size=2, max_size=2), min_size=2, max_size=2),
+                   max_size=2)
+_rtensors = st.fixed_dictionaries(
+    {"kind": st.just("rtensor"), "qubits": st.lists(_wires, max_size=2), "states": st.lists(_indices, max_size=2)}
 )
 _malformed_docs = st.one_of(
     _json_values,
@@ -312,7 +324,9 @@ _malformed_docs = st.one_of(
         {
             "num_qubits": st.integers(1, 3),
             "targets": st.none() | st.lists(_wires, max_size=3),
-            "layers": st.lists(st.lists(_gates, max_size=3), max_size=2),
+            "states": _tables | st.lists(st.lists(_pairs, min_size=2, max_size=2) | _json_values, max_size=2)
+            | _json_values,
+            "layers": st.lists(st.lists(_gates | _rtensors, max_size=3), max_size=2),
         }
     ),
     st.integers(1, 3).flatmap(
@@ -341,16 +355,15 @@ def test_malformed_documents_raise_only_format_errors(doc):
 
 
 def test_boolean_u1_matrix_entry_is_rejected():
-    text = '{"num_qubits": 1, "targets": null, "layers": [[{"kind": "u1", "qubit": 0, ' \
+    text = '{"num_qubits": 1, "targets": null, "states": [], "layers": [[{"kind": "u1", "qubit": 0, ' \
         '"matrix": [[false, false], [true, false], [1, 0], [0, 0]]}]]}'
     with pytest.raises(CircuitFormatError, match=r"^layer 0, gate 0: expected \[re, im\] pair"):
         deserialize(text)
 
 
 def test_boolean_rtensor_amplitude_is_rejected():
-    text = '{"num_qubits": 1, "targets": null, "layers": [[{"kind": "rtensor", "factors": ' \
-        '[{"qubit": 0, "amp0": [true, 0], "amp1": [0.0, 0.0]}]}]]}'
-    with pytest.raises(CircuitFormatError, match=r"^layer 0, gate 0, factor 0: expected \[re, im\] pair"):
+    text = _rtensor_doc([[[True, 0], [0.0, 0.0]]], ([0], [0]))
+    with pytest.raises(CircuitFormatError, match=r"^state 0: expected \[re, im\] pair"):
         deserialize(text)
 
 
@@ -360,26 +373,36 @@ def test_boolean_state_amplitude_is_rejected():
 
 
 # ---------------------------------------------------------------------------
-# equal factor pairs share one LocalState; the field checks stay as they were
+# the state table: each distinct state written once, shared after loading
+
+_KET0 = [[1.0, 0.0], [0.0, 0.0]]
+_MISSING = object()
 
 
-def _rtensor_doc(*gates) -> str:
+def _rtensor_doc(table, *gates) -> str:
+    """A one-layer file on 6 wires with state table ``table`` (left out if
+    ``_MISSING``) and one rtensor gate per ``(qubits, states)`` pair."""
     import json
 
-    layer = [
-        {"kind": "rtensor", "factors": [{"qubit": q, "amp0": a0, "amp1": a1} for q, a0, a1 in factors]}
-        for factors in gates
-    ]
-    return json.dumps({"num_qubits": 6, "targets": None, "layers": [layer]})
+    doc = {"num_qubits": 6, "targets": None, "states": table,
+           "layers": [[{"kind": "rtensor", "qubits": q, "states": s} for q, s in gates]]}
+    if table is _MISSING:
+        del doc["states"]
+    return json.dumps(doc)
 
 
 def test_equal_factor_pairs_share_one_local_state():
-    h = [2**-0.5, 0.0]
-    c = deserialize(_rtensor_doc([(0, h, h), (1, [1, 0], [0, 0])], [(2, h, h), (3, [1.0, 0.0], [0.0, 0.0])],
-                                 [(4, h, [-(2**-0.5), 0.0])]))
-    (s0, s1), (s2, s3), (s4,) = (g.states for g in c.layers[0].gates)
+    import json
+
+    h = 2**-0.5
+    c = circuit(6, [[rtensor({0: LocalState(h, h), 1: LocalState(1, 0)}),
+                     rtensor({2: LocalState(h, h), 3: LocalState(1.0, 0.0)}),
+                     rtensor({4: LocalState(h, -h)})]])
+    text = serialize(c)
+    assert json.loads(text)["states"] == [[[h, 0.0], [h, 0.0]], [[1.0, 0.0], [0.0, 0.0]], [[h, 0.0], [-h, 0.0]]]
+    (s0, s1), (s2, s3), (s4,) = (g.states for g in deserialize(text).layers[0].gates)
     assert s0 is s2  # the same pair in two gates
-    assert s1 is s3  # [1, 0] and [1.0, 0.0] read as the same complex numbers
+    assert s1 is s3  # 1 and 1.0 are the same complex numbers
     assert s0 is not s1 and s4 is not s0 and s4 != s0
 
 
@@ -398,33 +421,88 @@ def test_signed_zero_factors_round_trip_byte_for_byte():
     assert len({id(g.states[1]) for g in back.layers[0].gates}) == 1
 
 
+def test_grid_file_holds_one_state_that_every_factor_shares():
+    import json
+
+    from qackit.nekomata import build_depthd_nekomata, solve_bias
+
+    c = build_depthd_nekomata(6, 2, 0.25, columns=2000, bias=solve_bias(6, 2000))
+    text = serialize(c)
+    assert len(json.loads(text)["states"]) == 1
+    back = deserialize(text)
+    states = [s for lay in back.layers for g in lay.gates if isinstance(g, RTensor) for s in g.states]
+    assert len(states) == 12_000 and len({id(s) for s in states}) == 1
+    assert serialize(back) == text
+
+
 def test_boolean_amplitude_is_rejected_after_an_equal_number_pair():
-    text = _rtensor_doc([(0, [1, 0], [0, 0])], [(1, [True, 0], [0, 0])])
-    with pytest.raises(CircuitFormatError, match=r"^layer 0, gate 1, factor 0: expected \[re, im\] pair$"):
+    text = _rtensor_doc([[[1, 0], [0, 0]], [[True, 0], [0, 0]]], ([0], [0]), ([1], [1]))
+    with pytest.raises(CircuitFormatError, match=r"^state 1: expected \[re, im\] pair$"):
         deserialize(text)
 
 
 def test_oversized_integer_factor_amplitude_is_a_format_error():
-    big = "1" + "0" * 400
-    text = '{"num_qubits": 2, "targets": null, "layers": [[{"kind": "rtensor", "factors": [' \
-        '{"qubit": 0, "amp0": [1, 0], "amp1": [0, 0]}, {"qubit": 1, "amp0": [0, %s], "amp1": [0, 0]}]}]]}' % big
-    with pytest.raises(CircuitFormatError, match=r"^layer 0, gate 0, factor 1: int too large"):
+    big = 10**400
+    text = _rtensor_doc([[[1, 0], [0, 0]], [[0, big], [0, 0]]], ([0, 1], [0, 1]))
+    with pytest.raises(CircuitFormatError, match=r"^state 1: int too large"):
         deserialize(text)
 
 
-@pytest.mark.parametrize("field", ["qubit", "amp0", "amp1"])
-def test_missing_factor_field_names_layer_gate_and_factor(field):
+@pytest.mark.parametrize("qubit, index, message", [
+    (3.0, 0, "qubit: expected an integer wire id, got 3.0"),
+    (3, 1, "state: expected an index in [0, 1), got 1"),
+], ids=["qubit", "state"])
+def test_bad_factor_names_layer_gate_and_factor(qubit, index, message):
     import json
 
-    factors = [{"qubit": q, "amp0": [1.0, 0.0], "amp1": [0.0, 0.0]} for q in range(4)]
-    good = {"kind": "rtensor", "factors": factors[:3]}
-    del factors[3][field]
+    good = {"kind": "rtensor", "qubits": [0, 1, 2], "states": [0, 0, 0]}
+    bad = {"kind": "rtensor", "qubits": [0, 1, 2, qubit], "states": [0, 0, 0, index]}
     cnot_obj = {"kind": "toffoli", "controls": [0], "target": 1}
-    bad = {"kind": "rtensor", "factors": factors}
-    doc = {"num_qubits": 4, "targets": None, "layers": [[good], [cnot_obj, cnot_obj, bad]]}
+    doc = {"num_qubits": 4, "targets": None, "states": [_KET0], "layers": [[good], [cnot_obj, cnot_obj, bad]]}
     with pytest.raises(CircuitFormatError) as info:
         deserialize(json.dumps(doc))
-    assert str(info.value) == f"layer 1, gate 2, factor 3: missing field {field!r}"
+    assert str(info.value) == f"layer 1, gate 2, factor 3: {message}"
+
+
+@pytest.mark.parametrize("table, gate, message", [
+    (_MISSING, ([0], [0]), "top level: missing field 'states'"),
+    ({}, ([0], [0]), "top level: states must be an array"),
+    (None, ([0], [0]), "top level: states must be an array"),
+    ([[[1.0, 0.0]]], ([0], [0]), "state 0: expected a pair of [re, im] pairs"),
+    ([_KET0, [*_KET0, [0.0, 0.0]]], ([0], [0]), "state 1: expected a pair of [re, im] pairs"),
+    ([_KET0, {"amp0": [1, 0], "amp1": [0, 0]}], ([0], [0]), "state 1: expected a pair of [re, im] pairs"),
+    ([[1.0, 0.0]], ([0], [0]), "state 0: expected [re, im] pair"),
+    ([[[1.0, 0.0], [0, False]]], ([0], [0]), "state 0: expected [re, im] pair"),
+    ([_KET0, _KET0], ([0, 1], [0, -1]), "layer 0, gate 0, factor 1: state: expected an index in [0, 2), got -1"),
+    ([_KET0, _KET0], ([0], [2]), "layer 0, gate 0, factor 0: state: expected an index in [0, 2), got 2"),
+    ([], ([0], [0]), "layer 0, gate 0, factor 0: state: expected an index in [0, 0), got 0"),
+    ([_KET0, _KET0], ([0], [True]), "layer 0, gate 0, factor 0: state: expected an index in [0, 2), got True"),
+    ([_KET0, _KET0], ([0], [False]), "layer 0, gate 0, factor 0: state: expected an index in [0, 2), got False"),
+    ([_KET0], ([0], [0.0]), "layer 0, gate 0, factor 0: state: expected an index in [0, 1), got 0.0"),
+    ([_KET0], ([0, 1], [0]), "layer 0, gate 0: qubits and states differ in length (2 and 1)"),
+    ([_KET0], ([0], [0, 0]), "layer 0, gate 0: qubits and states differ in length (1 and 2)"),
+    ([_KET0], (0, [0]), "layer 0, gate 0: qubits and states must be arrays"),
+    ([_KET0], ([0], {}), "layer 0, gate 0: qubits and states must be arrays"),
+    ([_KET0], ([], []), "layer 0, gate 0: RTensor needs at least one factor"),
+])
+def test_malformed_state_table_or_rtensor_gate_is_located(table, gate, message):
+    # a negative index must not wrap to the end of the table, and no index
+    # may reach the table unchecked: each case raises the located message
+    with pytest.raises(CircuitFormatError) as info:
+        deserialize(_rtensor_doc(table, gate))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("field", ["qubits", "states"])
+def test_missing_rtensor_field_is_located(field):
+    import json
+
+    gate = {"kind": "rtensor", "qubits": [0], "states": [0]}
+    del gate[field]
+    doc = {"num_qubits": 1, "targets": None, "states": [_KET0], "layers": [[gate]]}
+    with pytest.raises(CircuitFormatError) as info:
+        deserialize(json.dumps(doc))
+    assert str(info.value) == f"layer 0, gate 0: missing field {field!r}"
 
 
 @pytest.mark.parametrize("enabled", [True, False])
