@@ -81,7 +81,6 @@ from .sampling import (
     exact_rtensor_distribution,
     factorized_sample_batch,
     gate_law,
-    hamming_stats,
     hamming_stats_of_samples,
     sample_mostly_classical_batch,
 )

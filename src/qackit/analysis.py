@@ -306,15 +306,6 @@ def _target_projection_mass(state: StateVector, targets: tuple[int, ...], goal: 
     return float(np.linalg.norm(proj) ** 2)
 
 
-def _project_qubits(state: StateVector, bras: dict[int, np.ndarray]) -> float:
-    """Probability of the outcome ``<bra|`` on each listed wire."""
-    m = state.num_qubits
-    amps = state.amplitudes.reshape([2] * m)
-    for q in sorted(bras, reverse=True):
-        amps = np.tensordot(bras[q].conj(), amps, axes=(0, q))
-    return float(np.linalg.norm(amps) ** 2)
-
-
 @dataclass(frozen=True)
 class ReductionResult:
     construction: Depth2Construction
@@ -364,12 +355,12 @@ def _measurement_branches(cons: Depth2Construction, owners: dict[int, RTensor], 
         return tuple(kept)
 
     state = cons.state()
-    wires = sorted(owners)
+    wires = tuple(sorted(owners))
     bases = {q: dict(owners[q].factors)[q] for q in wires}
     for combo in range(1 << len(wires)):
         match = {q: (combo >> (len(wires) - 1 - i)) & 1 == 0 for i, q in enumerate(wires)}
-        bras = {q: (bases[q] if match[q] else bases[q].complement()).vec() for q in wires}
-        prob = _project_qubits(state, bras)
+        outcome = product_state([bases[q] if match[q] else bases[q].complement() for q in wires])
+        prob = _target_projection_mass(state, wires, outcome.amplitudes)
         if prob < 1e-15:
             continue
         first, second = measure(cons.first_layer, match), measure(cons.second_layer, match)

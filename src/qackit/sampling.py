@@ -448,20 +448,6 @@ def classical_read_bound(c: Circuit) -> int:
     return read
 
 
-def hamming_stats(
-    c: Circuit,
-    trials: int,
-    rng: np.random.Generator,
-    epsilons: tuple[float, ...] = (0.05, 0.1, 0.2),
-    read_r: int | None = None,
-) -> HammingStats:
-    """Monte-Carlo Hamming-weight statistics of the target measurement, with
-    tails compared against ``exp(-2 eps^2 n / r)``."""
-    samples = sample_mostly_classical_batch(c, trials, rng)
-    r = read_r if read_r is not None else classical_read_bound(c)
-    return hamming_stats_of_samples(samples, r, epsilons)
-
-
 def hamming_stats_of_samples(
     samples: np.ndarray, read_r: int, epsilons: tuple[float, ...] = (0.05, 0.1, 0.2)
 ) -> HammingStats:

@@ -13,23 +13,25 @@ that slice, no factor left means -1, a lone ``|->`` up to phase is X on its
 wire (a swap of two halves), and any other factors are contracted against
 their wires' axes.
 So a circuit in reflection normal form runs at the cost of the classical
-gates it was written from.  Any trailing
-axes of the buffer form a batch axis that every gate acts on alike, so
-``unitary`` is ``run`` applied to column blocks of the identity matrix, each
-written into the one result matrix, and ``max_unitary_difference`` runs two
-circuits on the same block and keeps only the largest entry of the
-difference, so it stores neither matrix; each gate's kernel is built once
-for all the blocks.  A one-qubit gate with a zero diagonal, such as X, is a
-swap of the two slices and a phase on each.
+gates it was written from.  A one-qubit gate with a zero diagonal, such as
+X, is a swap of the two slices and a phase on each.
 
-Public functions never modify their arguments.  ``run`` on an input that
-is not a basis state up to phase copies the input amplitudes once, applies
-gates in place, and hands that buffer to the result read-only, without a
-second copy.  ``run`` on a basis state widens its buffer wire by
-wire instead: the buffer starts with no wire axes, a wire joins it at its
-basis value just before the first gate that touches it, and the wires no
-gate touches join at the end.  So the grid's first layer and a fanout
-tree's early gates run on a fraction of the state.  The practical cap is 24
+One executor runs every circuit.  Its buffer holds some wires, then any
+batch axes, which every gate acts on alike; every other wire is at a fixed
+basis value.  A gate's wires join the buffer at their values just before
+it runs, and the wires no gate touched join at the end.  Callers differ
+only in which wires start held.  ``run`` on a basis state up to phase
+starts with none, so the grid's first layer and a fanout tree's early
+gates run on a fraction of the state; ``run`` on any other input starts
+with all of them, on one copy of the input.  A column block of ``unitary``
+is the identity on the last few wires, with the others at the bits of its
+first column, so it starts with those few.  ``max_unitary_difference``
+runs two circuits on the same block and keeps only the largest entry of
+the difference, so it stores neither matrix.  Each gate's kernel is built
+once for all the blocks.
+
+Public functions never modify their arguments.  ``run`` hands its buffer to
+the result read-only, without a second copy.  The practical cap is 24
 qubits (2^24 complex doubles), checked before any allocation.
 
 Up to two threads: when the process may run on two or more CPUs, a gate on
@@ -58,7 +60,8 @@ MAX_QUBITS = 24
 # ``max_unitary_difference`` holds two column blocks, not two matrices
 MAX_COMPARE_QUBITS = 13
 NORM_ATOL = 1e-10
-# amplitudes per column block of ``unitary`` (4 MiB of complex128)
+# amplitudes per column block of ``unitary`` (4 MiB of complex128); a power of
+# two, so that a block's columns span the last wires
 _BLOCK_AMPS = 1 << 18
 # gates on buffers of at least this many amplitudes run on two threads
 _SPLIT_AMPS = 1 << 16
@@ -107,6 +110,8 @@ def basis_state(num_qubits: int, bits: str | int) -> StateVector:
     if isinstance(bits, str):
         if len(bits) != num_qubits:
             raise ValueError("bit string length must equal num_qubits")
+        if set(bits) - {"0", "1"}:
+            raise ValueError(f"bit string {bits!r} may hold only the characters 0 and 1")
         index = int(bits, 2)
     else:
         index = int(bits)
@@ -264,22 +269,27 @@ def _forget_helper() -> None:
 os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _gate_step(g: Gate, m: int, wires=None):
-    """``g``'s slab kernel on a buffer with one axis per wire of ``wires``
-    (all ``m`` wires by default), and the first of those axes that ``g``
-    leaves free (None if none), after checking its support."""
+def _gate_step(g: Gate, m: int, wires):
+    """``g``'s slab kernel on a buffer with one axis per wire of ``wires``,
+    and the first of those axes that ``g`` leaves free (None if none), after
+    checking ``g``'s support against the circuit's ``m`` wires."""
     touched = support(g)
     for q in touched:
         if not 0 <= q < m:
             raise ValueError(f"gate support {touched} out of range for {m} qubits")
-    wires = range(m) if wires is None else wires
     return _slab_kernel(g, wires), next((a for a, q in enumerate(wires) if q not in touched), None)
 
 
-def _steps(c: Circuit):
-    """The circuit's gate steps in order, each built when it is reached, so
-    that a run holds one gate's ``chi`` at a time."""
-    return (_gate_step(g, c.num_qubits) for lay in c.layers for g in lay.gates)
+def _plan(c: Circuit, held):
+    """``(wires, step)`` for each gate of ``c`` in order: the sorted wires a
+    buffer that starts over the sorted wires ``held`` holds when the gate
+    runs, and the gate's step on them.  Each step is built when it is
+    reached, so that a run holds one gate's ``chi`` at a time."""
+    m = c.num_qubits
+    for lay in c.layers:
+        for g in lay.gates:
+            held = sorted({*held, *support(g)})
+            yield held, _gate_step(g, m, held)
 
 
 def _apply_in_place(buf: np.ndarray, m: int, step) -> None:
@@ -303,64 +313,60 @@ def _apply_in_place(buf: np.ndarray, m: int, step) -> None:
         other_half.result()
 
 
-def _run_in_place(buf: np.ndarray, m: int, steps) -> None:
-    for step in steps:
-        _apply_in_place(buf, m, step)
-
-
 def _widen(buf: np.ndarray, held: list, wires, bits: list) -> np.ndarray:
-    """``buf``, a buffer over the sorted wires ``held``, as a buffer over the
-    sorted wires ``wires``, which include them; each wire new to it holds its
-    value in ``bits``."""
+    """``buf``, a buffer over the sorted wires ``held`` and then its batch
+    axes, as a buffer over the sorted wires ``wires``, which include them;
+    each wire new to it holds its value in ``bits``."""
     if len(wires) == len(held):
         return buf
-    k = len(wires)
-    out = np.zeros(1 << k, dtype=np.complex128)
+    k, batch = len(wires), buf.shape[1:]
+    out = np.zeros((1 << k, *batch), dtype=np.complex128)
     fixed = [(a, bits[q]) for a, q in enumerate(wires) if q not in held]
-    _select(out.reshape((2,) * k), k, fixed)[...] = buf.reshape((2,) * len(held))
+    _select(out.reshape((2,) * k + batch), k, fixed)[...] = buf.reshape((2,) * len(held) + batch)
     return out
 
 
-def _run_from_basis(c: Circuit, amps: np.ndarray) -> np.ndarray:
-    """``c`` applied to ``amps``, a basis state up to phase, on a buffer that
-    holds only the wires some gate has touched so far."""
-    m = c.num_qubits
-    index = int(np.flatnonzero(amps)[0])
-    bits = [(index >> (m - 1 - q)) & 1 for q in range(m)]
-    buf, held = amps[index : index + 1].copy(), []
-    for lay in c.layers:
-        for g in lay.gates:
-            wires = sorted({*held, *support(g)})
-            step = _gate_step(g, m, wires)
-            buf, held = _widen(buf, held, wires, bits), wires
-            _apply_in_place(buf, len(held), step)
+def _evolve(buf: np.ndarray, held: list, plan, bits: list, m: int) -> np.ndarray:
+    """Run ``plan``, made for a buffer over the sorted wires ``held``, on
+    ``buf``, widening it before each step; every wire ``buf`` does not hold
+    is at its value in ``bits``.  Returns the buffer over all ``m`` wires."""
+    for wires, step in plan:
+        buf, held = _widen(buf, held, wires, bits), wires
+        _apply_in_place(buf, len(held), step)
     return _widen(buf, held, range(m), bits)
+
+
+def _bits(index: int, m: int) -> list:
+    return [(index >> (m - 1 - q)) & 1 for q in range(m)]
 
 
 def run(c: Circuit, state: StateVector) -> StateVector:
     if c.num_qubits != state.num_qubits:
         raise ValueError("circuit and state qubit counts differ")
+    m, amps = c.num_qubits, state.amplitudes
     # counted first, so that a dense input allocates no index array
-    if np.count_nonzero(state.amplitudes) == 1:
-        return StateVector._adopt(c.num_qubits, _run_from_basis(c, state.amplitudes))
-    amps = state.amplitudes.copy()
-    _run_in_place(amps, c.num_qubits, _steps(c))
-    return StateVector._adopt(c.num_qubits, amps)
+    if np.count_nonzero(amps) == 1:
+        index = int(np.flatnonzero(amps)[0])
+        buf, held = amps[index : index + 1].copy(), []
+    else:
+        index, buf, held = 0, amps.copy(), list(range(m))
+    return StateVector._adopt(m, _evolve(buf, held, _plan(c, held), _bits(index, m), m))
 
 
 def _column_blocks(c: Circuit):
     """``(j, block)`` pairs: columns ``j, j+1, ...`` of the circuit's unitary,
     in blocks of about ``_BLOCK_AMPS`` amplitudes, so the kernels'
-    temporaries are block-sized, not matrix-sized.  The gate steps are built
-    once and run on every block."""
+    temporaries are block-sized, not matrix-sized.  A block of ``2**k``
+    columns is the identity on the last ``k`` wires, with every other wire
+    at its bit of ``j``, so it starts over those ``k`` wires.  The plan is
+    built once and run on every block."""
     m = c.num_qubits
-    steps = list(_steps(c))
     dim = 1 << m
     cols = min(dim, max(1, _BLOCK_AMPS >> m))
+    low = list(range(m - cols.bit_length() + 1, m))
+    plan = list(_plan(c, low))
     for j in range(0, dim, cols):
-        block = np.eye(dim, cols, -j, dtype=np.complex128)
-        _run_in_place(block, m, steps)
-        yield j, block
+        yield j, _evolve(np.eye(cols, dtype=np.complex128), low, plan, _bits(j, m), m)
 
 
 def unitary(c: Circuit, max_qubits: int = 12) -> np.ndarray:
@@ -436,10 +442,11 @@ def best_nekomata_fidelity(state: StateVector, targets) -> NekomataReport:
     if not targets:
         raise ValueError("need at least one target")
     m = state.num_qubits
+    if not all(0 <= t < m for t in targets):
+        raise ValueError(f"targets {targets} out of range for {m} qubits")
     amps = state.amplitudes.reshape([2] * m)
-    sel0 = tuple(0 if q in targets else slice(None) for q in range(m))
-    sel1 = tuple(1 if q in targets else slice(None) for q in range(m))
-    p = float(np.linalg.norm(amps[sel0]) ** 2)
-    q = float(np.linalg.norm(amps[sel1]) ** 2)
+    sel0, sel1 = (_select(amps, m, [(t, v) for t in targets]) for v in (0, 1))
+    p = float(np.linalg.norm(sel0) ** 2)
+    q = float(np.linalg.norm(sel1) ** 2)
     fid = 0.5 * (np.sqrt(p) + np.sqrt(q)) ** 2
     return NekomataReport(p, q, float(fid))

@@ -22,6 +22,7 @@ from qackit import (
     check_cos_exp_inequality,
     check_projection_chain_bound,
     circuit,
+    classical_read_bound,
     cnot,
     depth,
     exact_rtensor_distribution,
@@ -29,7 +30,7 @@ from qackit import (
     fanout_tree,
     gate_law,
     h_gate,
-    hamming_stats,
+    hamming_stats_of_samples,
     impurity_bound,
     is_independent,
     measurement_distribution,
@@ -304,7 +305,9 @@ def test_criterion_9_concentration_sanity():
     n = 400
     # read-1 family: independent Hadamard coins
     read1 = circuit(n, [[h_gate(q) for q in range(n)]], targets=tuple(range(n)))
-    stats1 = hamming_stats(read1, trials, substream(109, 0))
+    stats1 = hamming_stats_of_samples(
+        sample_mostly_classical_batch(read1, trials, substream(109, 0)), classical_read_bound(read1)
+    )
     ok = stats1.read_r == 1
     for entry in stats1.tails:
         slack = 3 * math.sqrt(max(entry.bound * (1 - entry.bound), 0.0) / trials) + 1.0 / trials
@@ -316,7 +319,9 @@ def test_criterion_9_concentration_sanity():
         [[h_gate(0)]] + [list(lay.gates) for lay in fanout_tree(n, 2).layers],
         targets=tuple(range(n)),
     )
-    stats2 = hamming_stats(coin, trials, substream(109, 1))
+    stats2 = hamming_stats_of_samples(
+        sample_mostly_classical_batch(coin, trials, substream(109, 1)), classical_read_bound(coin)
+    )
     ok &= stats2.read_r >= n
     for entry in stats2.tails:
         slack = 3 * math.sqrt(max(entry.bound * (1 - entry.bound), 0.0) / trials) + 1.0 / trials

@@ -138,6 +138,17 @@ def test_simulate_basis_input_and_state_export(tmp_path, capsys):
     assert np.argmax(np.abs(amps)) == 0b111
 
 
+@pytest.mark.parametrize("bits", ["0_1", "+01", " 01", "01 ", "\u096701"])
+def test_simulate_refuses_an_input_that_is_not_a_bit_string(tmp_path, capsys, bits):
+    tree = tmp_path / "tree.json"
+    run_cli("build", "fanout-tree", "--n", "3", "--m", "2", "--out", str(tree))
+    capsys.readouterr()
+    assert run_cli("simulate", "--circuit", str(tree), "--input", bits) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bit string {bits!r} may hold only the characters 0 and 1\n"
+
+
 def test_build_reproducible(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

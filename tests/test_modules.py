@@ -1,5 +1,6 @@
 """Module boundaries: no qackit module imports another module's private names,
-and every public name has a caller in the product."""
+every public name has a caller in the product, and the state-vector oracle
+has one gate loop."""
 from __future__ import annotations
 
 import ast
@@ -46,7 +47,6 @@ NO_PRODUCT_CALLER = {
     "grid_law": "closed form the nekomata verify suite and build report are to call",
     "parity_error": "closed form the nekomata verify suite and build report are to call",
     "or_cz_collapse_check": "the rewrite the depth-7 parity builder is to use",
-    "hamming_stats": "perfbench times it until the benchmark maps it to hamming_stats_of_samples",
     "cnot": "circuit vocabulary for callers building circuits by hand",
     "PLUS": "circuit vocabulary for callers building circuits by hand",
 }
@@ -72,3 +72,18 @@ def test_every_public_name_has_a_product_caller():
     assert sorted(public - called - NO_PRODUCT_CALLER.keys()) == []
     # an allowlisted name that gains a caller, or leaves the package, leaves the list
     assert sorted(NO_PRODUCT_CALLER.keys() - (public - called)) == []
+
+
+def test_statevec_has_one_gate_loop():
+    # every input of the oracle, and every column block, runs through one executor
+    path = next(p for p in SOURCES if p.name == "statevec.py")
+    callers = sorted(
+        fn.name
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(fn, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_apply_in_place"
+            for node in ast.walk(fn)
+        )
+    )
+    assert callers == ["_evolve"]

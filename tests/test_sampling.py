@@ -24,7 +24,7 @@ from qackit import (
     gate_law,
     grid_law,
     h_gate,
-    hamming_stats,
+    hamming_stats_of_samples,
     measurement_distribution,
     run,
     rtensor,
@@ -214,7 +214,8 @@ def test_factorized_matches_exact_law():
 
 def test_hamming_stats_deterministic_circuit():
     c = circuit(2, [[x_gate(0)], [cnot(0, 1)]], targets=(0, 1))
-    stats = hamming_stats(c, 2000, substream(50))
+    samples = sample_mostly_classical_batch(c, 2000, substream(50))
+    stats = hamming_stats_of_samples(samples, classical_read_bound(c))
     assert stats.variance == 0.0
     assert stats.mean == 2.0
 
@@ -259,7 +260,8 @@ def test_read_bound_rejects_bad_circuits_before_allocating():
 def test_hamming_tails_independent_bits():
     n = 100
     c = circuit(n, [[h_gate(q) for q in range(n)]], targets=tuple(range(n)))
-    stats = hamming_stats(c, 20_000, substream(51))
+    samples = sample_mostly_classical_batch(c, 20_000, substream(51))
+    stats = hamming_stats_of_samples(samples, classical_read_bound(c))
     assert stats.read_r == 1
     for entry in stats.tails:
         slack = 3 * np.sqrt(max(entry.bound * (1 - entry.bound), 1e-12) / stats.trials)
@@ -332,7 +334,8 @@ def test_newton_inversion_stays_in_unit_interval_and_terminates():
 
 def test_hamming_stats_read_override():
     c = circuit(4, [[h_gate(q) for q in range(4)]], targets=(0, 1, 2, 3))
-    stats = hamming_stats(c, 1000, substream(59), read_r=4)
+    samples = sample_mostly_classical_batch(c, 1000, substream(59))
+    stats = hamming_stats_of_samples(samples, 4)
     assert stats.read_r == 4
 
 

@@ -259,6 +259,23 @@ def test_each_gate_kernel_is_built_once_for_all_the_column_blocks(monkeypatch):
     assert len(built) == sum(gates)
 
 
+def test_unitary_blocks_start_on_the_wires_their_columns_span(monkeypatch):
+    m = 11
+    cols = statevec._BLOCK_AMPS >> m
+    sizes = []
+    apply_in_place = statevec._apply_in_place
+
+    def recorded(buf, k, step):
+        sizes.append(buf.size)
+        apply_in_place(buf, k, step)
+
+    monkeypatch.setattr(statevec, "_apply_in_place", recorded)
+    unitary(circuit(m, [[cnot(0, 1)], [h_gate(q) for q in range(m)]]))
+    # the first gate runs on wires 0 and 1 and the last log2(cols) wires only
+    assert sizes[0] < (1 << m) * cols
+    assert max(sizes) == (1 << m) * cols
+
+
 def test_unitary_peak_memory_stays_near_the_result_size():
     nek = build_depth2_nekomata(2, 3, solve_bias(2, 3))
     par = parity_from_nekomata(nek, 2)
@@ -277,6 +294,9 @@ def test_dimension_mismatch_errors():
         run(circuit(3, []), zero_state(2))
     with pytest.raises(ValueError):
         measurement_distribution(zero_state(2), (5,))
+    for targets in ((5,), (0, -1)):
+        with pytest.raises(ValueError, match="out of range for 2 qubits"):
+            best_nekomata_fidelity(zero_state(2), targets)
 
 
 def test_width_checked_before_allocation():
