@@ -52,11 +52,8 @@ from .transforms import (
     conjugate_by_hadamards,
     dagger,
     fanout_tree,
-    fanout_unitary,
     lower,
-    or_cz_collapse_check,
     parity_from_nekomata,
-    parity_unitary,
     permute_qubits,
     to_rtensor_normal_form,
 )
@@ -74,11 +71,9 @@ from .nekomata import (
 )
 from .sampling import (
     GateLaw,
-    GateOutputDistribution,
     HammingStats,
     classical_read_bound,
     direct_sample_batch,
-    exact_rtensor_distribution,
     factorized_sample_batch,
     gate_law,
     hamming_stats_of_samples,

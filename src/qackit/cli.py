@@ -80,6 +80,9 @@ class Manifest:
 
 def _load_circuit(manifest: Manifest, path: str) -> Circuit:
     c = serial.deserialize(manifest.read_input(path))
+    # every pass allocates per wire, so a file is held to what `build` writes
+    if c.num_qubits > MAX_BUILD_WIRES:
+        raise CliError(f"circuit has {c.num_qubits} wires, over the {MAX_BUILD_WIRES}-wire cap")
     problems = validate(c)
     if problems:
         raise CliError("invalid circuit:\n  " + "\n  ".join(problems))
@@ -123,6 +126,9 @@ def _cmd_build(args, manifest: Manifest) -> int:
         manifest.write_output(args.out, serial.serialize(circ))
     elif args.what == "parity-from-nekomata":
         constructor = _load_circuit(manifest, args.constructor)
+        wires = constructor.num_qubits + args.n + 1
+        if wires > MAX_BUILD_WIRES:
+            raise CliError(f"{wires} wires are over the {MAX_BUILD_WIRES}-wire build cap")
         circ = transforms.parity_from_nekomata(constructor, args.n)
         manifest.write_output(args.out, serial.serialize(circ))
     print(f"wrote {args.out}")

@@ -40,7 +40,7 @@ is drawn from the min-rank weights (``GateLaw.min_rank``), and M, the
 minimum given J, by Newton's method on its conditional CDF
 (``_invert_cdf``).  Factor J reads 1, and every other factor i draws a
 survival threshold S_i and reads 1 when ``S_i <= p_i (1 - M) / (1 - p_i M)``.
-``exact_rtensor_distribution`` enumerates the law both samplers draw from.
+Both samplers thus draw from the one closed-form law above.
 
 Every per-row coin of the batch laws (the direct law's active or nonzero
 rows, the factorized law's coin B, a first-layer one-qubit gate's output) is
@@ -62,7 +62,6 @@ import numpy as np
 
 from .ir import Circuit, Layer, OneQubit, Or, RTensor, Toffoli, is_classical_gate, support
 
-ENUMERATION_CAP = 20
 FACTORIZED_ARITY_CAP = 12
 # Newton on the min-rank CDF: steps at or below NEWTON_TOL end the iteration
 NEWTON_TOL = 1e-12
@@ -144,45 +143,6 @@ def gate_law(g: RTensor) -> tuple[tuple[int, ...], GateLaw]:
     p = [min(st.one_probability(), 1.0) for st in g.states]
     kept = tuple(j for j, x in enumerate(p) if x > 0.0)
     return kept, GateLaw(tuple(p[j] for j in kept))
-
-
-@dataclass(frozen=True)
-class GateOutputDistribution:
-    """Exact standard-basis law of a reflection applied to all-zeros.
-
-    ``qubits`` orders the output bits; ``kept`` marks the factor positions
-    with nonzero one-probability (the others output 0 always), and ``law``
-    is their ``GateLaw``.  ``probs`` is the full law over bitstrings.
-    """
-
-    qubits: tuple[int, ...]
-    kept: tuple[int, ...]
-    law: GateLaw
-    probs: dict[str, float]
-
-
-def exact_rtensor_distribution(g: RTensor) -> GateOutputDistribution:
-    """The full standard-basis law of ``g`` applied to all-zeros, by
-    enumeration over the factors that can read 1: the exact law that
-    ``direct_sample_batch`` and ``factorized_sample_batch`` draw from.
-    Raises ``ValueError`` above ``ENUMERATION_CAP`` factors."""
-    k = len(g.factors)
-    if k > ENUMERATION_CAP:
-        raise ValueError(f"arity {k} too large for full enumeration")
-    kept, law = gate_law(g)
-    probs: dict[str, float] = {}
-    for pattern in range(1 << len(kept)):
-        bits = ["0"] * k
-        pr = 4.0 * law.prod_q
-        for j, pos in enumerate(kept):
-            one = (pattern >> (len(kept) - 1 - j)) & 1
-            bits[pos] = "01"[one]
-            pr *= law.p[j] if one else 1.0 - law.p[j]
-        if pattern == 0:
-            pr = law.all_zeros
-        if pr > 0.0:
-            probs["".join(bits)] = float(pr)
-    return GateOutputDistribution(g.qubits, kept, law, probs)
 
 
 def _active_trials(rows: int, r: float, rng: np.random.Generator) -> np.ndarray:

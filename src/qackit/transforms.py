@@ -28,45 +28,7 @@ from .ir import (
     cz,
     h_gate,
     reflections,
-    rtensor,
-    x_gate,
 )
-from . import statevec
-
-
-def _basis_indices(n: int) -> np.ndarray:
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > 12:
-        raise ValueError("dense reference unitary capped at 12 qubits")
-    return np.arange(1 << n)
-
-
-def _permutation_matrix(images: np.ndarray) -> np.ndarray:
-    """Dense matrix sending basis state ``i`` to ``images[i]``."""
-    mat = np.zeros((images.size, images.size), dtype=np.complex128)
-    mat[images, np.arange(images.size)] = 1.0
-    return mat
-
-
-# Both reference unitaries act on wires (b, x_1, .., x_{n-1}); b sits on
-# wire 0, the most significant bit of a basis index.
-
-
-def parity_unitary(n: int) -> np.ndarray:
-    """Exact ``|b, x> -> |b ^ parity(x), x>``, up to 12 qubits."""
-    i = _basis_indices(n)
-    parity = np.zeros_like(i)
-    for k in range(n - 1):
-        parity ^= i >> k
-    return _permutation_matrix(i ^ ((parity & 1) << (n - 1)))
-
-
-def fanout_unitary(n: int) -> np.ndarray:
-    """Exact ``|b, x> -> |b, x_1 ^ b, .., x_{n-1} ^ b>``, up to 12 qubits."""
-    i = _basis_indices(n)
-    top = n - 1
-    return _permutation_matrix(i ^ ((i >> top) * ((1 << top) - 1)))
 
 
 def dagger(c: Circuit) -> Circuit:
@@ -128,6 +90,19 @@ def _is_identity(m: np.ndarray) -> bool:
     return bool(np.max(np.abs(m - np.eye(2))) <= 1e-15)
 
 
+def _append_one_qubit(out: list[Layer], gates: dict[int, np.ndarray]) -> None:
+    """Append a layer of one-qubit gates to ``out``, multiplied into its last
+    layer when that one holds one-qubit gates too; identities are dropped."""
+    if out and isinstance(out[-1].gates[0], OneQubit):
+        merged = {g.qubit: g.matrix for g in out.pop().gates}
+        for q, m in gates.items():
+            merged[q] = m @ merged[q] if q in merged else m
+        gates = merged
+    kept = tuple(OneQubit(q, m) for q, m in gates.items() if not _is_identity(m))
+    if kept:
+        out.append(Layer(kept))
+
+
 def lower(c: Circuit) -> Circuit:
     """Rewrite a valid circuit into the paper's gate set, one-qubit gates and
     Toffolis, preserving the unitary.
@@ -141,7 +116,8 @@ def lower(c: Circuit) -> Circuit:
     on a control at |1> or |0>.  Reflections that hold a shared wire at
     different basis values need different ``L`` there, so first-fit places
     them in extra multi-qubit layers; every other layer keeps its size and
-    multi-qubit depth."""
+    multi-qubit depth.  Adjacent layers of one-qubit gates are multiplied
+    into one, and gates that come out as the identity are dropped."""
     out: list[Layer] = []
     for lay in c.layers:
         after: dict[int, np.ndarray] = {}
@@ -158,7 +134,7 @@ def lower(c: Circuit) -> Circuit:
                 after[q] = _reflection_matrix(st) @ after.get(q, np.eye(2))
         holders = Counter(q for factors in multi for q, _ in factors)
         # per sub-layer: each wire's basis value, None where one reflection
-        # holds it alone; the Toffolis; and the nontrivial L of each wire
+        # holds it alone; the Toffolis; and the L of each wire
         subs: list[tuple[dict[int, int | None], list[Toffoli], dict[int, np.ndarray]]] = []
         for factors in multi:
             values = {q: basis_value(st) for q, st in factors}
@@ -175,17 +151,15 @@ def lower(c: Circuit) -> Circuit:
             toffolis.append(Toffoli(tuple(q for q, _ in factors if q != target), target))
             for q, st in factors:
                 if values[q] is not None:
-                    m = X_MATRIX if values[q] == 0 else np.eye(2)
+                    maps[q] = X_MATRIX if values[q] == 0 else np.eye(2)
                 else:
-                    m = _canonical_map_to(st, MINUS if q == target else KET1)
-                if not _is_identity(m):
-                    maps[q] = m
+                    maps[q] = _canonical_map_to(st, MINUS if q == target else KET1)
         for _, toffolis, maps in subs:
-            out.append(Layer(tuple(OneQubit(q, m.conj().T) for q, m in maps.items())))
+            _append_one_qubit(out, {q: m.conj().T for q, m in maps.items()})
             out.append(Layer(tuple(toffolis)))
-            out.append(Layer(tuple(OneQubit(q, m) for q, m in maps.items())))
-        out.append(Layer(tuple(OneQubit(q, m) for q, m in after.items())))
-    return Circuit(c.num_qubits, tuple(lay for lay in out if lay.gates), c.targets)
+            _append_one_qubit(out, maps)
+        _append_one_qubit(out, after)
+    return Circuit(c.num_qubits, tuple(out), c.targets)
 
 
 def to_rtensor_normal_form(c: Circuit) -> Circuit:
@@ -321,39 +295,3 @@ def parity_from_nekomata(constructor: Circuit, n: int) -> Circuit:
         + inv.layers
     )
     return Circuit(n + a + 1, layers, None)
-
-
-def or_cz_collapse_check(k: int, atol: float = 1e-10) -> bool:
-    """Check that OR into a fresh ancilla, X, CZ against a control wire, X,
-    OR again acts like a single reflection about |1, 0..0> on the control plus
-    k open wires, for every basis input with the ancilla at |0>."""
-    if k < 1:
-        raise ValueError("need k >= 1 open wires")
-    total = k + 2  # wire 0 control, wire 1 ancilla, wires 2.. open
-    open_wires = tuple(range(2, k + 2))
-    left = circuit(
-        total,
-        [
-            [Or(open_wires, 1)],
-            [x_gate(1)],
-            [cz(0, 1)],
-            [x_gate(1)],
-            [Or(open_wires, 1)],
-        ],
-    )
-    right = circuit(
-        total,
-        [[rtensor({0: KET1, **{q: LocalState(1.0, 0.0) for q in open_wires}})]],
-    )
-    for bits in range(1 << (k + 1)):
-        control = (bits >> k) & 1
-        index = control << (total - 1)
-        for j, q in enumerate(open_wires):
-            if (bits >> (k - 1 - j)) & 1:
-                index |= 1 << (total - 1 - q)
-        start = statevec.basis_state(total, index)
-        out_l = statevec.run(left, start)
-        out_r = statevec.run(right, start)
-        if np.max(np.abs(out_l.amplitudes - out_r.amplitudes)) > atol:
-            return False
-    return True

@@ -1,11 +1,27 @@
-"""Shared randomized-test helpers: Haar samples, random circuits, TV distance."""
+"""Shared test helpers: Haar samples, random circuits, TV distance, and the
+references the product is checked against: the enumerated law of a
+reflection on |0..0>, the parity and fanout maps, and the OR-CZ collapse."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from qackit import Circuit, LocalState, OneQubit, Or, RTensor, Toffoli, circuit
+from qackit import (
+    KET1,
+    Circuit,
+    LocalState,
+    OneQubit,
+    Or,
+    RTensor,
+    Toffoli,
+    circuit,
+    cz,
+    gate_law,
+    rtensor,
+    x_gate,
+)
 from qackit.rng import substream
+from qackit.statevec import unitary
 
 
 def haar_unitary(rng: np.random.Generator) -> np.ndarray:
@@ -40,6 +56,59 @@ def reference_classical(c: Circuit, x: str) -> str:
                 assert isinstance(g, OneQubit) and np.allclose(g.matrix, [[0, 1], [1, 0]]), g
                 bits[g.qubit] = not bits[g.qubit]
     return "".join("1" if b else "0" for b in bits)
+
+
+def exact_gate_law(g: RTensor) -> dict[str, float]:
+    """The standard-basis law of ``g`` applied to all-zeros, as bit string ->
+    probability over ``g``'s wires: the law both samplers draw from,
+    enumerated over the factors that ``gate_law`` keeps."""
+    kept, law = gate_law(g)
+    probs: dict[str, float] = {}
+    for pattern in range(1 << len(kept)):
+        bits = ["0"] * len(g.factors)
+        pr = 4.0 * law.prod_q
+        for j, pos in enumerate(kept):
+            one = (pattern >> (len(kept) - 1 - j)) & 1
+            bits[pos] = "01"[one]
+            pr *= law.p[j] if one else 1.0 - law.p[j]
+        if pattern == 0:
+            pr = law.all_zeros
+        if pr > 0.0:
+            probs["".join(bits)] = float(pr)
+    return probs
+
+
+def reference_unitary(kind: str, n: int) -> np.ndarray:
+    """The ideal ``parity`` map ``|b, x> -> |b ^ parity(x), x>`` or ``fanout``
+    map ``|b, x> -> |b, x_1 ^ b, .., x_{n-1} ^ b>``, with b on wire 0, built
+    one basis state at a time with Python integers."""
+    dim = 1 << n
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    top = n - 1
+    for i in range(dim):
+        b = (i >> top) & 1
+        rest = i & ~(1 << top)
+        if kind == "parity":
+            par = bin(rest).count("1") & 1
+            j = ((b ^ par) << top) | rest
+        else:
+            j = (b << top) | (rest ^ (((1 << top) - 1) if b else 0))
+        mat[j, i] = 1.0
+    return mat
+
+
+def or_cz_collapses(k: int, atol: float = 1e-10) -> bool:
+    """Whether OR of k open wires into a fresh ancilla, X, CZ against a control
+    wire, X, OR again acts as the reflection about |1, 0..0> on the control
+    and the open wires, on every input with the ancilla at |0>.  Wire 0 is
+    the control, wire 1 the ancilla, wires 2.. the open ones."""
+    total = k + 2
+    open_wires = tuple(range(2, total))
+    left = circuit(total, [[Or(open_wires, 1)], [x_gate(1)], [cz(0, 1)], [x_gate(1)], [Or(open_wires, 1)]])
+    right = circuit(total, [[rtensor({0: KET1, **{q: LocalState(1.0, 0.0) for q in open_wires}})]])
+    # a column's index splits into (control, ancilla, open wires): keep ancilla 0
+    ul, ur = (unitary(c).reshape(-1, 2, 2, 1 << k)[:, :, 0] for c in (left, right))
+    return bool(np.max(np.abs(ul - ur)) <= atol)
 
 
 def random_multi_gate(wires: list[int], rng: np.random.Generator):

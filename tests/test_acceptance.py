@@ -25,7 +25,6 @@ from qackit import (
     classical_read_bound,
     cnot,
     depth,
-    exact_rtensor_distribution,
     factorized_sample_batch,
     fanout_tree,
     gate_law,
@@ -35,9 +34,7 @@ from qackit import (
     is_independent,
     measurement_distribution,
     optimal_interpolation,
-    or_cz_collapse_check,
     parity_from_nekomata,
-    parity_unitary,
     permutation_independent_set,
     rtensor,
     run,
@@ -56,11 +53,14 @@ from qackit.rng import substream
 from conftest import (
     counts_from_rows,
     densify,
+    exact_gate_law,
     haar_local,
     haar_state,
+    or_cz_collapses,
     random_mostly_classical_circuit,
     random_qac_circuit,
     reference_classical,
+    reference_unitary,
     tv_distance,
 )
 
@@ -91,7 +91,7 @@ def test_criterion_2_parity_construction_exactness():
     par = parity_from_nekomata(cat2, 2)
     assert depth(par) == 4 * depth(cat2) + 3 == 7
     u = unitary(par)
-    expected = np.kron(parity_unitary(3), np.eye(4))
+    expected = np.kron(reference_unitary("parity", 3), np.eye(4))
     # wire order of the construction: inputs 0,1; constructor wires 2,3;
     # parity wire 4.  The reference acts on (b, x1, x2) x ancillae, so
     # compare through the permutation (4,0,1,2,3) -> (0,1,2,3,4).
@@ -206,7 +206,7 @@ def test_criterion_6_sampler_oracle_agreement():
         if any(s.one_probability() == 0.0 for s in g.states):
             g = rtensor({q: haar_local(rng) for q in range(k)})
         rows = densify(factorized_sample_batch(gate_law(g)[1], trials, substream(207, i)), trials)
-        tv = tv_distance(counts_from_rows(rows), exact_rtensor_distribution(g).probs, trials)
+        tv = tv_distance(counts_from_rows(rows), exact_gate_law(g), trials)
         worst_gate_tv = max(worst_gate_tv, tv)
     elapsed = time.monotonic() - started
     ok = worst_circuit_tv <= 0.02 and worst_gate_tv <= 0.02 and elapsed <= 300.0
@@ -225,12 +225,10 @@ def test_criterion_7_quantitative_bounds():
     for _ in range(200):
         k = int(rng.integers(1, 7))
         g = rtensor({q: haar_local(rng) for q in range(k)})
-        dist = exact_rtensor_distribution(g)
+        probs = exact_gate_law(g)
         oracle = measurement_distribution(run(circuit(k, [[g]]), zero_state(k)), range(k))
-        keys = set(dist.probs) | set(oracle.probs)
-        law_ok &= all(
-            abs(dist.probs.get(y, 0.0) - oracle.probs.get(y, 0.0)) <= 1e-10 for y in keys
-        )
+        keys = set(probs) | set(oracle.probs)
+        law_ok &= all(abs(probs.get(y, 0.0) - oracle.probs.get(y, 0.0)) <= 1e-10 for y in keys)
     # projection chains
     chain_ok = True
     for _ in range(500):
@@ -293,7 +291,7 @@ def test_criterion_7_quantitative_bounds():
 
 def test_criterion_8_or_cz_collapse():
     started = time.monotonic()
-    results = {k: or_cz_collapse_check(k, atol=1e-10) for k in range(2, 7)}
+    results = {k: or_cz_collapses(k, atol=1e-10) for k in range(2, 7)}
     elapsed = time.monotonic() - started
     ok = all(results.values()) and elapsed <= 60.0
     report("8 or-cz collapse", ok, f"k in 2..6 -> {results}")

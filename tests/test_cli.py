@@ -12,6 +12,8 @@ import pytest
 from qackit import deserialize, serialize, circuit, cnot
 from qackit.cli import main
 
+from conftest import reference_unitary
+
 
 def run_cli(*argv) -> int:
     return main(list(argv))
@@ -420,6 +422,46 @@ def test_build_rejects_widths_over_the_cap_before_allocating(argv, tmp_path, cap
     assert list(tmp_path.iterdir()) == []
 
 
+def _one_toffoli_file(path, num_qubits: int) -> str:
+    path.write_text(
+        '{"num_qubits": %d, "targets": null, "states": [], '
+        '"layers": [[{"kind": "toffoli", "controls": [0, 1], "target": 2}]]}' % num_qubits
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("info",), ("transform", "normal-form", "--out", "nf.json")],
+    ids=["info", "normal-form"],
+)
+def test_a_circuit_file_wider_than_the_build_cap_is_refused_before_allocating(argv, tmp_path, capsys, monkeypatch):
+    from qackit.cli import MAX_BUILD_WIRES
+
+    monkeypatch.chdir(tmp_path)
+    wide = _one_toffoli_file(tmp_path / "wide.json", MAX_BUILD_WIRES + 1)
+    tracemalloc.start()
+    try:
+        code = run_cli(*argv, "--circuit", wide)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and peak < 1 << 20
+    assert capsys.readouterr().err == "error: circuit has 1048577 wires, over the 1048576-wire cap\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.json"]
+
+
+def test_parity_from_nekomata_refuses_a_result_wider_than_the_build_cap(tmp_path, capsys):
+    from qackit.cli import MAX_BUILD_WIRES
+
+    constructor = _one_toffoli_file(tmp_path / "wide.json", MAX_BUILD_WIRES)
+    out = tmp_path / "parity.json"
+    code = run_cli("build", "parity-from-nekomata", "--constructor", constructor, "--n", "1", "--out", str(out))
+    assert code == 1
+    assert "1048578 wires are over the 1048576-wire build cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_version_is_the_package_version(capsys):
     import qackit
 
@@ -436,11 +478,10 @@ def test_transform_hadamard_conjugate(tmp_path, capsys):
         "transform", "hadamard-conjugate", "--circuit", str(src), "--n", "3", "--out", str(dst)
     )
     assert code == 0
-    from qackit import fanout_unitary
     from qackit.statevec import unitary
 
     conj = deserialize(dst.read_text())
-    assert np.max(np.abs(unitary(conj) - fanout_unitary(3))) < 1e-12
+    assert np.max(np.abs(unitary(conj) - reference_unitary("fanout", 3))) < 1e-12
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])

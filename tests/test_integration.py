@@ -12,9 +12,7 @@ from qackit import (
     circuit,
     conjugate_by_hadamards,
     depth,
-    fanout_unitary,
     parity_from_nekomata,
-    parity_unitary,
     permute_qubits,
     run,
     size,
@@ -24,6 +22,8 @@ from qackit import (
 )
 from qackit.statevec import StateVector, basis_state, unitary
 from qackit.rng import substream
+
+from conftest import reference_unitary
 
 
 def targets_first(c: Circuit) -> Circuit:
@@ -103,7 +103,7 @@ def test_parity_circuit_is_h_conjugate_of_fanout():
 
     par = circuit(3, [[cnot(1, 0)], [cnot(2, 0)]])
     fan = conjugate_by_hadamards(par, 3)
-    assert np.max(np.abs(unitary(fan) - fanout_unitary(3))) < 1e-12
+    assert np.max(np.abs(unitary(fan) - reference_unitary("fanout", 3))) < 1e-12
 
 
 def test_cat_targets_first_roundtrip():

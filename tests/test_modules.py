@@ -1,6 +1,6 @@
 """Module boundaries: no qackit module imports another module's private names,
-every public name has a caller in the product, and the state-vector oracle
-has one gate loop."""
+the samplers and the rewrite passes import only the IR, every public name has
+a caller in the product, and the state-vector oracle has one gate loop."""
 from __future__ import annotations
 
 import ast
@@ -24,47 +24,63 @@ def test_no_module_imports_a_private_name_of_a_sibling(path):
     assert private == []
 
 
-def test_sampling_imports_only_the_ir():
-    # the samplers read circuits and nothing else of qackit: no oracle, no
-    # rewrite pass and no nekomata constructor is loaded with them
-    path = next(p for p in SOURCES if p.name == "sampling.py")
+def _relative_imports(name: str) -> list[str]:
+    path = next(p for p in SOURCES if p.name == name)
     tree = ast.parse(path.read_text(), filename=str(path))
-    relative = sorted(
+    return sorted(
         f"{'.' * node.level}{node.module or ''}"
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.level > 0
     )
-    assert relative == [".ir"]
+
+
+def test_sampling_imports_only_the_ir():
+    # the samplers read circuits and nothing else of qackit: no oracle, no
+    # rewrite pass and no nekomata constructor is loaded with them
+    assert _relative_imports("sampling.py") == [".ir"]
+
+
+def test_transforms_imports_only_the_ir():
+    # the rewrite passes and constructions load without the oracle
+    assert _relative_imports("transforms.py") == [".ir"]
 
 
 # Public names no qackit module calls, each kept for a stated reason.  A new
 # public name either gets a caller in the product or a line here.
 NO_PRODUCT_CALLER = {
     "unitary": "the dense reference that tests compare circuits against",
-    "parity_unitary": "the ideal parity map that tests compare against",
-    "fanout_unitary": "the ideal fanout map that tests compare against",
-    "exact_rtensor_distribution": "the enumerated reflection law that tests check samplers against",
     "grid_law": "closed form the nekomata verify suite and build report are to call",
     "parity_error": "closed form the nekomata verify suite and build report are to call",
-    "or_cz_collapse_check": "the rewrite the depth-7 parity builder is to use",
+    "state_from_json": "reader of the `simulate --state-out` format; tests round-trip it",
     "cnot": "circuit vocabulary for callers building circuits by hand",
+    "x_gate": "circuit vocabulary for callers building circuits by hand",
     "PLUS": "circuit vocabulary for callers building circuits by hand",
 }
 
 
+def _top_level_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
 def test_every_public_name_has_a_product_caller():
-    init = next(p for p in SOURCES if p.name == "__init__.py")
-    public = {
-        alias.asname or alias.name
-        for node in ast.walk(ast.parse(init.read_text(), filename=str(init)))
-        if isinstance(node, ast.ImportFrom) and node.level > 0
-        for alias in node.names
-    }
+    # public: every name a module of the package defines at top level without
+    # a leading underscore, exported from __init__ or not
+    public = set()
     called = set()
     for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        public |= {name for name in _top_level_names(tree) if not name.startswith("_")}
         if path.name == "__init__.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 called.add(node.id)
             elif isinstance(node, ast.Attribute):

@@ -18,7 +18,6 @@ from qackit import (
     classical_read_bound,
     cnot,
     direct_sample_batch,
-    exact_rtensor_distribution,
     factorized_sample_batch,
     fanout_tree,
     gate_law,
@@ -39,6 +38,7 @@ from qackit.rng import substream
 from conftest import (
     counts_from_rows,
     densify,
+    exact_gate_law,
     haar_local,
     random_mostly_classical_circuit,
     reference_classical,
@@ -51,14 +51,14 @@ from conftest import (
 
 
 def test_exact_distribution_z_and_cz():
-    assert exact_rtensor_distribution(rtensor({0: KET1})).probs == {"0": 1.0}
-    assert exact_rtensor_distribution(rtensor({0: KET1, 1: KET1})).probs == {"00": 1.0}
+    assert exact_gate_law(rtensor({0: KET1})) == {"0": 1.0}
+    assert exact_gate_law(rtensor({0: KET1, 1: KET1})) == {"00": 1.0}
 
 
 def test_exact_distribution_plus_plus():
-    dist = exact_rtensor_distribution(rtensor({0: PLUS, 1: PLUS}))
+    probs = exact_gate_law(rtensor({0: PLUS, 1: PLUS}))
     for key in ("00", "01", "10", "11"):
-        assert dist.probs[key] == pytest.approx(0.25)
+        assert probs[key] == pytest.approx(0.25)
 
 
 def test_exact_distribution_matches_oracle():
@@ -66,28 +66,22 @@ def test_exact_distribution_matches_oracle():
     for _ in range(60):
         k = int(rng.integers(1, 7))
         g = rtensor({q: haar_local(rng) for q in range(k)})
-        dist = exact_rtensor_distribution(g)
+        probs = exact_gate_law(g)
         oracle = measurement_distribution(run(circuit(k, [[g]]), zero_state(k)), range(k))
-        keys = set(dist.probs) | set(oracle.probs)
+        keys = set(probs) | set(oracle.probs)
         for y in keys:
-            assert dist.probs.get(y, 0.0) == pytest.approx(oracle.probs.get(y, 0.0), abs=1e-10)
-        assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-12)
+            assert probs.get(y, 0.0) == pytest.approx(oracle.probs.get(y, 0.0), abs=1e-10)
+        assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exact_distribution_elides_zero_factors():
     g = rtensor({0: LocalState(1.0, 0.0), 1: PLUS})
-    dist = exact_rtensor_distribution(g)
-    assert dist.kept == (1,)
-    assert all(y[0] == "0" for y in dist.probs)
+    assert gate_law(g)[0] == (1,)
+    probs = exact_gate_law(g)
+    assert all(y[0] == "0" for y in probs)
     oracle = measurement_distribution(run(circuit(2, [[g]]), zero_state(2)), (0, 1))
     for y, p in oracle.probs.items():
-        assert dist.probs.get(y, 0.0) == pytest.approx(p, abs=1e-12)
-
-
-def test_exact_distribution_arity_cap():
-    g = rtensor({q: PLUS for q in range(21)})
-    with pytest.raises(ValueError, match="enumeration"):
-        exact_rtensor_distribution(g)
+        assert probs.get(y, 0.0) == pytest.approx(p, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +100,7 @@ def test_sample_rtensor_plus_plus_tv():
     g = rtensor({0: PLUS, 1: PLUS})
     trials = 20000
     counts = counts_from_rows(densify(direct_sample_batch(gate_law(g)[1], trials, rng), trials))
-    assert tv_distance(counts, exact_rtensor_distribution(g).probs, trials) < 0.02
+    assert tv_distance(counts, exact_gate_law(g), trials) < 0.02
 
 
 def test_sample_rtensor_rejection_branch():
@@ -116,7 +110,7 @@ def test_sample_rtensor_rejection_branch():
     rng = substream(34)
     trials = 30000
     counts = counts_from_rows(densify(direct_sample_batch(gate_law(g)[1], trials, rng), trials))
-    assert tv_distance(counts, exact_rtensor_distribution(g).probs, trials) < 0.02
+    assert tv_distance(counts, exact_gate_law(g), trials) < 0.02
 
 
 def test_sample_rtensor_nice_boundary():
@@ -126,7 +120,7 @@ def test_sample_rtensor_nice_boundary():
     rng = substream(35)
     trials = 30000
     counts = counts_from_rows(densify(direct_sample_batch(gate_law(g)[1], trials, rng), trials))
-    exact = exact_rtensor_distribution(g).probs
+    exact = exact_gate_law(g)
     zeros_freq = counts.get("00", 0) / trials
     sigma = np.sqrt(exact["00"] * (1 - exact["00"]) / trials)
     assert abs(zeros_freq - exact["00"]) <= 3 * sigma + 1e-9
@@ -205,7 +199,7 @@ def test_factorized_matches_exact_law():
     g = rtensor({0: PLUS, 1: PLUS})
     trials = 50_000
     rows = densify(factorized_sample_batch(gate_law(g)[1], trials, rng), trials)
-    assert tv_distance(counts_from_rows(rows), exact_rtensor_distribution(g).probs, trials) < 0.02
+    assert tv_distance(counts_from_rows(rows), exact_gate_law(g), trials) < 0.02
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,9 @@ from qackit import (
     dagger,
     depth,
     fanout_tree,
-    fanout_unitary,
     h_gate,
     lower,
-    or_cz_collapse_check,
     parity_from_nekomata,
-    parity_unitary,
     rtensor,
     run,
     size,
@@ -40,7 +37,7 @@ from qackit import (
 )
 from qackit.statevec import max_unitary_difference, unitary
 
-from conftest import haar_local, random_qac_circuit, reference_classical
+from conftest import haar_local, or_cz_collapses, random_qac_circuit, reference_classical, reference_unitary
 from qackit.rng import substream
 
 
@@ -149,6 +146,19 @@ def test_lower_keeps_size_and_depth_of_builders_and_normal_forms():
         assert (size(lowered), depth(lowered)) == (size(c), depth(c)), name
 
 
+def test_lower_merges_adjacent_one_qubit_layers():
+    # the 11-wire parity circuit of the dense check: one layer of one-qubit
+    # gates between Toffoli layers, where unmerged lowering wrote 154 gates
+    # in 38 layers
+    c = parity_from_nekomata(build_depthd_nekomata(2, 2, 0.25, columns=3), 2)
+    lowered = lower(c)
+    assert_lowered(c, lowered)
+    assert (len(list(lowered.gates())), len(lowered.layers)) == (118, 23)
+    assert (size(lowered), depth(lowered)) == (size(c), depth(c)) == (25, 11)
+    one_qubit = [all(isinstance(g, OneQubit) for g in lay.gates) for lay in lowered.layers]
+    assert not any(a and b for a, b in zip(one_qubit, one_qubit[1:]))
+
+
 # ---------------------------------------------------------------------------
 # normal form
 
@@ -207,7 +217,7 @@ def test_normal_form_shape_and_topology_random():
 def test_conjugate_parity_gives_fanout():
     c = parity_circuit(4)
     conj = conjugate_by_hadamards(c, 4)
-    assert np.max(np.abs(unitary(conj) - fanout_unitary(4))) < 1e-12
+    assert np.max(np.abs(unitary(conj) - reference_unitary("fanout", 4))) < 1e-12
     assert topology(conj) == topology(c)
 
 
@@ -218,38 +228,7 @@ def test_conjugate_twice_is_identity():
 
 
 def test_parity_matches_reference():
-    assert np.max(np.abs(unitary(parity_circuit(3)) - parity_unitary(3))) < 1e-12
-
-
-def test_reference_unitary_validation():
-    for build in (parity_unitary, fanout_unitary):
-        with pytest.raises(ValueError, match="capped at 12 qubits"):
-            build(13)
-        with pytest.raises(ValueError, match="n must be positive"):
-            build(0)
-
-
-def _loop_reference_unitary(kind: str, n: int) -> np.ndarray:
-    """Reference permutation built one basis state at a time with Python integers."""
-    dim = 1 << n
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    top = n - 1
-    for i in range(dim):
-        b = (i >> top) & 1
-        rest = i & ~(1 << top)
-        if kind == "parity":
-            par = bin(rest).count("1") & 1
-            j = ((b ^ par) << top) | rest
-        else:
-            j = (b << top) | (rest ^ (((1 << top) - 1) if b else 0))
-        mat[j, i] = 1.0
-    return mat
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_reference_unitaries_match_the_loop_construction(n):
-    assert np.array_equal(parity_unitary(n), _loop_reference_unitary("parity", n))
-    assert np.array_equal(fanout_unitary(n), _loop_reference_unitary("fanout", n))
+    assert np.max(np.abs(unitary(parity_circuit(3)) - reference_unitary("parity", 3))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +346,7 @@ def test_parity_from_nekomata_rejects_small_constructor():
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_or_cz_collapse(k):
-    assert or_cz_collapse_check(k)
+    assert or_cz_collapses(k)
 
 
 def test_dagger_inverts():
