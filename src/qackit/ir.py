@@ -36,6 +36,13 @@ QubitId = int
 Topology = frozenset[tuple[frozenset[int], int]]
 
 
+def _abs2(z: complex) -> float:
+    """``|z|**2`` as a product, which gives inf where a float power raises
+    OverflowError (past about 1.34e154)."""
+    r = abs(z)
+    return r * r
+
+
 @dataclass(frozen=True)
 class LocalState:
     """One-qubit state ``amp0|0> + amp1|1>``; must be unit norm within 1e-12."""
@@ -47,7 +54,7 @@ class LocalState:
         return np.array([self.amp0, self.amp1], dtype=np.complex128)
 
     def norm_error(self) -> float:
-        return abs(abs(self.amp0) ** 2 + abs(self.amp1) ** 2 - 1.0)
+        return abs(_abs2(self.amp0) + _abs2(self.amp1) - 1.0)
 
     def complement(self) -> "LocalState":
         """The orthogonal state, with phase fixed as (-conj(amp1), conj(amp0))."""
@@ -195,9 +202,9 @@ def basis_value(s: LocalState) -> int | None:
     """0 or 1 when ``s`` is |0> or |1> up to phase, else None: one amplitude
     exactly 0, the other of modulus 1 up to rounding (1e-14 on its square)."""
     a0, a1 = complex(s.amp0), complex(s.amp1)
-    if a1 == 0 and abs(abs(a0) ** 2 - 1.0) <= 1e-14:
+    if a1 == 0 and abs(_abs2(a0) - 1.0) <= 1e-14:
         return 0
-    if a0 == 0 and abs(abs(a1) ** 2 - 1.0) <= 1e-14:
+    if a0 == 0 and abs(_abs2(a1) - 1.0) <= 1e-14:
         return 1
     return None
 
@@ -273,7 +280,8 @@ def topology(c: Circuit) -> Topology:
 
 
 def _unitarity_error(m: np.ndarray) -> float:
-    with np.errstate(invalid="ignore"):  # non-finite entries give NaN, which validate rejects
+    # non-finite entries give NaN and huge ones inf, which validate rejects
+    with np.errstate(invalid="ignore", over="ignore"):
         return float(np.max(np.abs(m.conj().T @ m - np.eye(2))))
 
 
@@ -284,7 +292,7 @@ def is_classical_gate(g: Gate) -> bool:
     return isinstance(g, OneQubit) and bool(np.max(np.abs(g.matrix - X_MATRIX)) <= ATOL)
 
 
-def _moved_wires(g: Gate, values: dict[int, int | None]) -> set[int]:
+def moved_wires(g: Gate, values: dict[int, int | None]) -> set[int]:
     """Wires that a reflection of ``g`` does not hold at |0> or |1>; a
     one-qubit gate moves its wire.  ``values`` caches ``basis_value`` by
     state identity, since every Toffoli and Or uses the same few states."""
@@ -312,7 +320,7 @@ def _overlaps(gates: Sequence[Gate], holders: dict[int, list[int]]) -> list[tupl
             continue
         for j1 in owners:
             if j1 not in moved:
-                moved[j1] = _moved_wires(gates[j1], values)
+                moved[j1] = moved_wires(gates[j1], values)
             if q in moved[j1]:
                 pairs.update((min(j1, j2), max(j1, j2)) for j2 in owners if j2 != j1)
     return sorted(pairs)

@@ -8,27 +8,32 @@ updates the two slices along its wire's axis.  Every other gate is a
 product of reflections ``I - 2|chi><chi|`` about product states, as
 ``ir.reflections`` lists them, and each reflection is one kernel.  A factor
 of ``chi`` equal to ``|0>`` or ``|1>`` up to phase (``ir.basis_value``)
-only selects the slice of the buffer where its wire holds that value.  On
-that slice, no factor left means -1, a lone ``|->`` up to phase is X on its
-wire (a swap of two halves), and any other factors are contracted against
-their wires' axes.
+only selects the slice of the buffer where its wire holds that value, or,
+on a wire the buffer does not hold, tests that wire's bit: if any test
+fails, the reflection is the identity.  On that slice, no factor left means
+-1, a lone ``|->`` up to phase is X on its wire (a swap of two halves), and
+any other factors are contracted against their wires' axes.
 So a circuit in reflection normal form runs at the cost of the classical
 gates it was written from.  A one-qubit gate with a zero diagonal, such as
 X, is a swap of the two slices and a phase on each.
 
 One executor runs every circuit.  Its buffer holds some wires, then any
 batch axes, which every gate acts on alike; every other wire is at a fixed
-basis value.  A gate's wires join the buffer at their values just before
-it runs, and the wires no gate touched join at the end.  Callers differ
-only in which wires start held.  ``run`` on a basis state up to phase
-starts with none, so the grid's first layer and a fanout tree's early
-gates run on a fraction of the state; ``run`` on any other input starts
-with all of them, on one copy of the input.  A column block of ``unitary``
-is the identity on the last few wires, with the others at the bits of its
-first column, so it starts with those few.  ``max_unitary_difference``
-runs two circuits on the same block and keeps only the largest entry of
-the difference, so it stores neither matrix.  Each gate's kernel is built
-once for all the blocks.
+basis value.  A wire joins the buffer at its value just before the first
+gate that moves it (``ir.moved_wires``): a one-qubit gate on it, or a
+reflection with a factor on it that is not ``|0>`` or ``|1>`` up to phase.
+A wire that gates only read at ``|0>`` or ``|1>``, such as a control, stays
+out at its bit, so the parity circuit's inputs never double the buffer.
+Every other wire joins at the end.  Callers differ only in which wires
+start held.  ``run`` on a basis state up to phase starts with none, so the
+grid's first layer and a fanout tree's early gates run on a fraction of the
+state; ``run`` on any other input starts with all of them, on one copy of
+the input.  A column block of ``unitary`` is the identity on the last few
+wires, with the others at the bits of its first column, so it starts with
+those few.  ``max_unitary_difference`` runs two circuits on the same block
+and keeps only the largest entry of the difference, so it stores neither
+matrix.  Each gate's kernels are built once for all the blocks; only the
+tests read the bits.
 
 Public functions never modify their arguments.  ``run`` hands its buffer to
 the result read-only, without a second copy.  The practical cap is 24
@@ -54,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ir import Circuit, Gate, LocalState, OneQubit, basis_value, reflections, support
+from .ir import Circuit, Gate, LocalState, OneQubit, basis_value, moved_wires, reflections, support
 
 MAX_QUBITS = 24
 # ``max_unitary_difference`` holds two column blocks, not two matrices
@@ -158,20 +163,27 @@ def _is_minus(v: np.ndarray) -> bool:
     return v[1] == -v[0] and abs(abs(2**0.5 * v[0]) ** 2 - 1.0) <= 1e-14
 
 
-def _reflection_kernel(factors, m: int):
-    """In-place ``I - 2|chi><chi|`` on a slab, for ``chi`` the product of the
-    ``(wire, LocalState)`` pairs of ``factors``.
+def _reflection_kernel(factors, axis_of: dict):
+    """``(tests, kernel)`` for ``I - 2|chi><chi|``, ``chi`` the product of the
+    ``(wire, LocalState)`` pairs of ``factors``, on a slab whose axes for the
+    wires it holds are ``axis_of`` (wire to axis): the in-place kernel, to run
+    only where each ``(wire, value)`` test holds on the bit of a wire the slab
+    does not hold.
 
-    A factor equal to |0> or |1> up to phase fixes its wire, which picks the
-    slice the reflection acts on.  On that slice, no factor left is -1, a lone
-    |-> up to phase is X, and otherwise the factors left are contracted."""
-    fixed, rest = [], []
+    A factor equal to |0> or |1> up to phase picks the slice the reflection
+    acts on if the slab holds its wire, and is a test of the wire's bit if
+    not.  On that slice, no factor left is -1, a lone |-> up to phase is X,
+    and otherwise the factors left are contracted."""
+    m = len(axis_of)
+    tests, fixed, rest = [], [], []
     for q, s in factors:
         value = basis_value(s)
         if value is None:
-            rest.append((q, s.vec()))
+            rest.append((axis_of[q], s.vec()))
+        elif q in axis_of:
+            fixed.append((axis_of[q], value))
         else:
-            fixed.append((q, value))
+            tests.append((q, value))
 
     if not rest:
 
@@ -199,17 +211,19 @@ def _reflection_kernel(factors, m: int):
             overlap = np.einsum(chi_bra, wires, part, axes, others, optimize=False)
             np.moveaxis(part, wires, range(len(wires)))[...] -= np.multiply.outer(two_chi, overlap)
 
-    return kernel
+    return tests, kernel
 
 
 def _slab_kernel(g: Gate, wires):
-    """``g``'s in-place action on a slab: a view of a buffer with one axis
-    per wire of ``wires``, in that order, then the batch axes.  An axis
-    outside ``g`` may have length 1 in the slab.  The kernel calls no public
-    function, so it may run on the helper thread."""
-    m, axis = len(wires), wires.index
+    """``g``'s in-place action on a slab, a view of a buffer with one axis per
+    wire of ``wires``, in that order, then the batch axes: ``(tests, kernel)``
+    parts that run in order, each where its tests hold.  ``wires`` holds every
+    wire ``g`` moves, and an axis outside ``g`` may have length 1 in the slab.
+    The kernels call no public function, so they may run on the helper
+    thread."""
+    m, axis_of = len(wires), {q: a for a, q in enumerate(wires)}
     if isinstance(g, OneQubit):
-        q, u = axis(g.qubit), g.matrix
+        q, u = axis_of[g.qubit], g.matrix
         if u[0, 0] == 0 and u[1, 1] == 0:
             # |0> takes u01 times the old |1> slice, and |1> takes u10 times the old |0>
             phases = [((q, v), z) for v, z in ((0, u[0, 1]), (1, u[1, 0])) if z != 1]
@@ -220,22 +234,14 @@ def _slab_kernel(g: Gate, wires):
                     part = _select(psi, m, (fixed,))
                     part *= z
 
-            return kernel
+            return [((), kernel)]
 
         def kernel(psi):
             lo, hi = _halves(psi, m, q)
             lo[...], hi[...] = u[0, 0] * lo + u[0, 1] * hi, u[1, 0] * lo + u[1, 1] * hi
 
-        return kernel
-    kernels = [
-        _reflection_kernel([(axis(q), s) for q, s in factors], m) for factors in reflections(g)
-    ]
-
-    def kernel(psi):
-        for reflect in kernels:
-            reflect(psi)
-
-    return kernel
+        return [((), kernel)]
+    return [_reflection_kernel(factors, axis_of) for factors in reflections(g)]
 
 
 def _usable_cpus() -> int:
@@ -270,7 +276,7 @@ os.register_at_fork(after_in_child=_forget_helper)
 
 
 def _gate_step(g: Gate, m: int, wires):
-    """``g``'s slab kernel on a buffer with one axis per wire of ``wires``,
+    """``g``'s slab parts on a buffer with one axis per wire of ``wires``,
     and the first of those axes that ``g`` leaves free (None if none), after
     checking ``g``'s support against the circuit's ``m`` wires."""
     touched = support(g)
@@ -283,32 +289,43 @@ def _gate_step(g: Gate, m: int, wires):
 def _plan(c: Circuit, held):
     """``(wires, step)`` for each gate of ``c`` in order: the sorted wires a
     buffer that starts over the sorted wires ``held`` holds when the gate
-    runs, and the gate's step on them.  Each step is built when it is
-    reached, so that a run holds one gate's ``chi`` at a time."""
-    m = c.num_qubits
+    runs, and the gate's step on them.  A wire joins when a gate moves it
+    (``ir.moved_wires``); a wire a gate only reads at |0> or |1> stays out.
+    Each step is built when it is reached, so that a run holds one gate's
+    ``chi`` at a time."""
+    m, values = c.num_qubits, {}
     for lay in c.layers:
         for g in lay.gates:
-            held = sorted({*held, *support(g)})
+            held = sorted({*held, *moved_wires(g, values)})
             yield held, _gate_step(g, m, held)
 
 
-def _apply_in_place(buf: np.ndarray, m: int, step) -> None:
+def _apply_in_place(buf: np.ndarray, m: int, step, bits: list) -> None:
     """Apply a gate step to every column of ``buf``, whose first axis holds
-    2**m amplitudes.
+    2**m amplitudes; each wire it does not hold is at its value in ``bits``.
 
-    A large buffer is cut in two at the first axis the gate leaves free, and
-    the helper thread works on one half while the caller works on the other."""
-    kernel, free = step
+    Only the parts whose tests hold on ``bits`` run.  A large buffer is cut
+    in two at the first axis the gate leaves free, and the helper thread
+    works on one half while the caller works on the other."""
+    parts, free = step
+    kernels = [kernel for tests, kernel in parts if all(bits[q] == v for q, v in tests)]
+    if not kernels:
+        return
+
+    def run_parts(psi):
+        for kernel in kernels:
+            kernel(psi)
+
     psi = buf.reshape((2,) * m + buf.shape[1:])
     if free is None or buf.size < _SPLIT_AMPS or _usable_cpus() < 2:
-        kernel(psi)
+        run_parts(psi)
         return
     idx: list = [slice(None)] * psi.ndim
     idx[free] = slice(1, 2)
-    other_half = _helper_thread().submit(kernel, psi[tuple(idx)])
+    other_half = _helper_thread().submit(run_parts, psi[tuple(idx)])
     idx[free] = slice(0, 1)
     try:
-        kernel(psi[tuple(idx)])
+        run_parts(psi[tuple(idx)])
     finally:
         other_half.result()
 
@@ -332,7 +349,7 @@ def _evolve(buf: np.ndarray, held: list, plan, bits: list, m: int) -> np.ndarray
     is at its value in ``bits``.  Returns the buffer over all ``m`` wires."""
     for wires, step in plan:
         buf, held = _widen(buf, held, wires, bits), wires
-        _apply_in_place(buf, len(held), step)
+        _apply_in_place(buf, len(held), step, bits)
     return _widen(buf, held, range(m), bits)
 
 

@@ -339,15 +339,17 @@ _NONFINITE_FILES = {
 }
 
 
-@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "1e200"])
 @pytest.mark.parametrize("kind, message", [("rtensor", "non-normalized local state"), ("u1", "non-unitary")])
 def test_nonfinite_numbers_from_a_file_are_rejected(tmp_path, capsys, value, kind, message):
-    # json accepts NaN and Infinity; validation must still reject them
+    # json accepts NaN and Infinity; validation must still reject them, and
+    # 1e200, whose square overflows a float
     path = tmp_path / "bad.json"
     path.write_text(_NONFINITE_FILES[kind] % value)
     out = tmp_path / "s.csv"
-    assert run_cli("simulate", "--circuit", str(path)) == 1
-    assert message in capsys.readouterr().err
+    for command in ("info", "simulate"):
+        assert run_cli(command, "--circuit", str(path)) == 1
+        assert f"layer 0, gate 0: {message}" in capsys.readouterr().err
     assert run_cli("sample", "--circuit", str(path), "--trials", "5", "--seed", "1", "--out", str(out)) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()

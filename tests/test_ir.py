@@ -112,10 +112,15 @@ def test_validate_non_unitary_matrix():
     assert any("non-unitary" in p for p in validate(c))
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+# 1e200 is finite, but its square overflows a float
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e200])
 def test_validate_rejects_nonfinite_amplitudes_and_matrices(bad):
     state = circuit(1, [[RTensor(((0, LocalState(bad, 0.0)),))]])
     assert any("non-normalized local state" in p for p in validate(state))
+    # two gates on wire 1: validate asks whether the bad state is |0> there
+    shared = LocalState(bad, 0.0)
+    pair = circuit(3, [[RTensor(((0, KET1), (1, shared))), RTensor(((1, shared), (2, KET1)))]])
+    assert "layer 0, gate 1: non-normalized local state on qubit 1" in validate(pair)
     matrix = circuit(1, [[OneQubit(0, np.array([[bad, 0], [0, 1]]))]])
     assert any("non-unitary" in p for p in validate(matrix))
 

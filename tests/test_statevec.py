@@ -259,17 +259,23 @@ def test_each_gate_kernel_is_built_once_for_all_the_column_blocks(monkeypatch):
     assert len(built) == sum(gates)
 
 
-def test_unitary_blocks_start_on_the_wires_their_columns_span(monkeypatch):
-    m = 11
-    cols = statevec._BLOCK_AMPS >> m
+def record_buffer_sizes(monkeypatch) -> list:
+    """The returned list grows by the buffer's size, in amplitudes, at each gate."""
     sizes = []
     apply_in_place = statevec._apply_in_place
 
-    def recorded(buf, k, step):
+    def recorded(buf, k, step, bits):
         sizes.append(buf.size)
-        apply_in_place(buf, k, step)
+        apply_in_place(buf, k, step, bits)
 
     monkeypatch.setattr(statevec, "_apply_in_place", recorded)
+    return sizes
+
+
+def test_unitary_blocks_start_on_the_wires_their_columns_span(monkeypatch):
+    m = 11
+    cols = statevec._BLOCK_AMPS >> m
+    sizes = record_buffer_sizes(monkeypatch)
     unitary(circuit(m, [[cnot(0, 1)], [h_gate(q) for q in range(m)]]))
     # the first gate runs on wires 0 and 1 and the last log2(cols) wires only
     assert sizes[0] < (1 << m) * cols
@@ -362,6 +368,31 @@ def phased(s: LocalState, phi: float) -> LocalState:
     return LocalState(z * s.amp0, z * s.amp1)
 
 
+def control_wire_circuits():
+    """Circuits whose early wires some gates only read at |0> or |1> up to
+    phase, so that those wires stay out of the buffer while they do."""
+    m = 6
+    minus0, i1 = phased(KET0, np.pi), phased(KET1, np.pi / 2)
+    x = np.array([[0, 1], [1, 0]])
+    # phased controls on wires out of the buffer: a contraction, then an X
+    yield circuit(m, [[rtensor({0: minus0, 1: i1, 2: PLUS})], [rtensor({0: i1, 3: minus0, 4: MINUS})]])
+    # every factor on a wire out of the buffer: a sign on the whole buffer,
+    # first on an empty buffer, then on one that holds wire 2
+    yield circuit(m, [[rtensor({0: minus0, 1: i1})], [h_gate(2)], [rtensor({0: i1, 1: minus0, 5: KET1})]])
+    # Toffoli and Or with every control out, and with one control held
+    yield circuit(m, [[Toffoli((0, 1), 4)], [Or((0, 1, 2), 3)], [h_gate(1)], [Or((0, 1), 5), Toffoli((2, 3), 4)]])
+    # control-only wires that later take an H or an X join at their bits
+    yield circuit(
+        m,
+        [
+            [Toffoli((0, 1), 2), Or((3, 4), 5)],
+            [h_gate(0), OneQubit(3, x)],
+            [OneQubit(1, x), Toffoli((0, 3), 4)],
+            [Or((1, 4), 2), h_gate(5)],
+        ],
+    )
+
+
 def full_cover_circuits():
     """Toffoli and Or whose controls are every wire but the target, and a
     reflection over every wire, so that the kernels work on 0-d views; then
@@ -416,6 +447,7 @@ def check_kernels_against_kron_reference(monkeypatch):
     rng = substream(8)
     circuits = list(full_cover_circuits())
     circuits += [random_qac_circuit(rng, max_qubits=6, max_depth=4) for _ in range(60)]
+    circuits += control_wire_circuits()
     for c in circuits:
         ref = reference_unitary(c)
         assert np.max(np.abs(unitary(c) - ref)) < 1e-12
@@ -426,6 +458,27 @@ def check_kernels_against_kron_reference(monkeypatch):
         amps = haar_state(1 << c.num_qubits, rng)
         out = run(c, StateVector(c.num_qubits, amps))
         assert np.max(np.abs(out.amplitudes - ref @ amps)) < 1e-12
+
+
+def test_control_only_wires_match_kron_reference_from_every_basis_state():
+    # a basis input starts the buffer empty; the column blocks are checked
+    # against the same reference above
+    for c in control_wire_circuits():
+        ref = reference_unitary(c)
+        m = c.num_qubits
+        for j in range(1 << m):
+            out = run(c, basis_state(m, j))
+            assert np.max(np.abs(out.amplitudes - ref[:, j])) < 1e-12
+
+
+def test_control_only_wires_never_join_the_buffer(monkeypatch):
+    # the parity circuit's two inputs are read only by CZ-type reflections
+    par = dense_check_pair()[0]
+    m = par.num_qubits
+    cols = statevec._BLOCK_AMPS >> m
+    sizes = record_buffer_sizes(monkeypatch)
+    unitary(par)
+    assert max(sizes) == (1 << (m - 2)) * cols
 
 
 def test_run_from_a_basis_state_matches_the_unitary_column():
@@ -460,6 +513,18 @@ def test_run_checks_the_width_and_every_gate_support_on_any_input():
             run(bad, state)
         with pytest.raises(ValueError, match="circuit and state qubit counts differ"):
             run(circuit(4, [[h_gate(0)]]), state)
+
+
+def test_a_control_only_wire_out_of_range_is_still_rejected():
+    # wire 5 never joins the buffer, but the gate's whole support is checked
+    for g, wires in ((Toffoli((5,), 1), r"\(1, 5\)"), (rtensor({0: KET0, 5: KET1}), r"\(0, 5\)")):
+        bad = circuit(3, [[g]])
+        message = rf"gate support {wires} out of range for 3 qubits"
+        for state in (zero_state(3), StateVector(3, haar_state(8, substream(101)))):
+            with pytest.raises(ValueError, match=message):
+                run(bad, state)
+        with pytest.raises(ValueError, match=message):
+            unitary(bad)
 
 
 # The last widening adds one wire, so it holds a half and a whole.  On the
