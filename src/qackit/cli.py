@@ -21,9 +21,10 @@ import numpy as np
 
 import qackit
 
-from . import analysis, nekomata, sampling, serial, statevec, transforms
-from .ir import Circuit, LocalState, RTensor, depth, size, topology, validate
+from . import nekomata, sampling, serial, statevec, transforms
+from .ir import Circuit, depth, size, topology, validate
 from .rng import substream
+from .verify import SUITES
 
 # widest circuit `build` emits, checked before anything is built.  At the cap,
 # build plus serialize peaks at 319 MiB RSS for the n=6 grid (1,048,572 wires,
@@ -227,172 +228,6 @@ def _cmd_sample(args, manifest: Manifest) -> int:
     return 0
 
 
-def _suite_report(seed: int, size_key: str, size: int, failures: list) -> dict:
-    """Pass or fail, the suite's size, and the first failing instance with
-    the seed that reproduces it."""
-    return {
-        "passed": not failures,
-        size_key: size,
-        "failures": len(failures),
-        "seed": seed,
-        "first_failing_instance": failures[0] if failures else None,
-    }
-
-
-def _suite_projections(seed: int) -> dict:
-    rng = substream(seed, 10)
-    failures = []
-    for trial in range(500):
-        dim = int(rng.integers(2, 17))
-        d = int(rng.integers(1, 7))
-        projections = []
-        for _ in range(d):
-            rank = int(rng.integers(1, dim))
-            basis = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
-            v = basis[:, :rank]
-            projections.append(v @ v.conj().T)
-        iota = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        iota /= np.linalg.norm(iota)
-        chain = analysis.ProjectionChain(dim, tuple(projections), iota)
-        if not analysis.check_projection_chain_bound(chain).holds:
-            failures.append(trial)
-    return _suite_report(seed, "trials", 500, failures)
-
-
-def _suite_metric(seed: int) -> dict:
-    rng = substream(seed, 11)
-    triangle = analysis.angular_triangle_check(10_000, 8, rng)
-    cos_exp = analysis.check_cos_exp_inequality()
-    failures = [name for name, ok in (("triangle", triangle), ("cos_exp_grid", cos_exp)) if not ok]
-    interp_ok = True
-    for pair in range(5):
-        sigma = rng.normal(size=8) + 1j * rng.normal(size=8)
-        sigma /= np.linalg.norm(sigma)
-        tau = rng.normal(size=8) + 1j * rng.normal(size=8)
-        tau /= np.linalg.norm(tau)
-        result = analysis.optimal_interpolation(sigma, tau, 5)
-        # 1000 chains of 4 middle states; each state draws its real parts, then its imaginary parts
-        parts = rng.normal(size=(1000, 4, 2, 8))
-        middles = parts[..., 0, :] + 1j * parts[..., 1, :]
-        middles /= np.linalg.norm(middles, axis=-1, keepdims=True)
-        maximal = not np.any(analysis.chain_product_value(sigma, middles, tau) > result.product_value + 1e-10)
-        if not maximal:
-            failures.append(f"interpolation pair {pair}")
-        interp_ok &= maximal
-    return {
-        **_suite_report(seed, "interpolation_pairs", 5, failures),
-        "triangle": triangle,
-        "cos_exp_grid": cos_exp,
-        "interpolation_maximal": interp_ok,
-    }
-
-
-def _suite_markov(seed: int) -> dict:
-    rng = substream(seed, 12)
-    checked = 0
-    violations = 0
-    first_failing = None
-    for instance in range(200):
-        support_size = int(rng.integers(1, 8))
-        values = np.round(rng.random(support_size) * 10, 3)
-        probs = rng.random(support_size)
-        probs /= probs.sum()
-        law = list(zip(values.tolist(), probs.tolist()))
-        mean = sum(v * p for v, p in law)
-        if mean <= 0:
-            continue
-        a = float(rng.random() * 2 + 0.05)
-        delta = float(rng.random() * 0.9 + 0.1)
-        t = analysis.generalized_markov_threshold(law, a, delta)
-        tail = sum(p for v, p in law if v >= t)
-        if not a <= t <= a * np.exp(1.0 / delta - 1.0) * (1 + 1e-12) or tail * t > delta * mean + 1e-12:
-            violations += 1
-            if first_failing is None:
-                first_failing = instance
-        checked += 1
-    return {
-        "passed": violations == 0,
-        "instances": checked,
-        "violations": violations,
-        "seed": seed,
-        "first_failing_instance": first_failing,
-    }
-
-
-def _suite_turan(seed: int) -> dict:
-    rng = substream(seed, 13)
-    failures = []
-    for graph in range(100):
-        n = int(rng.integers(2, 51))
-        density = rng.random() * 0.5
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if rng.random() < density
-        ]
-        g = analysis.Graph(n, tuple(edges))
-        result = analysis.permutation_independent_set(g, rng, trials=1000)
-        sigma = max(np.sqrt(result.degree_sum_bound / result.trials), 1e-6)
-        if not analysis.is_independent(g, result.best) or (
-            result.mean_size < result.degree_sum_bound - 4 * sigma
-        ):
-            failures.append(graph)
-    return _suite_report(seed, "graphs", 100, failures)
-
-
-def _suite_depth2_reduce(seed: int) -> dict:
-    rng = substream(seed, 14)
-    failures = []
-    for trial in range(20):
-        cons, goal = _random_construction(rng)
-        before = analysis.construction_success(cons, goal)
-        result = analysis.reduce_depth2_construction(cons, goal)
-        reduced = result.construction
-        anc = set(reduced.ancillae())
-        acted1 = {q for g in reduced.first_layer for q in g.qubits}
-        acted2 = {q for g in reduced.second_layer for q in g.qubits}
-        if result.success_probability < before - 1e-9 or not (anc <= acted1 and anc <= acted2):
-            failures.append(trial)
-    return _suite_report(seed, "instances", 20, failures)
-
-
-def _random_construction(rng):
-    def haar_local() -> LocalState:
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        v /= np.linalg.norm(v)
-        return LocalState(v[0], v[1])
-
-    n = int(rng.integers(4, 7))
-    targets = tuple(range(2))
-
-    def random_layer():
-        wires = list(rng.permutation(n))
-        gates = []
-        while len(wires) >= 2 and rng.random() < 0.85:
-            k = int(rng.integers(2, min(3, len(wires)) + 1))
-            chosen, wires = wires[:k], wires[k:]
-            gates.append(RTensor(tuple((int(q), haar_local()) for q in chosen)))
-        return tuple(gates)
-
-    cons = analysis.Depth2Construction(
-        n, random_layer(), random_layer(), tuple(haar_local() for _ in range(n)), targets
-    )
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    v /= np.linalg.norm(v)
-    goal = statevec.StateVector(2, v)
-    return cons, goal
-
-
-SUITES = {
-    "projections": _suite_projections,
-    "metric": _suite_metric,
-    "markov": _suite_markov,
-    "turan": _suite_turan,
-    "depth2-reduce": _suite_depth2_reduce,
-}
-
-
 def _cmd_verify(args, manifest: Manifest) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     report = {"seed": args.seed, "suites": {}}
@@ -402,7 +237,7 @@ def _cmd_verify(args, manifest: Manifest) -> int:
         report["suites"][name] = result
         all_passed &= bool(result["passed"])
         print(f"{name}: {'pass' if result['passed'] else 'FAIL'}")
-        if result.get("first_failing_instance") is not None:
+        if result["first_failing_instance"] is not None:
             print(f"  first failing instance {result['first_failing_instance']} (seed {args.seed})")
     if args.report:
         manifest.write_output(args.report, json.dumps(report, indent=2) + "\n")

@@ -259,7 +259,9 @@ def state_to_json(num_qubits: int, amplitudes: np.ndarray) -> str:
     amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
     if amps.shape[0] != 1 << num_qubits:
         raise ValueError("amplitude count must be 2**num_qubits")
-    return _encode({"num_qubits": num_qubits, "amplitudes": [_pair(z) for z in amps]})
+    # adding 0.0 writes every zero part as 0.0, so the bytes do not depend on
+    # which wires the oracle's buffer held when a reflection negated a zero
+    return _encode({"num_qubits": num_qubits, "amplitudes": [_pair(z) for z in amps + 0.0]})
 
 
 def state_from_json(text: str) -> tuple[int, np.ndarray]:

@@ -86,6 +86,9 @@ def _reflection_matrix(st: LocalState) -> np.ndarray:
     return np.eye(2) - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v)
 
 
+_EYE = np.eye(2, dtype=np.complex128)
+
+
 def _is_identity(m: np.ndarray) -> bool:
     return bool(np.max(np.abs(m - np.eye(2))) <= 1e-15)
 
@@ -175,28 +178,25 @@ def to_rtensor_normal_form(c: Circuit) -> Circuit:
     one layer share must stay at |0> or |1> in all of them, and a later
     one-qubit gate on it, such as an H, rotates it away.  ``ir.validate``
     rejects such a result."""
-    pending: list[np.ndarray] = [np.eye(2, dtype=np.complex128) for _ in range(c.num_qubits)]
+    # the pending gates of the wires a one-qubit gate or reflection touched
+    pending: dict[int, np.ndarray] = {}
     reversed_layers: list[Layer] = []
     for lay in reversed(c.layers):
         new_gates: list[RTensor] = []
         for g in lay.gates:
             if isinstance(g, OneQubit):
-                pending[g.qubit] = pending[g.qubit] @ g.matrix
+                pending[g.qubit] = pending.get(g.qubit, _EYE) @ g.matrix
                 continue
             for factors in reflections(g):
                 if len(factors) > 1:
-                    images = [(q, pending[q] @ st.vec()) for q, st in factors]
+                    images = [(q, pending.get(q, _EYE) @ st.vec()) for q, st in factors]
                     new_gates.append(RTensor(tuple((q, LocalState(*v)) for q, v in images)))
                     continue
                 ((q, st),) = factors
-                pending[q] = pending[q] @ _reflection_matrix(st)
+                pending[q] = pending.get(q, _EYE) @ _reflection_matrix(st)
         if new_gates:
             reversed_layers.append(Layer(tuple(new_gates)))
-    first = tuple(
-        OneQubit(q, pending[q])
-        for q in range(c.num_qubits)
-        if not _is_identity(pending[q])
-    )
+    first = tuple(OneQubit(q, pending[q]) for q in sorted(pending) if not _is_identity(pending[q]))
     layers = ([Layer(first)] if first else []) + reversed_layers[::-1]
     return Circuit(c.num_qubits, tuple(layers), c.targets)
 

@@ -474,11 +474,11 @@ def _step_text(code: str) -> str:
 
 
 def test_reduction_steps_on_the_seed0_suite_instances():
-    from qackit import cli
+    from qackit import verify
 
     rng = substream(0, 14)
     for codes, success in _SEED0_REDUCTIONS:
-        cons, goal = cli._random_construction(rng)
+        cons, goal = verify._random_construction(rng)
         result = reduce_depth2_construction(cons, goal)
         assert result.steps == tuple(_step_text(c) for c in codes.split())
         assert result.success_probability == pytest.approx(success, abs=1e-12)

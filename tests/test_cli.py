@@ -140,6 +140,27 @@ def test_simulate_basis_input_and_state_export(tmp_path, capsys):
     assert np.argmax(np.abs(amps)) == 0b111
 
 
+def test_state_export_writes_every_zero_part_as_positive_zero(tmp_path, capsys):
+    # the oracle negates exact zeros depending on which wires its buffer
+    # held, so the file must not carry the sign of a zero part
+    nek, par, state = (tmp_path / f for f in ("nek.json", "parity.json", "state.json"))
+    run_cli("build", "nekomata", "--n", "2", "--columns", "3", "--out", str(nek))
+    run_cli("build", "parity-from-nekomata", "--constructor", str(nek), "--n", "2", "--out", str(par))
+    bits = "10000000000"
+    assert run_cli("simulate", "--circuit", str(par), "--input", bits, "--state-out", str(state)) == 0
+    capsys.readouterr()
+    text = state.read_text()
+    parts = [x for pair in json.loads(text)["amplitudes"] for x in pair]
+    assert [x for x in parts if x == 0 and np.signbit(x)] == []
+    from qackit import run
+    from qackit.serial import state_from_json
+    from qackit.statevec import basis_state
+
+    n, amps = state_from_json(text)
+    assert n == 11
+    assert np.array_equal(amps, run(deserialize(par.read_text()), basis_state(11, bits)).amplitudes)
+
+
 @pytest.mark.parametrize("bits", ["0_1", "+01", " 01", "01 ", "\u096701"])
 def test_simulate_refuses_an_input_that_is_not_a_bit_string(tmp_path, capsys, bits):
     tree = tmp_path / "tree.json"
@@ -206,6 +227,11 @@ def test_verify_all_suites(tmp_path, capsys):
     doc = json.loads(report.read_text())
     assert set(doc["suites"]) == {"projections", "metric", "markov", "turan", "depth2-reduce"}
     assert all(s["passed"] for s in doc["suites"].values())
+    # one report shape for every suite
+    keys = {"passed", "instances", "failures", "seed", "first_failing_instance"}
+    assert all(set(s) == keys for s in doc["suites"].values())
+    instances = {name: s["instances"] for name, s in doc["suites"].items()}
+    assert instances == {"projections": 500, "metric": 7, "markov": 200, "turan": 100, "depth2-reduce": 20}
 
 
 def test_verify_single_suite():
@@ -236,7 +262,7 @@ def test_verify_markov_can_fail(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "markov: FAIL" in out
     doc = json.loads(report.read_text())["suites"]["markov"]
-    assert doc["passed"] is False and doc["violations"] == doc["instances"] > 0
+    assert doc["passed"] is False and doc["failures"] == doc["instances"] > 0
     assert doc["seed"] == 4
     assert f"first failing instance {doc['first_failing_instance']} (seed 4)" in out
 
@@ -251,7 +277,7 @@ def test_verify_markov_checks_the_tail_bound(tmp_path, monkeypatch, capsys):
     assert run_cli("verify", "--suite", "markov", "--seed", "4", "--report", str(report)) == 1
     assert "markov: FAIL" in capsys.readouterr().out
     doc = json.loads(report.read_text())["suites"]["markov"]
-    assert doc["passed"] is False and doc["violations"] == 32 and doc["instances"] == 200
+    assert doc["passed"] is False and doc["failures"] == 32 and doc["instances"] == 200
 
 
 # suite -> (the analysis check it relies on, a failing stand-in built from the

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,19 @@ def test_normal_form_trailing_x_pushed_to_front():
     states = dict(refl.factors)
     assert abs(abs(states[0].amp0) - 1.0) < 1e-12  # control factor is |0> up to phase
     assert abs(abs(states[1].amp1) - 1.0) < 1e-12
+
+
+def test_normal_form_allocates_per_touched_wire_not_per_wire():
+    # one Toffoli on 2^16 wires; a pending gate per wire would take 12.5 MiB
+    c = circuit(1 << 16, [[Toffoli((0, 1), 2)]])
+    tracemalloc.start()
+    try:
+        nf = to_rtensor_normal_form(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert len(nf.layers) == 1 and len(nf.layers[0].gates) == 1
 
 
 def test_rewrites_preserve_unitary_at_ten_qubits():
