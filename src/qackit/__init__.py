@@ -25,7 +25,6 @@ from .ir import (
     cz,
     depth,
     h_gate,
-    layer,
     rtensor,
     size,
     support,

@@ -10,6 +10,7 @@ output digests, and wall-clock time.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -38,11 +39,18 @@ class CliError(Exception):
 
 
 def _atomic_write(path: str, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then move it there.
+    A failure removes the temporary file and names ``path``."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = os.path.join(directory, f".{os.path.basename(path)}.tmp{os.getpid()}")
-    with open(tmp, "wb") as f:
-        f.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 class Manifest:

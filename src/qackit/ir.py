@@ -24,6 +24,7 @@ pure and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
@@ -45,7 +46,10 @@ def _abs2(z: complex) -> float:
 
 @dataclass(frozen=True)
 class LocalState:
-    """One-qubit state ``amp0|0> + amp1|1>``; must be unit norm within 1e-12."""
+    """One-qubit state ``amp0|0> + amp1|1>``; must be unit norm within 1e-12.
+
+    ``norm_error`` and ``basis_value`` are computed once per state, on first
+    read; equal factors loaded from a file share one state."""
 
     amp0: complex
     amp1: complex
@@ -53,8 +57,21 @@ class LocalState:
     def vec(self) -> np.ndarray:
         return np.array([self.amp0, self.amp1], dtype=np.complex128)
 
+    @cached_property
     def norm_error(self) -> float:
         return abs(_abs2(self.amp0) + _abs2(self.amp1) - 1.0)
+
+    @cached_property
+    def basis_value(self) -> int | None:
+        """0 or 1 when the state is |0> or |1> up to phase, else None: one
+        amplitude exactly 0, the other of modulus 1 up to rounding (1e-14 on
+        its square)."""
+        a0, a1 = complex(self.amp0), complex(self.amp1)
+        if a1 == 0 and abs(_abs2(a0) - 1.0) <= 1e-14:
+            return 0
+        if a0 == 0 and abs(_abs2(a1) - 1.0) <= 1e-14:
+            return 1
+        return None
 
     def complement(self) -> "LocalState":
         """The orthogonal state, with phase fixed as (-conj(amp1), conj(amp0))."""
@@ -198,17 +215,6 @@ def reflections(g: Gate) -> tuple[tuple[tuple[QubitId, LocalState], ...], ...]:
     raise TypeError(f"{type(g).__name__} is not a product of reflections")
 
 
-def basis_value(s: LocalState) -> int | None:
-    """0 or 1 when ``s`` is |0> or |1> up to phase, else None: one amplitude
-    exactly 0, the other of modulus 1 up to rounding (1e-14 on its square)."""
-    a0, a1 = complex(s.amp0), complex(s.amp1)
-    if a1 == 0 and abs(_abs2(a0) - 1.0) <= 1e-14:
-        return 0
-    if a0 == 0 and abs(_abs2(a1) - 1.0) <= 1e-14:
-        return 1
-    return None
-
-
 def is_multi_qubit(g: Gate) -> bool:
     return len(support(g)) >= 2
 
@@ -219,11 +225,6 @@ class Layer:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-
-
-def layer(*gates: Gate) -> Layer:
-    """Layer with the canonical intra-layer order: ascending minimum wire."""
-    return Layer(tuple(sorted(gates, key=lambda g: min(support(g)))))
 
 
 @dataclass(frozen=True)
@@ -249,10 +250,8 @@ def circuit(
     layers: Iterable[Iterable[Gate] | Layer],
     targets: Sequence[QubitId] | None = None,
 ) -> Circuit:
-    built = []
-    for lay in layers:
-        built.append(lay if isinstance(lay, Layer) else layer(*lay))
-    return Circuit(num_qubits, tuple(built), tuple(targets) if targets is not None else None)
+    built = tuple(lay if isinstance(lay, Layer) else Layer(tuple(lay)) for lay in layers)
+    return Circuit(num_qubits, built, tuple(targets) if targets is not None else None)
 
 
 def size(c: Circuit) -> int:
@@ -292,20 +291,12 @@ def is_classical_gate(g: Gate) -> bool:
     return isinstance(g, OneQubit) and bool(np.max(np.abs(g.matrix - X_MATRIX)) <= ATOL)
 
 
-def moved_wires(g: Gate, values: dict[int, int | None]) -> set[int]:
+def moved_wires(g: Gate) -> set[int]:
     """Wires that a reflection of ``g`` does not hold at |0> or |1>; a
-    one-qubit gate moves its wire.  ``values`` caches ``basis_value`` by
-    state identity, since every Toffoli and Or uses the same few states."""
+    one-qubit gate moves its wire."""
     if isinstance(g, OneQubit):
         return {g.qubit}
-    moved = set()
-    for factors in reflections(g):
-        for q, s in factors:
-            if id(s) not in values:
-                values[id(s)] = basis_value(s)
-            if values[id(s)] is None:
-                moved.add(q)
-    return moved
+    return {q for factors in reflections(g) for q, s in factors if s.basis_value is None}
 
 
 def _overlaps(gates: Sequence[Gate], holders: dict[int, list[int]]) -> list[tuple[int, int]]:
@@ -313,14 +304,13 @@ def _overlaps(gates: Sequence[Gate], holders: dict[int, list[int]]) -> list[tupl
     the two moves.  ``holders`` maps each wire to the gates on it; only the
     gates on a wire held twice or more are read, each once."""
     moved: dict[int, set[int]] = {}
-    values: dict[int, int | None] = {}
     pairs = set()
     for q, owners in holders.items():
         if len(owners) < 2:
             continue
         for j1 in owners:
             if j1 not in moved:
-                moved[j1] = moved_wires(gates[j1], values)
+                moved[j1] = moved_wires(gates[j1])
             if q in moved[j1]:
                 pairs.update((min(j1, j2), max(j1, j2)) for j2 in owners if j2 != j1)
     return sorted(pairs)
@@ -332,9 +322,6 @@ def validate(c: Circuit) -> list[str]:
     Runs in time linear in the total support size plus the size of the
     overlaps it reports."""
     problems: list[str] = []
-    # each state's norm is checked once, cached by identity: equal factors
-    # loaded from a file share one LocalState
-    normalized: dict[int, bool] = {}
     for k, lay in enumerate(c.layers):
         supports = [support(g) for g in lay.gates]
         holders: dict[int, list[int]] = {}
@@ -348,10 +335,7 @@ def validate(c: Circuit) -> list[str]:
                 problems.append(f"layer {k}, gate {j}: non-unitary matrix")
             if isinstance(g, RTensor):
                 for q, s in g.factors:
-                    ok = normalized.get(id(s))
-                    if ok is None:
-                        ok = normalized[id(s)] = s.norm_error() <= ATOL
-                    if not ok:
+                    if not s.norm_error <= ATOL:
                         problems.append(f"layer {k}, gate {j}: non-normalized local state on qubit {q}")
         for j1, j2 in _overlaps(lay.gates, holders):
             # every shared wire is listed, shared basis wires included

@@ -139,7 +139,7 @@ def core_targets(n: int, d: int) -> int:
         raise ValueError("depth must be at least 2")
     if n < 1:
         raise ValueError("n must be >= 1")
-    return -(-n // (1 << (d - 2)))
+    return -((-n) >> (d - 2))
 
 
 @dataclass(frozen=True)

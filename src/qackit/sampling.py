@@ -76,6 +76,8 @@ MAX_SAMPLE_BYTES = 1 << 28
 _CHUNK_BYTES = 1 << 25
 # rows of a first-layer law drawn per sampler call (whole gates, at least one)
 _SLICE_ROWS = 1 << 18
+# deviations eps of the Hamming-weight tails that ``hamming_stats_of_samples`` reports
+_TAIL_EPSILONS = (0.05, 0.1, 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -408,17 +410,16 @@ def classical_read_bound(c: Circuit) -> int:
     return read
 
 
-def hamming_stats_of_samples(
-    samples: np.ndarray, read_r: int, epsilons: tuple[float, ...] = (0.05, 0.1, 0.2)
-) -> HammingStats:
+def hamming_stats_of_samples(samples: np.ndarray, read_r: int) -> HammingStats:
     """Hamming-weight statistics of a ``(trials, targets)`` 0/1 sample matrix,
-    with tails compared against ``exp(-2 eps^2 n / read_r)``."""
+    with tails at each eps of ``_TAIL_EPSILONS`` compared against
+    ``exp(-2 eps^2 n / read_r)``."""
     trials, n = samples.shape
     weights = samples.sum(axis=1)
     mean = float(weights.mean())
     variance = float(weights.var())
     tails = []
-    for eps in epsilons:
+    for eps in _TAIL_EPSILONS:
         bound = math.exp(-2.0 * eps * eps * n / read_r)
         upper = float(np.mean(weights >= mean + eps * n))
         lower = float(np.mean(weights <= mean - eps * n))

@@ -25,9 +25,9 @@ distinct by value, and the sign of a zero part counts, so ``-0.0`` stays
 out each factor, no longer load and must be rebuilt.
 
 ``deserialize`` builds one ``LocalState`` per table entry, so every factor
-of a state shares it (a grid repeats one state on every column factor), and
-``validate`` and the samplers, which cache by state identity, read each
-distinct state once.  Fields are checked by exact type, and error locations
+of a state shares it (a grid repeats one state on every column factor).  A
+state computes its own facts once, and the samplers cache each distinct
+tuple of states.  Fields are checked by exact type, and error locations
 are formatted only when a check fails.  The cyclic garbage collector is
 paused while ``deserialize`` runs.
 """

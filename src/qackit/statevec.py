@@ -7,10 +7,10 @@ in wire order.  The engine works in place on such views.  A one-qubit gate
 updates the two slices along its wire's axis.  Every other gate is a
 product of reflections ``I - 2|chi><chi|`` about product states, as
 ``ir.reflections`` lists them, and each reflection is one kernel.  A factor
-of ``chi`` equal to ``|0>`` or ``|1>`` up to phase (``ir.basis_value``)
-only selects the slice of the buffer where its wire holds that value, or,
-on a wire the buffer does not hold, tests that wire's bit: if any test
-fails, the reflection is the identity.  On that slice, no factor left means
+of ``chi`` equal to ``|0>`` or ``|1>`` up to phase
+(``LocalState.basis_value``) only selects the slice of the buffer where its
+wire holds that value, or, on a wire the buffer does not hold, tests that
+wire's bit: if any test fails, the reflection is the identity.  On that slice, no factor left means
 -1, a lone ``|->`` up to phase is X on its wire (a swap of two halves), and
 any other factors are contracted against their wires' axes.
 So a circuit in reflection normal form runs at the cost of the classical
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ir import Circuit, Gate, LocalState, OneQubit, basis_value, moved_wires, reflections, support
+from .ir import Circuit, Gate, LocalState, OneQubit, moved_wires, reflections, support
 
 MAX_QUBITS = 24
 # ``max_unitary_difference`` holds two column blocks, not two matrices
@@ -177,7 +177,7 @@ def _reflection_kernel(factors, axis_of: dict):
     m = len(axis_of)
     tests, fixed, rest = [], [], []
     for q, s in factors:
-        value = basis_value(s)
+        value = s.basis_value
         if value is None:
             rest.append((axis_of[q], s.vec()))
         elif q in axis_of:
@@ -293,10 +293,10 @@ def _plan(c: Circuit, held):
     (``ir.moved_wires``); a wire a gate only reads at |0> or |1> stays out.
     Each step is built when it is reached, so that a run holds one gate's
     ``chi`` at a time."""
-    m, values = c.num_qubits, {}
+    m = c.num_qubits
     for lay in c.layers:
         for g in lay.gates:
-            held = sorted({*held, *moved_wires(g, values)})
+            held = sorted({*held, *moved_wires(g)})
             yield held, _gate_step(g, m, held)
 
 

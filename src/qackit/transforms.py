@@ -23,7 +23,6 @@ from .ir import (
     RTensor,
     Toffoli,
     X_MATRIX,
-    basis_value,
     circuit,
     cz,
     h_gate,
@@ -140,7 +139,7 @@ def lower(c: Circuit) -> Circuit:
         # holds it alone; the Toffolis; and the L of each wire
         subs: list[tuple[dict[int, int | None], list[Toffoli], dict[int, np.ndarray]]] = []
         for factors in multi:
-            values = {q: basis_value(st) for q, st in factors}
+            values = {q: st.basis_value for q, st in factors}
             moved = [q for q, v in values.items() if v is None]
             target = moved[-1] if moved else min(values, key=holders.__getitem__)
             values[target] = None

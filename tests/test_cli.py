@@ -54,6 +54,33 @@ def test_build_nekomata_with_report(tmp_path):
     assert circ.num_qubits == 8
 
 
+@pytest.mark.parametrize("missing_dir", [True, False], ids=["missing-directory", "target-is-a-directory"])
+def test_failed_state_write_names_the_requested_file(tmp_path, capsys, missing_dir):
+    circ = tmp_path / "c.json"
+    circ.write_text(serialize(circuit(2, [[cnot(0, 1)]])))
+    if missing_dir:
+        dest = tmp_path / "nonexistent" / "x.json"
+    else:
+        # the temporary file is written, and moving it over a directory fails
+        dest = tmp_path / "x.json"
+        dest.mkdir()
+    assert run_cli("simulate", "--circuit", str(circ), "--state-out", str(dest)) == 1
+    err = capsys.readouterr().err
+    assert "x.json" in err and ".tmp" not in err
+    assert [p.name for p in tmp_path.rglob("*") if ".tmp" in p.name] == []
+
+
+def test_failed_report_write_names_the_requested_file(tmp_path, capsys):
+    report = tmp_path / "nonexistent" / "params.json"
+    code = run_cli(
+        "build", "nekomata", "--n", "2", "--columns", "3",
+        "--out", str(tmp_path / "nek.json"), "--report", str(report),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(report) in err and ".tmp" not in err
+
+
 def test_transform_normal_form_and_compare(tmp_path, capsys):
     src = tmp_path / "c.json"
     dst = tmp_path / "nf.json"

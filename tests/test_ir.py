@@ -19,7 +19,7 @@ from qackit import (
     validate,
     x_gate,
 )
-from qackit.ir import KET0, KET1, MINUS, PLUS, basis_value, is_multi_qubit, reflections, support
+from qackit.ir import KET0, KET1, MINUS, PLUS, is_multi_qubit, reflections, support
 
 from conftest import random_qac_circuit
 from qackit.rng import substream
@@ -213,7 +213,7 @@ def _pairwise_validate(c):
                 problems.append(f"layer {k}, gate {j}: non-unitary matrix")
             if isinstance(g, RTensor):
                 for q, s in g.factors:
-                    if s.norm_error() > 1e-12:
+                    if s.norm_error > 1e-12:
                         problems.append(f"layer {k}, gate {j}: non-normalized local state on qubit {q}")
         for j1, g1 in enumerate(lay.gates):
             for g2 in lay.gates[j1 + 1:]:
@@ -302,14 +302,14 @@ def test_validate_rejects_a_shared_wire_not_held_at_a_basis_state(other):
 
 
 def test_basis_value_up_to_phase_and_its_near_misses():
-    assert basis_value(KET0) == 0
-    assert basis_value(KET1) == 1
-    assert basis_value(LocalState(np.exp(2.1j), 0.0)) == 0
-    assert basis_value(LocalState(0.0, -1j)) == 1
-    assert basis_value(PLUS) is None and basis_value(MINUS) is None
+    assert KET0.basis_value == 0
+    assert KET1.basis_value == 1
+    assert LocalState(np.exp(2.1j), 0.0).basis_value == 0
+    assert LocalState(0.0, -1j).basis_value == 1
+    assert PLUS.basis_value is None and MINUS.basis_value is None
     # |-> with a 1e-6 relative phase, and |1> whose norm is off by 8e-13
-    assert basis_value(LocalState(2**-0.5, -np.exp(1e-6j) * 2**-0.5)) is None
-    assert basis_value(LocalState(0.0, 1.0 + 4e-13)) is None
+    assert LocalState(2**-0.5, -np.exp(1e-6j) * 2**-0.5).basis_value is None
+    assert LocalState(0.0, 1.0 + 4e-13).basis_value is None
 
 
 def test_reflections_multiply_to_the_gate():

@@ -1,7 +1,8 @@
 """Module boundaries: no qackit module imports another module's private names,
 the samplers and the rewrite passes import only the IR, the verify suites do
-not import the CLI, every public name has a caller in the product, and the
-state-vector oracle has one gate loop."""
+not import the CLI, every public name has a caller in the product, the
+state-vector oracle has one gate loop, and per-state facts are read from the
+state, not from an identity cache."""
 from __future__ import annotations
 
 import ast
@@ -44,6 +45,19 @@ def test_sampling_imports_only_the_ir():
 def test_transforms_imports_only_the_ir():
     # the rewrite passes and constructions load without the oracle
     assert _relative_imports("transforms.py") == [".ir"]
+
+
+@pytest.mark.parametrize("name", ["ir.py", "statevec.py", "transforms.py"])
+def test_per_state_facts_are_read_from_the_state(name):
+    # a state computes its own norm error and basis value once, so the IR,
+    # the oracle and the rewrite passes keep no cache keyed by object identity
+    path = next(p for p in SOURCES if p.name == name)
+    calls = [
+        f"line {node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id"
+    ]
+    assert calls == []
 
 
 def test_verify_suites_stand_apart_from_the_cli():

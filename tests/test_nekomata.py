@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 from decimal import ROUND_CEILING, Decimal, getcontext
 
 import numpy as np
@@ -205,8 +206,21 @@ def test_core_targets_is_the_core_size_of_the_depthd_builder():
 
     assert [core_targets(n, 2) for n in (1, 5, 8)] == [1, 5, 8]
     assert [core_targets(n, 4) for n in (1, 4, 5, 8, 9)] == [1, 1, 2, 2, 3]
+    # a shift, not a 2^(d-2) divisor, so a huge depth allocates nothing
+    assert core_targets(5, 10**12) == 1
     # core of 3 targets on 2 columns (9 wires) plus 9 - 3 fanout wires
     assert build_depthd_nekomata(9, 4, 0.3, columns=2).num_qubits == 15
+
+
+def test_build_nekomata_at_a_huge_depth_writes_the_core_quickly(tmp_path):
+    from qackit import deserialize
+    from qackit.cli import main
+
+    out = tmp_path / "nek.json"
+    started = time.monotonic()
+    assert main(["build", "nekomata", "--n", "2", "--depth", str(10**12), "--out", str(out)]) == 0
+    assert time.monotonic() - started < 5.0
+    assert deserialize(out.read_text()).num_qubits == 3
 
 
 @pytest.mark.parametrize("d", [2, 3])

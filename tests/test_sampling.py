@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import functools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from qackit import (
     GateLaw,
+    KET0,
     KET1,
+    MINUS,
     PLUS,
     Or,
     RTensor,
@@ -32,7 +36,7 @@ from qackit import (
     x_gate,
     zero_state,
 )
-from qackit.ir import Circuit, LocalState, is_classical_gate, support
+from qackit.ir import Circuit, LocalState, is_classical_gate, reflections, support
 from qackit.rng import substream
 
 from conftest import (
@@ -629,10 +633,30 @@ def test_grid_column_gates_share_one_gate_law():
     assert sum(rows for _, rows in seen) == columns * trials
 
 
+def _count_state_facts(monkeypatch) -> dict[str, Counter]:
+    """Per-state counts of ``LocalState.norm_error`` and ``basis_value``
+    computations: each cached property keeps its cache and runs a counting
+    wrapper of its function.  The shared constants' cached facts are dropped
+    so that they count too."""
+    counts = {"norm_error": Counter(), "basis_value": Counter()}
+    for name, seen in counts.items():
+        prop = LocalState.__dict__[name]
+        assert isinstance(prop, functools.cached_property)
+
+        def counted(self, fact=prop.func, seen=seen):
+            seen[id(self)] += 1
+            return fact(self)
+
+        monkeypatch.setattr(prop, "func", counted)
+        for s in (KET0, KET1, MINUS, PLUS):
+            monkeypatch.delitem(s.__dict__, name, raising=False)
+    return counts
+
+
 def test_loaded_grid_reads_each_distinct_state_once(monkeypatch):
     # the file repeats one pair on all 12,000 column factors, and the loader
     # shares it, so validate and the first-layer grouping each read it once
-    from qackit import deserialize, serialize, sampling, validate
+    from qackit import deserialize, lower, serialize, sampling, validate
 
     n, columns = 6, 2000
     c = deserialize(serialize(build_depth2_nekomata(n, columns, solve_bias(n, columns))))
@@ -640,22 +664,35 @@ def test_loaded_grid_reads_each_distinct_state_once(monkeypatch):
     states = {id(s) for g in c.layers[0].gates for s in g.states}
     tuples = {tuple(map(id, g.states)) for g in c.layers[0].gates}
     assert len(states) == len(tuples) == 1
-    calls = {"norm_error": 0, "gate_law": 0}
-    norm_error, law = LocalState.norm_error, sampling.gate_law
-
-    def counted_norm_error(self):
-        calls["norm_error"] += 1
-        return norm_error(self)
+    counts = _count_state_facts(monkeypatch)
+    calls = {"gate_law": 0}
+    law = sampling.gate_law
 
     def counted_gate_law(g):
         calls["gate_law"] += 1
         return law(g)
 
-    monkeypatch.setattr(LocalState, "norm_error", counted_norm_error)
     monkeypatch.setattr(sampling, "gate_law", counted_gate_law)
     assert validate(c) == []
     sample_mostly_classical_batch(c, 64, substream(78), direct_sample_batch)
-    assert calls == {"norm_error": len(states), "gate_law": len(tuples)}
+    assert calls == {"gate_law": len(tuples)}
+    assert dict(counts["norm_error"]) == dict.fromkeys(states, 1)
+    assert set(counts["basis_value"].values()) <= {1}
+
+    # the 21-wire grid of `build nekomata --n 3 --columns 6`: validate, the
+    # oracle and lower compute each state's facts once between them
+    c = deserialize(serialize(build_depth2_nekomata(3, 6, solve_bias(3, 6))))
+    assert c.num_qubits == 21
+    for seen in counts.values():
+        seen.clear()
+    file_states = {id(s) for g in c.gates() if isinstance(g, RTensor) for s in g.states}
+    factor_states = {id(s) for g in c.gates() for factors in reflections(g) for _, s in factors}
+    assert len(file_states) == 1 and len(factor_states) == 3
+    assert validate(c) == []
+    run(c, zero_state(c.num_qubits))
+    lower(c)
+    assert dict(counts["norm_error"]) == dict.fromkeys(file_states, 1)
+    assert dict(counts["basis_value"]) == dict.fromkeys(factor_states, 1)
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0 + 1e-12, float("nan")])
