@@ -24,14 +24,9 @@ import qackit
 
 from . import nekomata, sampling, serial, statevec, transforms
 from .ir import Circuit, depth, size, topology, validate
+from .nekomata import MAX_BUILD_WIRES
 from .rng import substream
 from .verify import SUITES
-
-# widest circuit `build` emits, checked before anything is built.  At the cap,
-# build plus serialize peaks at 319 MiB RSS for the n=6 grid (1,048,572 wires,
-# a 28 MB file) and at 501 MiB for `cat` (a 72 MB file; ru_maxrss, 2-core
-# Xeon, Python 3.11)
-MAX_BUILD_WIRES = 1 << 20
 
 
 class CliError(Exception):
@@ -106,9 +101,7 @@ def _cmd_build(args, manifest: Manifest) -> int:
             core_n, args.epsilon
         )
         bias = args.bias if args.bias is not None else nekomata.solve_bias(core_n, columns)
-        circ = nekomata.build_depthd_nekomata(
-            n, args.depth, args.epsilon, columns=columns, bias=bias, max_qubits=MAX_BUILD_WIRES
-        )
+        circ = nekomata.build_depthd_nekomata(n, args.depth, args.epsilon, columns=columns, bias=bias)
         manifest.write_output(args.out, serial.serialize(circ))
         if args.report:
             params = nekomata.GridParams(core_n, columns, bias)

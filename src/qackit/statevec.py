@@ -30,10 +30,14 @@ grid's first layer and a fanout tree's early gates run on a fraction of the
 state; ``run`` on any other input starts with all of them, on one copy of
 the input.  A column block of ``unitary`` is the identity on the last few
 wires, with the others at the bits of its first column, so it starts with
-those few.  ``max_unitary_difference`` runs two circuits on the same block
-and keeps only the largest entry of the difference, so it stores neither
-matrix.  Each gate's kernels are built once for all the blocks; only the
-tests read the bits.
+those few.  It spans as many of the last wires as keep the buffer it comes
+to hold, over those wires and every wire the circuit moves, not over all m
+wires, within about 4 MiB; so wires the circuit only reads widen the block.
+``max_unitary_difference`` sizes one block by the wires either circuit
+moves, runs both circuits on it and compares the two results on the wires
+either holds, where every other row is 0 in both; it keeps only the
+largest entry of the difference, so it stores neither matrix.  Each gate's
+kernels are built once for all the blocks; only the tests read the bits.
 
 Public functions never modify their arguments.  ``run`` hands its buffer to
 the result read-only, without a second copy.  The practical cap is 24
@@ -65,8 +69,9 @@ MAX_QUBITS = 24
 # ``max_unitary_difference`` holds two column blocks, not two matrices
 MAX_COMPARE_QUBITS = 13
 NORM_ATOL = 1e-10
-# amplitudes per column block of ``unitary`` (4 MiB of complex128); a power of
-# two, so that a block's columns span the last wires
+# most amplitudes a column block of ``unitary`` holds, over the wires its
+# buffer holds (4 MiB of complex128); a power of two, so that a block's
+# columns span the last wires
 _BLOCK_AMPS = 1 << 18
 # gates on buffers of at least this many amplitudes run on two threads
 _SPLIT_AMPS = 1 << 16
@@ -343,14 +348,15 @@ def _widen(buf: np.ndarray, held: list, wires, bits: list) -> np.ndarray:
     return out
 
 
-def _evolve(buf: np.ndarray, held: list, plan, bits: list, m: int) -> np.ndarray:
+def _evolve(buf: np.ndarray, held: list, plan, bits: list):
     """Run ``plan``, made for a buffer over the sorted wires ``held``, on
     ``buf``, widening it before each step; every wire ``buf`` does not hold
-    is at its value in ``bits``.  Returns the buffer over all ``m`` wires."""
+    is at its value in ``bits``.  Returns the buffer and the sorted wires it
+    holds."""
     for wires, step in plan:
         buf, held = _widen(buf, held, wires, bits), wires
         _apply_in_place(buf, len(held), step, bits)
-    return _widen(buf, held, range(m), bits)
+    return buf, held
 
 
 def _bits(index: int, m: int) -> list:
@@ -367,33 +373,48 @@ def run(c: Circuit, state: StateVector) -> StateVector:
         buf, held = amps[index : index + 1].copy(), []
     else:
         index, buf, held = 0, amps.copy(), list(range(m))
-    return StateVector._adopt(m, _evolve(buf, held, _plan(c, held), _bits(index, m), m))
+    bits = _bits(index, m)
+    buf, held = _evolve(buf, held, _plan(c, held), bits)
+    return StateVector._adopt(m, _widen(buf, held, range(m), bits))
 
 
-def _column_blocks(c: Circuit):
-    """``(j, block)`` pairs: columns ``j, j+1, ...`` of the circuit's unitary,
-    in blocks of about ``_BLOCK_AMPS`` amplitudes, so the kernels'
-    temporaries are block-sized, not matrix-sized.  A block of ``2**k``
-    columns is the identity on the last ``k`` wires, with every other wire
-    at its bit of ``j``, so it starts over those ``k`` wires.  The plan is
-    built once and run on every block."""
-    m = c.num_qubits
-    dim = 1 << m
-    cols = min(dim, max(1, _BLOCK_AMPS >> m))
-    low = list(range(m - cols.bit_length() + 1, m))
+def _block_wires(circuits, m: int) -> list:
+    """The last ``k`` of the ``m`` wires, for the largest ``k`` at which a
+    column block of ``2**k`` columns, over those wires and every wire one of
+    ``circuits`` moves (``ir.moved_wires``), holds at most ``_BLOCK_AMPS``
+    amplitudes; a wire the circuits only read at |0> or |1> stays out of it.
+    When every wire is moved, that is ``_BLOCK_AMPS >> m`` columns, and at
+    least one."""
+    moved = {q for c in circuits for lay in c.layers for g in lay.gates for q in moved_wires(g)}
+    k = 0
+    while k < m and 1 << (len(moved.union(range(m - k - 1, m))) + k + 1) <= _BLOCK_AMPS:
+        k += 1
+    return list(range(m - k, m))
+
+
+def _column_blocks(c: Circuit, low: list):
+    """``(j, block, held)`` triples: columns ``j, j+1, ...`` of the circuit's
+    unitary, on the sorted wires ``held``, in blocks of ``2**len(low)``
+    columns, so the kernels' temporaries are block-sized, not matrix-sized.
+    A block is the identity on the sorted last wires ``low``, with every
+    other wire at its bit of ``j``, so it starts over those wires.  In the
+    columns of the unitary, every row where a wire the block does not hold
+    differs from that bit is 0.  The plan is built once and run on every
+    block."""
+    m, cols = c.num_qubits, 1 << len(low)
     plan = list(_plan(c, low))
-    for j in range(0, dim, cols):
-        yield j, _evolve(np.eye(cols, dtype=np.complex128), low, plan, _bits(j, m), m)
+    for j in range(0, 1 << m, cols):
+        yield (j, *_evolve(np.eye(cols, dtype=np.complex128), low, plan, _bits(j, m)))
 
 
 def unitary(c: Circuit, max_qubits: int = 12) -> np.ndarray:
     """Dense matrix of the circuit; column j is the image of basis state j."""
     if c.num_qubits > max_qubits:
         raise ValueError(f"dense unitary capped at {max_qubits} qubits")
-    dim = 1 << c.num_qubits
-    mat = np.empty((dim, dim), dtype=np.complex128)
-    for j, block in _column_blocks(c):
-        mat[:, j : j + block.shape[1]] = block
+    m = c.num_qubits
+    mat = np.empty((1 << m, 1 << m), dtype=np.complex128)
+    for j, block, held in _column_blocks(c, _block_wires((c,), m)):
+        mat[:, j : j + block.shape[1]] = _widen(block, held, range(m), _bits(j, m))
     return mat
 
 
@@ -401,14 +422,19 @@ def max_unitary_difference(a: Circuit, b: Circuit) -> float:
     """``max |U_a - U_b|`` over the entries of the two circuits' unitaries.
 
     Both circuits run on the same column block at a time and only the running
-    maximum is kept, so neither matrix is stored."""
+    maximum is kept, so neither matrix is stored.  The two blocks are compared
+    on the wires either holds: every other row is 0 in both."""
     if a.num_qubits != b.num_qubits:
         raise ValueError("compared circuits differ in qubit count")
     if a.num_qubits > MAX_COMPARE_QUBITS:
         raise ValueError(f"dense comparison capped at {MAX_COMPARE_QUBITS} qubits")
+    m = a.num_qubits
+    low = _block_wires((a, b), m)
     dev = 0.0
-    for (_, ua), (_, ub) in zip(_column_blocks(a), _column_blocks(b)):
-        ua -= ub
+    for (j, ua, held_a), (_, ub, held_b) in zip(_column_blocks(a, low), _column_blocks(b, low)):
+        bits, wires = _bits(j, m), sorted({*held_a, *held_b})
+        ua = _widen(ua, held_a, wires, bits)
+        ua -= _widen(ub, held_b, wires, bits)
         dev = max(dev, float(np.max(np.abs(ua))))
     return dev
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 from decimal import ROUND_CEILING, Decimal, getcontext
 
 import numpy as np
@@ -137,6 +138,20 @@ def test_build_depth2_qubit_cap():
     bias = solve_bias(2, 3)
     with pytest.raises(ValueError, match="cap"):
         build_depth2_nekomata(2, 3, bias, max_qubits=6)
+
+
+def test_builders_are_capped_by_default():
+    # choose_columns(6, 0.25) asks for about 251 million wires
+    from qackit.nekomata import MAX_BUILD_WIRES
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"over the {MAX_BUILD_WIRES}-wire cap"):
+            build_depthd_nekomata(6, 2, 0.25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_eg_eps_nek_chain():

@@ -230,12 +230,26 @@ def wide_circuit(m: int, rng: np.random.Generator):
     return circuit(m, [lay for lay in layers if lay])
 
 
-@pytest.mark.parametrize("m", [10, 11])
-def test_unitary_matches_run_at_the_edges_of_every_block(m):
+def control_read_circuit(m: int):
+    """H on wires 2.. and then a Toffoli from wires 0 and 1 onto each of
+    them: wires 0 and 1 are only read at |1>."""
+    return circuit(m, [[h_gate(q) for q in range(2, m)], *([Toffoli((0, 1), q)] for q in range(2, m))])
+
+
+def block_columns(m: int, moved: set) -> int:
+    """Columns per block of ``unitary`` on a circuit of m wires that moves the
+    wires ``moved``: ``2**k`` for the largest k at which a buffer over those
+    wires and the last k holds at most ``_BLOCK_AMPS`` amplitudes."""
+    fits = [k for k in range(m + 1) if (1 << k) << len(moved | set(range(m - k, m))) <= statevec._BLOCK_AMPS]
+    return 1 << max(fits, default=0)
+
+
+@pytest.mark.parametrize("m, controls", [(10, False), (11, False), (11, True)], ids=["10", "11", "controls"])
+def test_unitary_matches_run_at_the_edges_of_every_block(m, controls):
     rng = substream(83 + m)
-    c = wide_circuit(m, rng)
+    c = control_read_circuit(m) if controls else wide_circuit(m, rng)
     dim = 1 << m
-    cols = statevec._BLOCK_AMPS >> m
+    cols = block_columns(m, set(range(2 if controls else 0, m)))
     assert 1 < dim // cols  # more than one block
     u = unitary(c)
     for j in range(0, dim, cols):
@@ -280,6 +294,28 @@ def test_unitary_blocks_start_on_the_wires_their_columns_span(monkeypatch):
     # the first gate runs on wires 0 and 1 and the last log2(cols) wires only
     assert sizes[0] < (1 << m) * cols
     assert max(sizes) == (1 << m) * cols
+
+
+def test_unitary_blocks_widen_over_control_only_wires(monkeypatch):
+    # wires 0 and 1 stay out of every buffer, so a block spans more columns
+    m = 11
+    cols = block_columns(m, set(range(2, m)))
+    sizes = record_buffer_sizes(monkeypatch)
+
+    def check_block_runs(circuits):
+        gates = sum(len(lay.gates) for c in circuits for lay in c.layers)
+        runs = len(sizes) // gates
+        assert len(sizes) == runs * gates
+        assert max(sizes) <= statevec._BLOCK_AMPS
+        assert runs == (1 << m) // cols < (1 << m) // (statevec._BLOCK_AMPS >> m)
+        sizes.clear()
+
+    c = control_read_circuit(m)
+    unitary(c)
+    check_block_runs([c])
+    pair = dense_check_pair()
+    max_unitary_difference(*pair)
+    check_block_runs(pair)
 
 
 def test_unitary_peak_memory_stays_near_the_result_size():
@@ -475,9 +511,10 @@ def test_control_only_wires_never_join_the_buffer(monkeypatch):
     # the parity circuit's two inputs are read only by CZ-type reflections
     par = dense_check_pair()[0]
     m = par.num_qubits
-    cols = statevec._BLOCK_AMPS >> m
+    cols = block_columns(m, set(range(2, m)))
     sizes = record_buffer_sizes(monkeypatch)
     unitary(par)
+    assert len(sizes) == (1 << m) // cols * sum(len(lay.gates) for lay in par.layers)
     assert max(sizes) == (1 << (m - 2)) * cols
 
 
@@ -655,6 +692,21 @@ def test_max_unitary_difference_equals_the_dense_difference():
     pairs.append((wide_circuit(10, rng), wide_circuit(10, rng)))
     for a, b in pairs:
         assert max_unitary_difference(a, b) == np.max(np.abs(unitary(a) - unitary(b)))
+
+
+@pytest.mark.parametrize("block_amps", [1, 1 << 3])
+def test_max_unitary_difference_on_blocks_that_hold_different_wires(monkeypatch, block_amps):
+    # a moves wire 0, which b only reads at |1>; neither moves wires 1, 2 and 4
+    m = 5
+    a = circuit(m, [[h_gate(0)], [Toffoli((0,), 3)]])
+    b = circuit(m, [[Toffoli((0,), 3)]])
+    monkeypatch.setattr(statevec, "_BLOCK_AMPS", block_amps)
+    sizes = record_buffer_sizes(monkeypatch)
+    dev = max_unitary_difference(a, b)
+    # one column per block: a's Toffoli holds wires 0 and 3, b's wire 3 alone
+    assert {2, 4} <= set(sizes)
+    assert dev > 0.5
+    assert dev == np.max(np.abs(unitary(a) - unitary(b)))
 
 
 def test_max_unitary_difference_stores_neither_unitary():
