@@ -24,7 +24,6 @@ import qackit
 
 from . import nekomata, sampling, serial, statevec, transforms
 from .ir import Circuit, depth, size, topology, validate
-from .nekomata import MAX_BUILD_WIRES
 from .rng import substream
 from .verify import SUITES
 
@@ -84,9 +83,6 @@ class Manifest:
 
 def _load_circuit(manifest: Manifest, path: str) -> Circuit:
     c = serial.deserialize(manifest.read_input(path))
-    # every pass allocates per wire, so a file is held to what `build` writes
-    if c.num_qubits > MAX_BUILD_WIRES:
-        raise CliError(f"circuit has {c.num_qubits} wires, over the {MAX_BUILD_WIRES}-wire cap")
     problems = validate(c)
     if problems:
         raise CliError("invalid circuit:\n  " + "\n  ".join(problems))
@@ -119,19 +115,13 @@ def _cmd_build(args, manifest: Manifest) -> int:
             }
             manifest.write_output(args.report, json.dumps(report, indent=2) + "\n")
     elif args.what in ("fanout-tree", "cat"):
-        if args.n > MAX_BUILD_WIRES:
-            raise CliError(f"{args.n} wires are over the {MAX_BUILD_WIRES}-wire build cap")
         circ = transforms.fanout_tree(args.n, args.m)
         if args.what == "cat":
             circ = transforms.cat_from_restricted_fanout(circ, args.n)
             circ = Circuit(circ.num_qubits, circ.layers, tuple(range(args.n)))
         manifest.write_output(args.out, serial.serialize(circ))
     elif args.what == "parity-from-nekomata":
-        constructor = _load_circuit(manifest, args.constructor)
-        wires = constructor.num_qubits + args.n + 1
-        if wires > MAX_BUILD_WIRES:
-            raise CliError(f"{wires} wires are over the {MAX_BUILD_WIRES}-wire build cap")
-        circ = transforms.parity_from_nekomata(constructor, args.n)
+        circ = transforms.parity_from_nekomata(_load_circuit(manifest, args.constructor), args.n)
         manifest.write_output(args.out, serial.serialize(circ))
     print(f"wrote {args.out}")
     return 0

@@ -12,14 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ir import Circuit, Layer, LocalState, Or, circuit, rtensor
+from .ir import Circuit, Layer, LocalState, Or, check_wire_cap, circuit, rtensor
 from .transforms import fanout_stage_layers
-
-# widest circuit the builders and `build` emit, checked before anything is
-# built.  At the cap, build plus serialize peaks at 319 MiB RSS for the n=6
-# grid (1,048,572 wires, a 28 MB file) and at 501 MiB for `cat` (a 72 MB
-# file; ru_maxrss, 2-core Xeon, Python 3.11)
-MAX_BUILD_WIRES = 1 << 20
 
 
 def choose_columns(n: int, epsilon: float) -> int:
@@ -183,7 +177,7 @@ def impurity_bound(n: int, columns: int, bias: float) -> ImpurityBound:
     return ImpurityBound(columns * base, 4.0 * columns * n * bias ** (n + 1), base)
 
 
-def build_depth2_nekomata(n: int, columns: int, bias: float, max_qubits: int = MAX_BUILD_WIRES) -> Circuit:
+def build_depth2_nekomata(n: int, columns: int, bias: float) -> Circuit:
     """Depth-2 grid circuit on ``n * (columns + 1)`` wires.
 
     Wire layout is column-major with the target column last: column c, row r
@@ -191,8 +185,7 @@ def build_depth2_nekomata(n: int, columns: int, bias: float, max_qubits: int = M
     """
     GridParams(n, columns, bias).check()
     total = n * (columns + 1)
-    if total > max_qubits:
-        raise ValueError(f"grid needs {total} wires, over the {max_qubits}-wire cap")
+    check_wire_cap(total)
     amp = LocalState(math.sqrt(bias), math.sqrt(1.0 - bias))
     column_gates = [
         rtensor({c * n + r: amp for r in range(n)}) for c in range(columns)
@@ -210,7 +203,6 @@ def build_depthd_nekomata(
     epsilon: float,
     columns: int | None = None,
     bias: float | None = None,
-    max_qubits: int = MAX_BUILD_WIRES,
 ) -> Circuit:
     """Depth-d builder: a depth-2 core on ``m = ceil(n / 2^(d-2))`` targets,
     then binary fanout stages spreading each core target over a contiguous
@@ -220,12 +212,11 @@ def build_depthd_nekomata(
         columns = choose_columns(m, epsilon)
     if bias is None:
         bias = solve_bias(m, columns)
-    core = build_depth2_nekomata(m, columns, bias, max_qubits=max_qubits)
+    core = build_depth2_nekomata(m, columns, bias)
     if m == n:
         return core
     total = core.num_qubits + (n - m)
-    if total > max_qubits:
-        raise ValueError(f"construction needs {total} wires, over the {max_qubits}-wire cap")
+    check_wire_cap(total)
     base, rem = divmod(n, m)
     extra_next = core.num_qubits
     blocks: list[list[int]] = []

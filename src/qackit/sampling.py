@@ -66,8 +66,7 @@ FACTORIZED_ARITY_CAP = 12
 # Newton on the min-rank CDF: steps at or below NEWTON_TOL end the iteration
 NEWTON_TOL = 1e-12
 NEWTON_MAX_STEPS = 100
-# cap on the (trials, targets) result and on one chunk's packed buffer, which
-# holds at least one byte per wire
+# cap on the (trials, targets) result
 MAX_SAMPLE_BYTES = 1 << 28
 # packed bytes of one trial chunk (whole bytes per wire, at least one):
 # sampling 10^6 trials of the 90,372-wire grid on a 2-core Xeon, 32 MiB chunks
@@ -211,10 +210,10 @@ def _first_layer_groups(lay: Layer) -> dict[GateLaw | float, np.ndarray]:
     """The first-layer gates that can output a 1, grouped by law: each
     reflection's ``GateLaw``, or a one-qubit gate's one-rate, maps to the
     (gates, k) wires its gates' draws are written to, in layer order, as
-    int32 (the cap check keeps every wire below 2^28)."""
+    int32 (the wire cap keeps every wire below 2^20)."""
     groups: dict[GateLaw | float, list[int]] = {}
-    # gate_law runs once per distinct tuple of states, keyed by identity as
-    # in ir.validate: a grid loaded from a file shares one LocalState
+    # gate_law runs once per distinct tuple of states, keyed by identity: a
+    # loaded or built grid shares one LocalState per distinct state
     laws: dict[tuple[int, ...], tuple[tuple[int, ...], GateLaw]] = {}
     for g in lay.gates:
         if isinstance(g, RTensor):
@@ -274,8 +273,7 @@ def sample_mostly_classical_batch(
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     n_targets = len(c.targets) if c.targets is not None else c.num_qubits
-    # one chunk holds at least 8 trials, one byte per wire
-    need = max(c.num_qubits, trials * n_targets)
+    need = trials * n_targets
     if need > MAX_SAMPLE_BYTES:
         raise ValueError(
             f"{trials} trials on {c.num_qubits} wires need {need} bytes, over the {MAX_SAMPLE_BYTES}-byte cap"
@@ -283,7 +281,7 @@ def sample_mostly_classical_batch(
     _require_mostly_classical(c)
     targets = list(c.targets) if c.targets is not None else list(range(c.num_qubits))
     groups = _first_layer_groups(c.layers[0]) if c.layers else {}
-    per_wire = max(1, _CHUNK_BYTES // max(c.num_qubits, 1))
+    per_wire = max(1, _CHUNK_BYTES // c.num_qubits)
     chunk = 8 * min(-(-trials // 8), per_wire)
     out = np.empty((trials, n_targets), dtype=np.uint8)
     for start in range(0, trials, chunk):

@@ -41,7 +41,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .ir import Circuit, Gate, Layer, LocalState, OneQubit, Or, RTensor, Toffoli
+from .ir import Circuit, Gate, Layer, LocalState, OneQubit, Or, RTensor, Toffoli, check_wire_cap
 from .statevec import MAX_QUBITS
 
 
@@ -238,6 +238,7 @@ def deserialize(text: str) -> Circuit:
 
 def _circuit(doc: dict) -> Circuit:
     num_qubits = _num_qubits(doc)
+    check_wire_cap(num_qubits)  # before anything is parsed per wire or gate
     targets = _want(doc, "targets", "top level")
     if targets is not None:
         if type(targets) is not list:

@@ -66,6 +66,7 @@ import numpy as np
 from .ir import Circuit, Gate, LocalState, OneQubit, moved_wires, reflections, support
 
 MAX_QUBITS = 24
+MAX_UNITARY_QUBITS = 12
 # ``max_unitary_difference`` holds two column blocks, not two matrices
 MAX_COMPARE_QUBITS = 13
 NORM_ATOL = 1e-10
@@ -407,15 +408,16 @@ def _column_blocks(c: Circuit, low: list):
         yield (j, *_evolve(np.eye(cols, dtype=np.complex128), low, plan, _bits(j, m)))
 
 
-def unitary(c: Circuit, max_qubits: int = 12) -> np.ndarray:
+def unitary(c: Circuit) -> np.ndarray:
     """Dense matrix of the circuit; column j is the image of basis state j."""
-    if c.num_qubits > max_qubits:
-        raise ValueError(f"dense unitary capped at {max_qubits} qubits")
+    if c.num_qubits > MAX_UNITARY_QUBITS:
+        raise ValueError(f"dense unitary capped at {MAX_UNITARY_QUBITS} qubits")
     m = c.num_qubits
-    mat = np.empty((1 << m, 1 << m), dtype=np.complex128)
+    mat = np.zeros((2,) * m + (1 << m,), dtype=np.complex128)
     for j, block, held in _column_blocks(c, _block_wires((c,), m)):
-        mat[:, j : j + block.shape[1]] = _widen(block, held, range(m), _bits(j, m))
-    return mat
+        fixed = [(q, bit) for q, bit in enumerate(_bits(j, m)) if q not in held]
+        _select(mat[..., j : j + block.shape[1]], m, fixed)[...] = block.reshape((2,) * len(held) + block.shape[1:])
+    return mat.reshape(1 << m, 1 << m)
 
 
 def max_unitary_difference(a: Circuit, b: Circuit) -> float:

@@ -23,6 +23,7 @@ from .ir import (
     RTensor,
     Toffoli,
     X_MATRIX,
+    check_wire_cap,
     circuit,
     cz,
     h_gate,
@@ -247,6 +248,7 @@ def fanout_stage_layers(wires: list[int], m: int) -> list[list[Gate]]:
 def fanout_tree(n: int, m: int) -> Circuit:
     """Restricted fanout |b, 0^{n-1}> -> |b^n> from fanout stages of arity at
     most m: depth ceil(log_m n), size at most n-1, no ancillae."""
+    check_wire_cap(n)
     if n < 1 or m < 2:
         raise ValueError("need n >= 1 and m >= 2")
     stages = fanout_stage_layers(list(range(n)), m)
@@ -274,6 +276,7 @@ def parity_from_nekomata(constructor: Circuit, n: int) -> Circuit:
     wires to all zeros.
     """
     a = constructor.num_qubits
+    check_wire_cap(n + a + 1)
     targets = constructor.targets if constructor.targets is not None else range(a)
     if n < 1:
         raise ValueError("n must be at least 1")

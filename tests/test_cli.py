@@ -491,10 +491,10 @@ def _one_toffoli_file(path, num_qubits: int) -> str:
     ids=["info", "normal-form"],
 )
 def test_a_circuit_file_wider_than_the_build_cap_is_refused_before_allocating(argv, tmp_path, capsys, monkeypatch):
-    from qackit.cli import MAX_BUILD_WIRES
+    from qackit.ir import MAX_WIRES
 
     monkeypatch.chdir(tmp_path)
-    wide = _one_toffoli_file(tmp_path / "wide.json", MAX_BUILD_WIRES + 1)
+    wide = _one_toffoli_file(tmp_path / "wide.json", MAX_WIRES + 1)
     tracemalloc.start()
     try:
         code = run_cli(*argv, "--circuit", wide)
@@ -507,13 +507,13 @@ def test_a_circuit_file_wider_than_the_build_cap_is_refused_before_allocating(ar
 
 
 def test_parity_from_nekomata_refuses_a_result_wider_than_the_build_cap(tmp_path, capsys):
-    from qackit.cli import MAX_BUILD_WIRES
+    from qackit.ir import MAX_WIRES
 
-    constructor = _one_toffoli_file(tmp_path / "wide.json", MAX_BUILD_WIRES)
+    constructor = _one_toffoli_file(tmp_path / "wide.json", MAX_WIRES)
     out = tmp_path / "parity.json"
     code = run_cli("build", "parity-from-nekomata", "--constructor", constructor, "--n", "1", "--out", str(out))
     assert code == 1
-    assert "1048578 wires are over the 1048576-wire build cap" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: circuit has 1048578 wires, over the 1048576-wire cap\n"
     assert not out.exists()
 
 
@@ -777,3 +777,47 @@ def test_every_file_build_and_transform_write_round_trips_exactly(tmp_path):
     assert any("-0.0" in t for t in texts)  # signed zeros are written, and must survive
     for text in texts:
         assert serialize(deserialize(text)) == text
+
+
+def test_cli_commands_leave_no_qackit_object_in_a_reference_cycle(tmp_path, monkeypatch):
+    # each json.dumps(..., indent=2) leaves one cycle of the stdlib's encoder
+    # closures, which the collector frees; no qackit object is ever in a cycle
+    import gc
+
+    monkeypatch.chdir(tmp_path)
+    commands = [
+        ("build", "nekomata", "--n", "2", "--columns", "3", "--out", "nek.json", "--report", "report.json"),
+        ("build", "fanout-tree", "--n", "5", "--out", "fan.json"),
+        ("build", "cat", "--n", "5", "--out", "cat.json"),
+        ("build", "parity-from-nekomata", "--constructor", "nek.json", "--n", "2", "--out", "par.json"),
+        ("transform", "normal-form", "--circuit", "par.json", "--out", "nf.json"),
+        ("transform", "lower", "--circuit", "par.json", "--out", "low.json"),
+        ("transform", "hadamard-conjugate", "--circuit", "fan.json", "--out", "h.json"),
+        ("simulate", "--circuit", "par.json", "--compare", "nf.json"),
+        ("simulate", "--circuit", "cat.json", "--state-out", "state.json"),
+        ("sample", "--circuit", "nek.json", "--trials", "64", "--seed", "1", "--out", "s.csv", "--summary", "sum.json"),
+        ("sample", "--circuit", "nek.json", "--trials", "64", "--seed", "1", "--sampler", "factorized", "--out", "f.csv"),
+        ("verify", "--suite", "all", "--report", "verify.json"),
+        ("info", "--circuit", "par.json"),
+    ]
+
+    def module(obj) -> str:
+        name = getattr(obj, "__module__", None)
+        return name if isinstance(name, str) else ""
+
+    flags = gc.get_debug()
+    try:
+        for argv in commands:
+            # free earlier cycles for good, so that each command is judged alone
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.collect()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            assert run_cli(*argv) == 0, argv
+            gc.collect()
+            ours = [type(o).__name__ for o in gc.garbage if module(o).startswith("qackit") or module(type(o)).startswith("qackit")]
+            assert ours == [], argv
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        gc.collect()

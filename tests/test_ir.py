@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qackit import (
+    Circuit,
     LocalState,
     OneQubit,
     Or,
@@ -12,6 +15,7 @@ from qackit import (
     circuit,
     cnot,
     depth,
+    deserialize,
     h_gate,
     rtensor,
     size,
@@ -19,7 +23,9 @@ from qackit import (
     validate,
     x_gate,
 )
-from qackit.ir import KET0, KET1, MINUS, PLUS, is_multi_qubit, reflections, support
+from qackit.ir import KET0, KET1, MAX_WIRES, MINUS, PLUS, is_multi_qubit, reflections, support
+from qackit.nekomata import build_depth2_nekomata, build_depthd_nekomata, solve_bias
+from qackit.transforms import fanout_tree, parity_from_nekomata, permute_qubits
 
 from conftest import random_qac_circuit
 from qackit.rng import substream
@@ -348,3 +354,43 @@ def test_toffoli_and_or_stay_apart():
             cls((), 1)
         with pytest.raises(ValueError, match=f"{cls.__name__} target must not be a control"):
             cls((1,), 1)
+
+
+
+def _file(num_qubits: int, gate: str) -> str:
+    return '{"num_qubits": %d, "targets": null, "states": [], "layers": [[%s]]}' % (num_qubits, gate)
+
+
+_TOFFOLI = '{"kind": "toffoli", "controls": [0, 1], "target": 2}'
+
+# each entry where a width first appears, and the width it names;
+# choose_columns(6, 0.25) asks for 251,006,232 wires
+_OVER_CAP = {
+    "Circuit": (lambda: Circuit(MAX_WIRES + 1, ()), MAX_WIRES + 1),
+    "permute_qubits": (lambda: permute_qubits(circuit(3, []), {}, num_qubits=MAX_WIRES + 1), MAX_WIRES + 1),
+    "fanout_tree": (lambda: fanout_tree(MAX_WIRES + 1, 2), MAX_WIRES + 1),
+    "parity_from_nekomata": (lambda: parity_from_nekomata(Circuit(MAX_WIRES, ()), 1), MAX_WIRES + 2),
+    "build_depth2_nekomata": (lambda: build_depth2_nekomata(2, 1 << 19, solve_bias(2, 1 << 19)), MAX_WIRES + 2),
+    "build_depthd_nekomata": (lambda: build_depthd_nekomata(6, 2, 0.25), 251_006_232),
+    "deserialize": (lambda: deserialize(_file(MAX_WIRES + 1, _TOFFOLI)), MAX_WIRES + 1),
+    # the width is reported, not the malformed gate after it
+    "deserialize-bad-gate": (lambda: deserialize(_file(MAX_WIRES + 1, '{"kind": "nand"}')), MAX_WIRES + 1),
+}
+
+
+@pytest.mark.parametrize("call, wires", _OVER_CAP.values(), ids=_OVER_CAP.keys())
+def test_every_entry_refuses_a_width_over_the_wire_cap_before_allocating(call, wires):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^circuit has {wires} wires, over the 1048576-wire cap$"):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_a_circuit_at_the_wire_cap_constructs_and_loads():
+    assert Circuit(MAX_WIRES, ()).num_qubits == MAX_WIRES
+    loaded = deserialize(_file(MAX_WIRES, _TOFFOLI))
+    assert loaded.num_qubits == MAX_WIRES and list(loaded.gates()) == [Toffoli((0, 1), 2)]

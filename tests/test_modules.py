@@ -1,8 +1,8 @@
 """Module boundaries: no qackit module imports another module's private names,
 the samplers and the rewrite passes import only the IR, the verify suites do
 not import the CLI, every public name has a caller in the product, the
-state-vector oracle has one gate loop, and per-state facts are read from the
-state, not from an identity cache."""
+state-vector oracle has one gate loop, per-state facts are read from the
+state, not from an identity cache, and the wire cap is stated once, in the IR."""
 from __future__ import annotations
 
 import ast
@@ -133,3 +133,39 @@ def test_statevec_has_one_gate_loop():
         )
     )
     assert callers == ["_evolve"]
+
+
+
+
+def _assigned(node: ast.AST) -> list[str]:
+    """Names and attributes an assignment binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+        targets = [node.target]
+    else:
+        return []
+    return [getattr(t, "id", getattr(t, "attr", None)) for t in targets]
+
+
+def _mentions_the_cap(node: ast.AST) -> bool:
+    """``node`` names ``MAX_WIRES`` or spells its value."""
+    return "MAX_WIRES" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)) or (
+        isinstance(node, ast.expr) and ast.unparse(node) in ("1048576", "1 << 20", "2 ** 20")
+    )
+
+
+def test_the_wire_cap_is_stated_once_in_the_ir():
+    # the IR refuses an over-wide circuit wherever a width first appears, so
+    # no other module keeps a copy of the cap and the CLI checks no width
+    assigners = [p.name for p in SOURCES for node in ast.walk(ast.parse(p.read_text())) if "MAX_WIRES" in _assigned(node)]
+    assert assigners == ["ir.py"]
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = [node.lineno for node in ast.walk(tree) if _mentions_the_cap(node)]
+    widths = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and any(getattr(o, "attr", None) == "num_qubits" for o in ast.walk(node))
+    ]
+    assert reads == [] and widths == []

@@ -135,18 +135,19 @@ def test_build_depth2_rejects_bad_bias():
 
 
 def test_build_depth2_qubit_cap():
-    bias = solve_bias(2, 3)
-    with pytest.raises(ValueError, match="cap"):
-        build_depth2_nekomata(2, 3, bias, max_qubits=6)
+    # 2 rows by 2^19 + 1 columns: two wires over the cap
+    bias = solve_bias(2, 1 << 19)
+    with pytest.raises(ValueError, match="circuit has 1048578 wires, over the 1048576-wire cap"):
+        build_depth2_nekomata(2, 1 << 19, bias)
 
 
 def test_builders_are_capped_by_default():
     # choose_columns(6, 0.25) asks for about 251 million wires
-    from qackit.nekomata import MAX_BUILD_WIRES
+    from qackit.ir import MAX_WIRES
 
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=f"over the {MAX_BUILD_WIRES}-wire cap"):
+        with pytest.raises(ValueError, match=f"over the {MAX_WIRES}-wire cap"):
             build_depthd_nekomata(6, 2, 0.25)
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -206,9 +206,9 @@ def test_rewrites_preserve_unitary_at_ten_qubits():
     c = random_qac_circuit(rng, max_qubits=10, max_depth=3)
     while c.num_qubits < 10:
         c = random_qac_circuit(rng, max_qubits=10, max_depth=3)
-    base = unitary(c, max_qubits=10)
-    assert np.max(np.abs(unitary(to_rtensor_normal_form(c), max_qubits=10) - base)) < 1e-9
-    assert np.max(np.abs(unitary(lower(c), max_qubits=10) - base)) < 1e-9
+    base = unitary(c)
+    assert np.max(np.abs(unitary(to_rtensor_normal_form(c)) - base)) < 1e-9
+    assert np.max(np.abs(unitary(lower(c)) - base)) < 1e-9
 
 
 def test_normal_form_shape_and_topology_random():
@@ -380,7 +380,7 @@ def test_normal_form_on_control_sharing_fanout_stages():
     nf = to_rtensor_normal_form(c)
     assert validate(nf) == []
     assert topology(nf) == topology(c)
-    dev = np.max(np.abs(unitary(nf, max_qubits=9) - unitary(c, max_qubits=9)))
+    dev = np.max(np.abs(unitary(nf) - unitary(c)))
     assert dev < 1e-9
 
 
@@ -410,7 +410,7 @@ def test_normal_form_can_have_no_valid_layering():
     # H on every wire after the fanout stage rotates the shared control
     c = conjugate_by_hadamards(fanout_tree(9, 3), 9)
     nf = to_rtensor_normal_form(c)
-    assert np.max(np.abs(unitary(nf, max_qubits=9) - unitary(c, max_qubits=9))) < 1e-9
+    assert np.max(np.abs(unitary(nf) - unitary(c))) < 1e-9
     assert "layer 1: overlapping supports on qubits [0]" in validate(nf)
 
 
